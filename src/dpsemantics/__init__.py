@@ -21,7 +21,6 @@ from .accountants import (
     rdp_to_delta,
     renyi_divergence,
     zcdp_bound_curve,
-    zcdp_compose,
     zcdp_to_delta,
 )
 from .bayes import (
@@ -43,7 +42,6 @@ from .census import (
     builtin_scenarios,
     parse_allocation,
     production_table,
-    rho_star,
     scenario_bayes_epsilon,
     scenario_power,
     scenario_rho,
@@ -54,7 +52,6 @@ from .dgauss import (
     DiscreteGaussParams,
     affected_queries_from_table,
     dgauss_pmf,
-    dgauss_sample,
     llr_statistic,
     mc_roc,
 )
@@ -66,13 +63,11 @@ from .plrv import (
     approx_dp_delta,
     compose,
     gaussian_plrv,
-    geometric_plrv,
     plrv_of_finite_pair,
     point_mass_zero,
     pure_dp_epsilon,
     rr_plrv,
     sampling_plrv,
-    tail_probability,
 )
 from .tradeoff import (
     ApproxDpBoundCurve,

@@ -14,13 +14,14 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from ._norm import phi, phi_inv
-from .plrv import FiniteMechanismPair
-from .tradeoff import TradeoffCurve, np_tradeoff_finite
+from .plrv import FiniteMechanismPair, _gaussian_adp_delta
+from .tradeoff import TradeoffCurve, _bisect, np_tradeoff_finite
 
-DELTA_BISECTION_ITERS = 60  # 2^-60 is far below any tolerance in use
+DELTA_BISECTION_TOL = 2.0**-60  # far below any tolerance in use
 
 
 class Semantics(Enum):
@@ -76,16 +77,6 @@ class RdpProfile:
             raise ValueError("gamma values must be nonnegative")
         if alphas != sorted(alphas) or len(set(alphas)) != len(alphas):
             raise ValueError("alphas must be strictly increasing")
-
-
-PrivacyProfile = ZcdpProfile | RdpProfile
-
-
-def zcdp_compose(rhos: Sequence[float]) -> float:
-    """Total rho of independently composed zCDP mechanisms."""
-    if any(r < 0 for r in rhos):
-        raise ValueError("rho values must be nonnegative")
-    return float(sum(rhos))
 
 
 def rdp_compose(a: RdpProfile, b: RdpProfile) -> RdpProfile:
@@ -175,33 +166,25 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return max(
-        _pbdp_delta_direction(np_tradeoff_finite(pair), eps),
-        _pbdp_delta_direction(np_tradeoff_finite(pair.reversed()), eps),
-    )
-
-
-def _pbdp_delta_direction(curve, eps: float) -> float:
     scale = math.exp(-eps)
-    lo, hi = 0.0, 1.0
-    for _ in range(DELTA_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if curve.power(scale * mid) <= mid + 1e-15:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+    def delta(curve) -> float:
+        return _bisect(
+            lambda d: curve.power(scale * d) <= d + 1e-15, 0.0, 1.0, DELTA_BISECTION_TOL
+        )[1]
+
+    return max(
+        delta(np_tradeoff_finite(pair)), delta(np_tradeoff_finite(pair.reversed()))
+    )
 
 
 def adp_gaussian_curve(mu: float, eps_hi: float = 20.0) -> EpsDeltaCurve:
     """Exact approximate-DP curve of a Gaussian mechanism."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-
-    def fn(eps: float) -> float:
-        return phi(-eps / mu + mu / 2.0) - math.exp(eps) * phi(-eps / mu - mu / 2.0)
-
-    return EpsDeltaCurve(Semantics.APPROXIMATE_DP, fn, 0.0, eps_hi)
+    return EpsDeltaCurve(
+        Semantics.APPROXIMATE_DP, partial(_gaussian_adp_delta, mu), 0.0, eps_hi
+    )
 
 
 def zcdp_bound_curve(rho: float, eps_hi: float | None = None) -> EpsDeltaCurve:
@@ -210,11 +193,6 @@ def zcdp_bound_curve(rho: float, eps_hi: float | None = None) -> EpsDeltaCurve:
     return EpsDeltaCurve(
         Semantics.ZCDP_TAIL_BOUND, lambda eps: zcdp_to_delta(rho, eps), 0.0, hi
     )
-
-
-def degenerate_curve(eps: float, delta: float = 0.0) -> EpsDeltaCurve:
-    """Single-point curve, mostly useful for bound comparisons."""
-    return EpsDeltaCurve(Semantics.APPROXIMATE_DP, lambda _e: delta, eps, eps)
 
 
 class BudgetExceededError(RuntimeError):
@@ -318,8 +296,6 @@ __all__ = [
     "EpsDeltaCurve",
     "ZcdpProfile",
     "RdpProfile",
-    "PrivacyProfile",
-    "zcdp_compose",
     "rdp_compose",
     "renyi_divergence",
     "zcdp_to_delta",
@@ -329,7 +305,6 @@ __all__ = [
     "pbdp_delta_finite",
     "adp_gaussian_curve",
     "zcdp_bound_curve",
-    "degenerate_curve",
     "Odometer",
     "BudgetExceededError",
 ]

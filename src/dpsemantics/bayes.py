@@ -23,15 +23,13 @@ import numpy as np
 
 from ._norm import phi
 from .accountants import (
-    EpsDeltaCurve,
     RdpProfile,
-    Semantics,
     ZcdpProfile,
     fdp_to_epsdelta,
+    rdp_to_delta,
     zcdp_to_delta,
 )
 from .plrv import FiniteMechanismPair, plrv_of_finite_pair, pure_dp_epsilon
-from .tradeoff import TradeoffCurve
 
 ROW_SUM_TOL = 1e-12
 
@@ -257,49 +255,22 @@ def bayes_known_rest_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> flo
 def bayes_arbitrary_prior_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> float:
     """Bound on P(posterior ratio >= e^eps) for the true record, any prior.
 
-    Weaker than the known-rest bound: RDP gives e^{(alpha-1)(gamma-eps)};
-    the zCDP branch is exactly the zCDP tail bound on the pointwise delta.
+    Weaker than the known-rest bound: both branches are exactly the tail
+    bounds on the pointwise delta, e^{(alpha-1)(gamma-eps)} for RDP and the
+    zCDP one for zCDP.
     """
     if isinstance(profile, RdpProfile):
-        best = 1.0
-        for alpha, gamma in profile.points:
-            exponent = (alpha - 1.0) * (gamma - eps)
-            if math.isnan(exponent) or exponent >= 0.0:
-                continue
-            best = min(best, math.exp(exponent))
-        return min(1.0, max(0.0, best))
+        # an empty profile bounds nothing: the vacuous delta 1
+        return rdp_to_delta(profile, eps) if profile.points else 1.0
     rho = profile.rho
     if rho == 0.0:
         return 0.0 if eps > 0 else 1.0
     return zcdp_to_delta(rho, eps)
 
 
-def bayes_pbdp_epsilon(curve: TradeoffCurve, delta: float) -> float:
-    """Known-rest Bayesian eps at a given delta; coincides with the
-    pointwise (eps, delta) reparametrization of the trade-off curve."""
-    return fdp_to_epsdelta(curve, delta)
-
-
-def bayes_known_rest_curve(
-    profile: ZcdpProfile | RdpProfile, eps_hi: float
-) -> EpsDeltaCurve:
-    return EpsDeltaCurve(
-        Semantics.BAYES_KNOWN_REST,
-        lambda eps: bayes_known_rest_delta(profile, eps),
-        0.0,
-        eps_hi,
-    )
-
-
-def bayes_arbitrary_prior_curve(
-    profile: ZcdpProfile | RdpProfile, eps_hi: float
-) -> EpsDeltaCurve:
-    return EpsDeltaCurve(
-        Semantics.BAYES_ARBITRARY_PRIOR,
-        lambda eps: bayes_arbitrary_prior_delta(profile, eps),
-        0.0,
-        eps_hi,
-    )
+#: Known-rest Bayesian eps at a given delta (curve, delta) -> eps: the same
+#: function as the pointwise (eps, delta) reparametrization of the curve.
+bayes_pbdp_epsilon = fdp_to_epsdelta
 
 
 def wrong_prior_ratio_closed_form(

@@ -22,6 +22,7 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from ._norm import phi, phi_inv
+from .accountants import gaussian_pbdp_epsilon
 
 
 class GeoLevel(Enum):
@@ -128,14 +129,6 @@ class AllocationTable:
             * self.query_person[(query, level)]
         )
 
-    def total_rho(self) -> Fraction:
-        """Sum over every (query, level) pair; equals the two bases."""
-        total = sum(
-            self.rho_star(q, level) for q in QueryKind for level in GeoLevel
-        )
-        assert total == self.base_person + self.base_housing
-        return total
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -147,12 +140,16 @@ class Scenario:
     expected_rho: float | None = field(default=None, compare=False)
 
 
-def rho_star(table: AllocationTable, query: QueryKind, level: GeoLevel) -> Fraction:
-    return table.rho_star(query, level)
-
-
 def total_rho(table: AllocationTable) -> Fraction:
-    return table.total_rho()
+    """Sum over every (query, level) pair; equals the two bases.
+
+    A mismatch is an internal invariant violation (`dpsem` exits 4); it is
+    raised explicitly so that it holds under `python -O` too.
+    """
+    total = sum(table.rho_star(q, level) for q in QueryKind for level in GeoLevel)
+    if total != table.base_person + table.base_housing:
+        raise AssertionError(f"total rho {total} differs from the sum of the bases")
+    return total
 
 
 def scenario_rho(table: AllocationTable, scenario: Scenario) -> Fraction:
@@ -179,15 +176,11 @@ def scenario_power(rho: float, level: float) -> float:
 
 
 def scenario_bayes_epsilon(rho: float, delta: float) -> float:
-    """Known-rest Bayesian eps at a given delta for a rho-sized release."""
+    """Known-rest Bayesian eps at a given delta for a rho-sized release:
+    the Gaussian pointwise eps at mu = sqrt(2 rho)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    denom = phi(phi_inv(delta) - math.sqrt(2.0 * rho))
-    if denom == 0.0:
-        return math.inf
-    return math.log(delta / denom)
+    return gaussian_pbdp_epsilon(math.sqrt(2.0 * rho), delta)
 
 
 def _all_queries_at(levels: Iterable[GeoLevel]) -> set[tuple[QueryKind, GeoLevel]]:

@@ -2,8 +2,8 @@
 
 Emits every table and curve the library computes as CSV, JSON, or SVG.
 Relative --out paths resolve against $DPSEM_OUT_DIR when it is set.
-Exit codes: 0 ok, 2 usage error, 3 I/O failure, 4 internal invariant
-violation.
+Exit codes: 0 ok, 2 usage error (also a non-finite or rejected number),
+3 I/O failure, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import click
@@ -28,15 +29,31 @@ from .tradeoff import (
 LEVELS_TABLE = (0.01, 0.05, 0.10)
 
 
+class FiniteFloat(click.types.FloatParamType):
+    """A float option that rejects nan and +-inf."""
+
+    def convert(self, value, param, ctx) -> float:
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail("must be a finite number", param, ctx)
+        return x
+
+
+FINITE = FiniteFloat()
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, points = spec.split(":")
-        start_f, stop_f, n = float(start), float(stop), int(points)
+        n = int(points)
     except ValueError:
         raise click.BadParameter(f"grid must be start:stop:points, got {spec!r}")
+    start_f, stop_f = FINITE.convert(start, None, None), FINITE.convert(stop, None, None)
     if n < 2:
         raise click.BadParameter("grid needs at least 2 points")
     step = (stop_f - start_f) / (n - 1)
+    if not math.isfinite(step):
+        raise click.BadParameter(f"grid {spec!r} spans more than a float can hold")
     return [start_f + i * step for i in range(n)]
 
 
@@ -45,7 +62,27 @@ def _mu_from(mu: float | None, rho: float | None) -> float:
         raise click.BadParameter("provide exactly one of --mu or --rho")
     if mu is not None:
         return mu
+    if rho < 0:
+        raise click.BadParameter("rho must be nonnegative")
     return math.sqrt(2.0 * rho)
+
+
+def _scenario_from(name_or_file: str) -> census.Scenario:
+    """A builtin scenario (A-H) by name, else a scenario file by path."""
+    try:
+        return census.builtin_scenario(name_or_file)
+    except KeyError:
+        pass
+    path = Path(name_or_file)
+    if not path.exists():
+        raise click.UsageError(f"{name_or_file!r} is neither a builtin scenario nor a file")
+    try:
+        return census.parse_scenario(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
+    except census.AllocationParseError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _resolve_out(path: str) -> Path:
@@ -89,17 +126,30 @@ def _render_points(
     return svg.line_chart(points, kind, header[0], header[1])
 
 
-CURVE_KINDS = (
-    "adp-gaussian",
-    "pbdp-gaussian",
-    "zcdp-bound",
-    "tradeoff-pure",
-    "tradeoff-gaussian",
-    "tradeoff-zcdp",
-    "bayes-known-rest",
-    "bayes-arbitrary",
-    "bayes-pbdp",
-)
+EPS_DELTA, DELTA_EPS, LEVEL_POWER = ("eps", "delta"), ("delta", "eps"), ("level", "power")
+
+#: kind -> (parameter, default grid, header, parameter -> (x -> y)).  A "mu"
+#: parameter comes from --mu, or from --rho as mu = sqrt(2 rho).
+CURVES = {
+    "adp-gaussian":
+        ("mu", "0:12:200", EPS_DELTA, lambda m: accountants.adp_gaussian_curve(m).delta),
+    "pbdp-gaussian":
+        ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(accountants.gaussian_pbdp_epsilon, m)),
+    "zcdp-bound":
+        ("rho", "0:30:200", EPS_DELTA, lambda r: partial(accountants.zcdp_to_delta, r)),
+    "tradeoff-pure":
+        ("eps", "0:1:101", LEVEL_POWER, lambda e: partial(pure_dp_power_bound, e)),
+    "tradeoff-gaussian":
+        ("mu", "0:1:101", LEVEL_POWER, lambda m: partial(gaussian_exact_power, m)),
+    "tradeoff-zcdp":
+        ("rho", "0:1:101", LEVEL_POWER, lambda r: partial(zcdp_power_bound, r)),
+    "bayes-known-rest": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
+        bayes.bayes_known_rest_delta, accountants.ZcdpProfile(r))),
+    "bayes-arbitrary": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
+        bayes.bayes_arbitrary_prior_delta, accountants.ZcdpProfile(r))),
+    "bayes-pbdp": ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(
+        bayes.bayes_pbdp_epsilon, GaussianExactCurve(m))),
+}
 
 
 @click.group()
@@ -108,68 +158,26 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(CURVE_KINDS))
-@click.option("--mu", type=float, default=None, help="Gaussian separation parameter.")
-@click.option("--rho", type=float, default=None, help="zCDP budget; mu = sqrt(2 rho).")
-@click.option("--eps", type=float, default=None, help="pure-DP bound parameter.")
+@click.argument("kind", type=click.Choice(list(CURVES)))
+@click.option("--mu", type=FINITE, default=None, help="Gaussian separation parameter.")
+@click.option("--rho", type=FINITE, default=None, help="zCDP budget; mu = sqrt(2 rho).")
+@click.option("--eps", type=FINITE, default=None, help="pure-DP bound parameter.")
 @click.option("--grid", "grid_spec", default=None, help="start:stop:points sampling grid.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default="csv")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def curve(kind, mu, rho, eps, grid_spec, fmt, out) -> None:
     """Sample one semantic curve onto a grid and serialize it."""
-    if kind == "tradeoff-pure":
-        if eps is None:
-            raise click.BadParameter("tradeoff-pure needs --eps")
-        grid = _parse_grid(grid_spec or "0:1:101")
-        points = [(x, pure_dp_power_bound(eps, x)) for x in grid]
-        header = ("level", "power")
-    elif kind == "tradeoff-gaussian":
-        m = _mu_from(mu, rho)
-        grid = _parse_grid(grid_spec or "0:1:101")
-        points = [(x, gaussian_exact_power(m, x)) for x in grid]
-        header = ("level", "power")
-    elif kind == "tradeoff-zcdp":
-        if rho is None:
-            raise click.BadParameter("tradeoff-zcdp needs --rho")
-        grid = _parse_grid(grid_spec or "0:1:101")
-        points = [(x, zcdp_power_bound(rho, x)) for x in grid]
-        header = ("level", "power")
-    elif kind == "adp-gaussian":
-        m = _mu_from(mu, rho)
-        grid = _parse_grid(grid_spec or "0:12:200")
-        c = accountants.adp_gaussian_curve(m)
-        points = [(x, c.delta(x)) for x in grid]
-        header = ("eps", "delta")
-    elif kind == "zcdp-bound":
-        if rho is None:
-            raise click.BadParameter("zcdp-bound needs --rho")
-        grid = _parse_grid(grid_spec or "0:30:200")
-        points = [(x, accountants.zcdp_to_delta(rho, x)) for x in grid]
-        header = ("eps", "delta")
-    elif kind == "bayes-known-rest":
-        if rho is None:
-            raise click.BadParameter("bayes-known-rest needs --rho")
-        grid = _parse_grid(grid_spec or "0:30:200")
-        profile = accountants.ZcdpProfile(rho)
-        points = [(x, bayes.bayes_known_rest_delta(profile, x)) for x in grid]
-        header = ("eps", "delta")
-    elif kind == "bayes-arbitrary":
-        if rho is None:
-            raise click.BadParameter("bayes-arbitrary needs --rho")
-        grid = _parse_grid(grid_spec or "0:30:200")
-        profile = accountants.ZcdpProfile(rho)
-        points = [(x, bayes.bayes_arbitrary_prior_delta(profile, x)) for x in grid]
-        header = ("eps", "delta")
-    else:  # pbdp-gaussian / bayes-pbdp: eps as a function of delta
-        m = _mu_from(mu, rho)
-        grid = _parse_grid(grid_spec or "1e-6:0.5:200")
-        if kind == "pbdp-gaussian":
-            points = [(d, accountants.gaussian_pbdp_epsilon(m, d)) for d in grid]
-        else:
-            tc = GaussianExactCurve(m)
-            points = [(d, bayes.bayes_pbdp_epsilon(tc, d)) for d in grid]
-        header = ("delta", "eps")
-    _write_text(out, _render_points(points, header, fmt, kind))
+    param, default_grid, header, point_fn = CURVES[kind]
+    value = _mu_from(mu, rho) if param == "mu" else {"rho": rho, "eps": eps}[param]
+    if value is None:
+        raise click.BadParameter(f"{kind} needs --{param}")
+    grid = _parse_grid(grid_spec or default_grid)
+    try:
+        fn = point_fn(value)
+        text = _render_points([(x, fn(x)) for x in grid], header, fmt, kind)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+    _write_text(out, text)
 
 
 @main.command()
@@ -215,18 +223,7 @@ def tables() -> None:
 def scenario(name_or_file, grid_spec, fmt, out) -> None:
     """Summarize one builtin (A-H) or file-defined scenario."""
     table = census.production_table()
-    try:
-        sc = census.builtin_scenario(name_or_file)
-    except KeyError:
-        path = Path(name_or_file)
-        if not path.exists():
-            raise click.UsageError(
-                f"{name_or_file!r} is neither a builtin scenario nor a file"
-            )
-        try:
-            sc = census.parse_scenario(path.read_text(encoding="utf-8"))
-        except census.AllocationParseError as exc:
-            raise click.UsageError(str(exc))
+    sc = _scenario_from(name_or_file)
     rho = float(census.scenario_rho(table, sc))
     click.echo(f"scenario {sc.name}: rho = {rho:.6g}")
     if rho > 0:
@@ -252,31 +249,18 @@ def mc(allocation, n_samples, seed, grid_spec, out) -> None:
     """Monte Carlo ROC of the discrete Gaussian release.
 
     ALLOCATION is `production`, `scenario:A`..`scenario:H`, or `file:PATH`
-    pointing at a scenario file.
+    pointing at a scenario file; either prefix takes a builtin name or a
+    path, as `dpsem scenario` does.
     """
     table = census.production_table()
+    prefix, _, name_or_file = allocation.partition(":")
     if allocation == "production":
-        queries = dgauss.affected_queries_from_table(table)
-    elif allocation.startswith("scenario:"):
-        try:
-            sc = census.builtin_scenario(allocation.split(":", 1)[1])
-        except KeyError as exc:
-            raise click.UsageError(str(exc))
-        queries = dgauss.affected_queries_from_table(table, sc)
-    elif allocation.startswith("file:"):
-        path = Path(allocation.split(":", 1)[1])
-        if not path.exists():
-            raise click.UsageError(f"scenario file {path} does not exist")
-        try:
-            sc = census.parse_scenario(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except census.AllocationParseError as exc:
-            raise click.UsageError(str(exc))
-        queries = dgauss.affected_queries_from_table(table, sc)
+        sc = None
+    elif prefix in ("scenario", "file") and name_or_file:
+        sc = _scenario_from(name_or_file)
     else:
         raise click.UsageError(f"unknown allocation {allocation!r}")
+    queries = dgauss.affected_queries_from_table(table, sc)
     try:
         roc = dgauss.mc_roc(queries, n_samples, seed)
     except ValueError as exc:
@@ -356,8 +340,8 @@ def convert() -> None:
 
 
 @convert.command("zcdp-delta")
-@click.option("--rho", type=float, required=True)
-@click.option("--eps", type=float, required=True)
+@click.option("--rho", type=FINITE, required=True)
+@click.option("--eps", type=FINITE, required=True)
 def convert_zcdp_delta(rho, eps) -> None:
     try:
         click.echo(repr(accountants.zcdp_to_delta(rho, eps)))
@@ -366,9 +350,9 @@ def convert_zcdp_delta(rho, eps) -> None:
 
 
 @convert.command("pbdp-eps")
-@click.option("--mu", type=float, default=None)
-@click.option("--rho", type=float, default=None)
-@click.option("--delta", type=float, required=True)
+@click.option("--mu", type=FINITE, default=None)
+@click.option("--rho", type=FINITE, default=None)
+@click.option("--delta", type=FINITE, required=True)
 def convert_pbdp_eps(mu, rho, delta) -> None:
     m = _mu_from(mu, rho)
     try:

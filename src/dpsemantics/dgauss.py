@@ -79,12 +79,6 @@ class DiscreteGaussianSampler:
         return self.support[np.searchsorted(self._cdf, u)]
 
 
-def dgauss_sample(
-    params: DiscreteGaussParams, rng: np.random.Generator, size: int = 1
-) -> np.ndarray:
-    return DiscreteGaussianSampler(params).sample(rng, size)
-
-
 @dataclass(frozen=True)
 class AffectedQuerySet:
     """The released queries whose answers a neighbor change can move.

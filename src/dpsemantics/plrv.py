@@ -135,6 +135,8 @@ def rr_plrv(eps0: float, differing_on_sensitive_bit: bool) -> DiscretePlrv:
 
     When the neighbors agree on the protected bit the output distribution
     is identical under both, so the loss is zero with probability one.
+    A two-sided-geometric noisy count on a change-one query has this same
+    loss law: two very different mechanisms, one privacy-loss law.
     """
     if eps0 < 0 or not math.isfinite(eps0):
         raise ValueError("eps0 must be a finite nonnegative real")
@@ -142,15 +144,6 @@ def rr_plrv(eps0: float, differing_on_sensitive_bit: bool) -> DiscretePlrv:
         return point_mass_zero()
     p_keep = math.exp(eps0) / (1.0 + math.exp(eps0))
     return DiscretePlrv(((eps0, p_keep), (-eps0, 1.0 - p_keep)))
-
-
-def geometric_plrv(eps0: float, differing_on_sensitive_bit: bool) -> DiscretePlrv:
-    """PLRV of a two-sided-geometric noisy count on a change-one query.
-
-    Distributionally identical to :func:`rr_plrv`; two very different
-    mechanisms, one privacy-loss law.
-    """
-    return rr_plrv(eps0, differing_on_sensitive_bit)
 
 
 def gaussian_plrv(mu: float) -> GaussianPlrv:
@@ -253,13 +246,12 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
             raise ValueError("a Gaussian PLRV is its own reverse; got distinct parameters")
         if forward.variance == 0.0:
             return 0.0
-        mu = forward.mu
-        raw = phi(-eps / mu + mu / 2.0) - math.exp(eps) * phi(-eps / mu - mu / 2.0)
-        return min(1.0, max(0.0, raw))
-    raw = forward.upper_mass(eps) - math.exp(eps) * reverse.lower_mass(-eps)
+        raw = _gaussian_adp_delta(forward.mu, eps)
+    else:
+        raw = forward.upper_mass(eps) - math.exp(eps) * reverse.lower_mass(-eps)
     return min(1.0, max(0.0, raw))
 
 
-def tail_probability(x: Plrv, t: float) -> float:
-    """P(L > t), counting infinite loss as exceeding every threshold."""
-    return x.tail(t)
+def _gaussian_adp_delta(mu: float, eps: float) -> float:
+    """Unclamped tight delta of a Gaussian mechanism at eps."""
+    return phi(-eps / mu + mu / 2.0) - math.exp(eps) * phi(-eps / mu - mu / 2.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,6 +30,9 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(
 )
 
 POWER_BISECTION_TOL = 1e-6
+
+#: Bracket width at which the generalized inverse of a trade-off curve stops.
+INVERSE_BISECTION_TOL = 2.0**-80
 
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
@@ -119,16 +122,12 @@ def _moment_power_bound(
         return 0.0
     if level >= 1.0:
         return 1.0
-    lo, hi = level, 1.0
-    if not _moment_constraints_ok(level, lo, alphas, log_bounds):
+    if not _moment_constraints_ok(level, level, alphas, log_bounds):
         return level
-    while hi - lo > POWER_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _moment_constraints_ok(level, mid, alphas, log_bounds):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(
+        lambda p: not _moment_constraints_ok(level, p, alphas, log_bounds),
+        level, 1.0, POWER_BISECTION_TOL,
+    )[0]
 
 
 def rdp_power_bound(
@@ -161,8 +160,33 @@ def zcdp_power_bound(
     return _moment_power_bound(level, alphas, rho * alphas * (alphas - 1.0))
 
 
+class TradeoffCurve:
+    """Trade-off curve: significance level -> maximal power.
+
+    `inverse_type2` is the generalized inverse of the type II error
+    1 - power, which the pointwise (eps, delta) conversions need.  Every
+    curve class restates `inverse_type2` in its own body, even where it is
+    this bisection, because the benchmark's traced run (bench/spans.py)
+    wraps that method class by class.
+    """
+
+    def power(self, level: float) -> float:
+        raise NotImplementedError
+
+    def type2(self, level: float) -> float:
+        return 1.0 - self.power(level)
+
+    def inverse_type2(self, z: float) -> float:
+        """Generalized inverse inf{y in [0,1] : type2(y) <= z}, by bisection."""
+        if self.type2(0.0) <= z:
+            return 0.0
+        if self.type2(1.0) > z:
+            return 1.0
+        return _bisect(lambda y: self.type2(y) <= z, 0.0, 1.0, INVERSE_BISECTION_TOL)[1]
+
+
 @dataclass(frozen=True)
-class PiecewiseLinearCurve:
+class PiecewiseLinearCurve(TradeoffCurve):
     """Concave trade-off curve through sorted (level, power) vertices.
 
     Chords between vertices are achievable by randomizing between the
@@ -184,14 +208,10 @@ class PiecewiseLinearCurve:
         ys = [v[1] for v in self.vertices]
         return float(np.interp(level, xs, ys))
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
     def inverse_type2(self, z: float) -> float:
         """Generalized inverse inf{y : type2(y) <= z} by vertex search."""
         if z >= self.type2(0.0):
             return 0.0
-        xs = [v[0] for v in self.vertices]
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
             f0, f1 = 1.0 - y0, 1.0 - y1
             if f1 <= z <= f0:
@@ -232,43 +252,32 @@ def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
 
 
 @dataclass(frozen=True)
-class PureDpBoundCurve:
+class PureDpBoundCurve(TradeoffCurve):
     eps: float
 
     def power(self, level: float) -> float:
         return pure_dp_power_bound(self.eps, level)
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
-    def inverse_type2(self, z: float) -> float:
-        return _inverse_type2_bisect(self.type2, z)
+    inverse_type2 = TradeoffCurve.inverse_type2
 
 
 @dataclass(frozen=True)
-class ApproxDpBoundCurve:
+class ApproxDpBoundCurve(TradeoffCurve):
     eps: float
     delta: float
 
     def power(self, level: float) -> float:
         return approx_dp_power_bound(self.eps, self.delta, level)
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
-    def inverse_type2(self, z: float) -> float:
-        return _inverse_type2_bisect(self.type2, z)
+    inverse_type2 = TradeoffCurve.inverse_type2
 
 
 @dataclass(frozen=True)
-class GaussianExactCurve:
+class GaussianExactCurve(TradeoffCurve):
     mu: float
 
     def power(self, level: float) -> float:
         return gaussian_exact_power(self.mu, level)
-
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
 
     def inverse_type2(self, z: float) -> float:
         """Closed-form generalized inverse of x -> Phi(Phi^{-1}(1-x) - mu)."""
@@ -280,58 +289,44 @@ class GaussianExactCurve:
 
 
 @dataclass(frozen=True)
-class ZcdpNumericBoundCurve:
+class ZcdpNumericBoundCurve(TradeoffCurve):
     rho: float
     alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID, repr=False)
 
     def power(self, level: float) -> float:
         return zcdp_power_bound(self.rho, level, self.alpha_grid)
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
-    def inverse_type2(self, z: float) -> float:
-        return _inverse_type2_bisect(self.type2, z)
+    inverse_type2 = TradeoffCurve.inverse_type2
 
 
 @dataclass(frozen=True)
-class RdpNumericBoundCurve:
+class RdpNumericBoundCurve(TradeoffCurve):
     points: tuple[tuple[float, float], ...]
 
     def power(self, level: float) -> float:
         return rdp_power_bound(self.points, level)
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
-    def inverse_type2(self, z: float) -> float:
-        return _inverse_type2_bisect(self.type2, z)
+    inverse_type2 = TradeoffCurve.inverse_type2
 
 
-TradeoffCurve = (
-    PureDpBoundCurve
-    | ApproxDpBoundCurve
-    | GaussianExactCurve
-    | ZcdpNumericBoundCurve
-    | RdpNumericBoundCurve
-    | PiecewiseLinearCurve
-)
+def _bisect(
+    pred: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Bracket the point where a monotone predicate turns true.
 
-
-def _inverse_type2_bisect(f, z: float, iters: int = 80) -> float:
-    """Generalized inverse inf{y in [0,1] : f(y) <= z} for non-increasing f."""
-    if f(0.0) <= z:
-        return 0.0
-    if f(1.0) > z:
-        return 1.0
-    lo, hi = 0.0, 1.0  # f(lo) > z, f(hi) <= z
-    for _ in range(iters):
+    Expects pred(lo) false and pred(hi) true, and keeps it so while halving
+    [lo, hi]; stops once the bracket is no wider than `tol` or its midpoint
+    rounds onto an end.  Returns the final (lo, hi).
+    """
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) <= z:
+        if not lo < mid < hi:
+            break
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def _check_level(level: float) -> None:

@@ -1,10 +1,11 @@
+import math
 import time
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from dpsemantics import census, dgauss
+from dpsemantics import FiniteMechanismPair, census, dgauss
 from dpsemantics.dgauss import EmpiricalRoc
 
 MC_SEED = 20210812
@@ -46,6 +47,29 @@ def mc_production(mc_production_timed) -> EmpiricalRoc:
 @pytest.fixture(scope="session")
 def mc_scenario_a(mc_scenario_a_timed) -> EmpiricalRoc:
     return mc_scenario_a_timed.roc
+
+
+@pytest.fixture(scope="session")
+def geometric_pair():
+    """Factory: eps -> (pair, truncated mass) for a two-sided-geometric
+    noisy count on a change-one query.
+
+    The pmf (1-a)/(1+a) a^|k| with a = e^-eps, and its shift by one for the
+    neighbor, are both evaluated on k in [-K, K+1] with a^(K+1) < 1e-13;
+    the truncated mass is what that window drops from the first neighbor.
+    """
+
+    def make(eps: float) -> tuple[FiniteMechanismPair, float]:
+        a = math.exp(-eps)
+        k_max = math.ceil(30.0 / eps)
+        ks = range(-k_max, k_max + 2)
+        norm = (1.0 - a) / (1.0 + a)
+        p1 = tuple(norm * a ** abs(k) for k in ks)
+        p2 = tuple(norm * a ** abs(k - 1) for k in ks)
+        pair = FiniteMechanismPair(tuple(str(k) for k in ks), p1, p2)
+        return pair, 1.0 - math.fsum(p1)
+
+    return make
 
 
 @pytest.fixture()

@@ -26,8 +26,8 @@ from dpsemantics import (
     gaussian_exact_power,
     gaussian_pbdp_epsilon,
     gaussian_plrv,
-    geometric_plrv,
     pbdp_delta_finite,
+    plrv_of_finite_pair,
     point_mass_zero,
     pure_dp_epsilon,
     pure_dp_power_bound,
@@ -37,7 +37,6 @@ from dpsemantics import (
     scenario_bayes_epsilon,
     scenario_power,
     scenario_rho,
-    tail_probability,
     total_rho,
     zcdp_power_bound,
     zcdp_to_delta,
@@ -173,6 +172,8 @@ GOLDEN_SPECS = {
     "zcdp-bound-rho2.63.csv": ["curve", "zcdp-bound", "--rho", "2.63", "--grid", "0:30:200"],
     "bayes-known-rest-rho2.63.csv": ["curve", "bayes-known-rest", "--rho", "2.63", "--grid", "0:30:200"],
     "bayes-arbitrary-rho2.63.csv": ["curve", "bayes-arbitrary", "--rho", "2.63", "--grid", "0:30:200"],
+    # the one golden on a bisection path: the moment-constraint power bound
+    "tradeoff-zcdp-rho2.63.csv": ["curve", "tradeoff-zcdp", "--rho", "2.63"],
 }
 
 
@@ -188,13 +189,19 @@ def test_criterion_4_golden_curves_regenerate_bit_identically():
 
 # --- criterion 5: plrv closed forms ------------------------------------------------------
 
-def test_criterion_5_plrv_suite():
+def test_criterion_5_plrv_suite(geometric_pair):
     ln3 = math.log(3)
     rr = rr_plrv(ln3, True)
-    assert rr.atoms == geometric_plrv(ln3, True).atoms
     values = {round(v, 12): p for v, p in rr.atoms}
     assert math.isclose(values[round(ln3, 12)], 0.75)
     assert math.isclose(values[round(-ln3, 12)], 0.25)
+    # the geometric mechanism, from its truncated pmf, has the same loss law
+    pair, truncated = geometric_pair(ln3)
+    geo = plrv_of_finite_pair(pair).atoms
+    assert len(geo) == 2
+    for (value, mass), (want_value, want_mass) in zip(geo, ((-ln3, 0.25), (ln3, 0.75))):
+        assert math.isclose(value, want_value, rel_tol=0, abs_tol=1e-12)
+        assert abs(mass - want_mass) <= truncated
     g = gaussian_plrv(1.0)
     assert (g.mean, g.variance) == (0.5, 1.0)
     samp = sampling_plrv(100, 10)
@@ -210,11 +217,7 @@ def test_criterion_5_plrv_suite():
     assert math.isclose(gc.mean, gc.variance / 2)
     # tail ordering under post-processing
     t = eps / 2
-    tails = (
-        tail_probability(point_mass_zero(), t),
-        tail_probability(double, t),
-        tail_probability(rr_plrv(eps, True), t),
-    )
+    tails = (point_mass_zero().tail(t), double.tail(t), rr_plrv(eps, True).tail(t))
     assert tails[0] == 0.0 and tails[0] < tails[1] < tails[2]
     assert math.isclose(tails[1], math.exp(2 * eps) / (1 + math.exp(eps)) ** 2)
     assert math.isclose(tails[2], math.exp(eps) / (1 + math.exp(eps)))

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from dpsemantics import (
     Scenario,
     builtin_scenario,
     builtin_scenarios,
-    gaussian_pbdp_epsilon,
     gaussian_exact_power,
     parse_allocation,
     production_table,
@@ -26,7 +26,6 @@ from dpsemantics.census import (
     AllocationParseError,
     emit_allocation,
     parse_scenario,
-    rho_star,
 )
 
 EXPECTED_SCENARIO_RHO = {
@@ -60,19 +59,19 @@ def test_total_rho_exact(table):
 
 
 def test_rho_star_person_example(table):
-    got = rho_star(table, QueryKind.VOTINGAGE_CENRACE, GeoLevel.STATE)
+    got = table.rho_star(QueryKind.VOTINGAGE_CENRACE, GeoLevel.STATE)
     assert got == Fraction(64, 25) * Fraction(1440, 4099) * Fraction(12, 4097)
     assert math.isclose(float(got), 0.0026, abs_tol=5e-5)
 
 
 def test_rho_star_housing_example(table):
-    got = rho_star(table, QueryKind.OCCUPANCY_STATUS, GeoLevel.COUNTY)
+    got = table.rho_star(QueryKind.OCCUPANCY_STATUS, GeoLevel.COUNTY)
     assert got == Fraction(7, 100) * Fraction(7, 82)
     assert math.isclose(float(got), 0.0060, abs_tol=5e-5)
 
 
 def test_rho_star_zero_cell(table):
-    assert rho_star(table, QueryKind.TOTAL, GeoLevel.US) == 0
+    assert table.rho_star(QueryKind.TOTAL, GeoLevel.US) == 0
 
 
 def test_total_rho_with_person_budget_zeroed(table):
@@ -146,13 +145,15 @@ def test_scenario_power_monotone():
 
 
 def test_scenario_bayes_epsilon_matches_accountants():
+    # independent oracle: log(delta / Phi(Phi^-1(delta) - sqrt(2 rho))) at 50 digits
     for rho in (0.1115, 0.926, 2.63):
-        mu = math.sqrt(2 * rho)
-        for delta in (1e-6, 1e-3, 0.1, 0.5):
-            assert (
-                abs(scenario_bayes_epsilon(rho, delta) - gaussian_pbdp_epsilon(mu, delta))
-                < 1e-9
-            )
+        for delta in (1e-12, 1e-6, 1e-3, 0.1, 0.5):
+            with mpmath.workdps(50):
+                d = mpmath.mpf(delta)
+                quantile = mpmath.sqrt(2) * mpmath.erfinv(2 * d - 1)
+                want = mpmath.log(d / mpmath.ncdf(quantile - mpmath.sqrt(2 * mpmath.mpf(rho))))
+            got = scenario_bayes_epsilon(rho, delta)
+            assert math.isclose(got, float(want), rel_tol=1e-12), (rho, delta)
 
 
 def test_scenario_bayes_epsilon_production_value():

@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +109,30 @@ def test_curve_rejects_mu_and_rho_together(runner):
         main, ["curve", "adp-gaussian", "--mu", "1.0", "--rho", "2.0"]
     )
     assert result.exit_code == 2
+
+
+BAD_INPUT = [
+    "curve pbdp-gaussian --rho -1",
+    "curve tradeoff-zcdp --rho 0",
+    "curve tradeoff-pure --eps -1",
+    "curve zcdp-bound --rho 0",
+    "curve adp-gaussian --mu 0",
+    "curve bayes-known-rest --rho -1",
+    "curve tradeoff-zcdp --rho 1 --grid 0:2:3",
+    "curve tradeoff-pure --eps 1 --grid 0:inf:3",
+    "curve zcdp-bound --rho 1 --grid -1e308:1e308:3",
+    "convert zcdp-delta --rho nan --eps 1",
+    "convert pbdp-eps --rho -1 --delta 0.1",
+    "curve tradeoff-pure --eps nan",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT)
+def test_bad_input_exits_2_without_traceback_or_nan(runner, argv):
+    result = runner.invoke(main, argv.split(), catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "nan" not in result.output
 
 
 # --- tables ----------------------------------------------------------------------
@@ -239,6 +268,35 @@ def test_out_dir_env_var(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 0
     assert (tmp_path / "relative.csv").exists()
+
+
+# --- internal invariants ---------------------------------------------------------------
+
+def test_total_rho_invariant_exits_4_under_python_O():
+    # a table built without validate() whose person proportions sum to 3/2;
+    # -O strips assert statements, so the invariant must be an explicit raise
+    code = textwrap.dedent("""
+        import sys
+        from dataclasses import replace
+        from fractions import Fraction
+        from dpsemantics import census, cli
+        if not sys.flags.optimize:
+            sys.exit(99)
+        good = census.production_table()
+        us = census.GeoLevel.US
+        geo = {**good.geo_person, us: good.geo_person[us] + Fraction(1, 2)}
+        census.production_table = lambda: replace(good, geo_person=geo)
+        sys.argv = ["dpsem", "tables"]
+        cli.run()
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "internal invariant violated: total rho" in proc.stderr
 
 
 # --- I/O failure -------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from dpsemantics import (
     affected_queries_from_table,
     builtin_scenario,
     dgauss_pmf,
-    dgauss_sample,
     gaussian_exact_power,
     llr_statistic,
     mc_roc,
     zcdp_power_bound,
 )
+from dpsemantics.dgauss import DiscreteGaussianSampler
 GRID_LEVELS = np.arange(0.01, 1.00, 0.01)
 
 
@@ -63,7 +63,7 @@ def test_pmf_rejects_bad_scale():
 
 def test_sampler_moments(rng):
     params = DiscreteGaussParams(4.0)
-    draws = dgauss_sample(params, rng, 1_000_000)
+    draws = DiscreteGaussianSampler(params).sample(rng, 1_000_000)
     assert abs(draws.mean()) < 0.01
     analytic_var = series_oracle(4.0, moment=2)
     assert abs(draws.var() - analytic_var) / analytic_var < 0.02
@@ -73,7 +73,7 @@ def test_sampler_chi_square_goodness_of_fit(rng):
     sigma2 = 2.0
     params = DiscreteGaussParams(sigma2)
     n = 1_000_000
-    draws = dgauss_sample(params, rng, n)
+    draws = DiscreteGaussianSampler(params).sample(rng, n)
     edge = 10
     clipped = np.clip(draws, -edge, edge)
     observed = np.bincount(clipped + edge, minlength=2 * edge + 1)
@@ -91,8 +91,8 @@ def test_sampler_chi_square_goodness_of_fit(rng):
 
 def test_sampler_deterministic_given_seed():
     params = DiscreteGaussParams(3.0)
-    a = dgauss_sample(params, np.random.default_rng(5), 1000)
-    b = dgauss_sample(params, np.random.default_rng(5), 1000)
+    a = DiscreteGaussianSampler(params).sample(np.random.default_rng(5), 1000)
+    b = DiscreteGaussianSampler(params).sample(np.random.default_rng(5), 1000)
     assert np.array_equal(a, b)
 
 

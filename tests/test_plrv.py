@@ -13,13 +13,11 @@ from dpsemantics import (
     approx_dp_delta,
     compose,
     gaussian_plrv,
-    geometric_plrv,
     plrv_of_finite_pair,
     point_mass_zero,
     pure_dp_epsilon,
     rr_plrv,
     sampling_plrv,
-    tail_probability,
 )
 from dpsemantics.accountants import renyi_divergence
 
@@ -60,16 +58,30 @@ def test_rr_rejects_negative_eps():
 
 
 # --- geometric ----------------------------------------------------------------
-
-def test_geometric_matches_rr():
-    assert geometric_plrv(LN3, True) == rr_plrv(LN3, True)
-    assert geometric_plrv(LN3, False) == point_mass_zero()
+# the two-sided geometric mechanism's PLRV, built from its (truncated) pmf,
+# has the randomized-response loss law
 
 
-def test_geometric_at_one():
+def assert_loss_law(plrv, expected, truncated):
+    assert len(plrv.atoms) == len(expected)
+    for (gv, gp), (ev, ep) in zip(plrv.atoms, sorted(expected)):
+        assert math.isclose(gv, ev, rel_tol=0, abs_tol=1e-12)
+        assert abs(gp - ep) <= truncated
+
+
+def test_geometric_matches_rr(geometric_pair):
+    pair, truncated = geometric_pair(LN3)
+    assert 0.0 < truncated < 1e-13
+    assert_loss_law(plrv_of_finite_pair(pair), rr_plrv(LN3, True).atoms, truncated)
+    same_bit = FiniteMechanismPair(pair.outputs, pair.p1, pair.p1)
+    assert_loss_law(plrv_of_finite_pair(same_bit), point_mass_zero().atoms, truncated)
+
+
+def test_geometric_at_one(geometric_pair):
     e = math.e
-    assert_atoms_close(
-        geometric_plrv(1.0, True), [(-1.0, 1 / (1 + e)), (1.0, e / (1 + e))]
+    pair, truncated = geometric_pair(1.0)
+    assert_loss_law(
+        plrv_of_finite_pair(pair), [(-1.0, 1 / (1 + e)), (1.0, e / (1 + e))], truncated
     )
 
 
@@ -235,16 +247,14 @@ def test_tailpost_tail_values():
     eps = 0.8
     double = compose(rr_plrv(eps, True), rr_plrv(eps, True))
     want = math.exp(2 * eps) / (1 + math.exp(eps)) ** 2
-    assert math.isclose(tail_probability(double, eps / 2), want)
+    assert math.isclose(double.tail(eps / 2), want)
     single = rr_plrv(eps, True)
-    assert math.isclose(
-        tail_probability(single, eps / 2), math.exp(eps) / (1 + math.exp(eps))
-    )
+    assert math.isclose(single.tail(eps / 2), math.exp(eps) / (1 + math.exp(eps)))
 
 
 def test_tail_at_infinity():
-    assert tail_probability(rr_plrv(1.0, True), math.inf) == 0.0
-    assert math.isclose(tail_probability(sampling_plrv(100, 10), math.inf), 0.1)
+    assert rr_plrv(1.0, True).tail(math.inf) == 0.0
+    assert math.isclose(sampling_plrv(100, 10).tail(math.inf), 0.1)
 
 
 def test_postprocessing_tail_ordering_regression():
@@ -254,11 +264,7 @@ def test_postprocessing_tail_ordering_regression():
     keep_first = rr_plrv(eps, True)
     constant = point_mass_zero()
     t = eps / 2
-    tails = (
-        tail_probability(constant, t),
-        tail_probability(released, t),
-        tail_probability(keep_first, t),
-    )
+    tails = (constant.tail(t), released.tail(t), keep_first.tail(t))
     assert tails[0] == 0.0
     assert 0.0 < tails[1] < tails[2]
     assert math.isclose(tails[1], math.exp(2 * eps) / (1 + math.exp(eps)) ** 2)

@@ -19,7 +19,12 @@ from dpsemantics import (
     rdp_power_bound,
     zcdp_power_bound,
 )
-from dpsemantics.accountants import adp_gaussian_curve, degenerate_curve, zcdp_bound_curve
+from dpsemantics.accountants import (
+    EpsDeltaCurve,
+    Semantics,
+    adp_gaussian_curve,
+    zcdp_bound_curve,
+)
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -72,7 +77,7 @@ def test_approx_direct_evaluation():
 # --- minimization over a curve ------------------------------------------------
 
 def test_curve_min_degenerate_curve_is_pure_bound():
-    curve = degenerate_curve(0.7, 0.0)
+    curve = EpsDeltaCurve(Semantics.APPROXIMATE_DP, lambda _e: 0.0, 0.7, 0.7)
     got = curve_min_power_bound(curve, 0.05, eps_grid=np.array([0.7]))
     assert math.isclose(got, pure_dp_power_bound(0.7, 0.05))
 
@@ -97,8 +102,9 @@ def test_curve_min_zcdp_consistent_with_moment_bound():
 
 
 def test_curve_min_rejects_empty_grid():
+    curve = EpsDeltaCurve(Semantics.APPROXIMATE_DP, lambda _e: 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        curve_min_power_bound(degenerate_curve(1.0), 0.05, eps_grid=np.array([]))
+        curve_min_power_bound(curve, 0.05, eps_grid=np.array([]))
 
 
 # --- gaussian exact -------------------------------------------------------------
