@@ -28,11 +28,7 @@ class Semantics(Enum):
     """Which guarantee an (eps, delta) curve expresses."""
 
     APPROXIMATE_DP = "approximate-dp"
-    PBDP = "pbdp"
     ZCDP_TAIL_BOUND = "zcdp-tail-bound"
-    RDP_TAIL_BOUND = "rdp-tail-bound"
-    BAYES_KNOWN_REST = "bayes-known-rest"
-    BAYES_ARBITRARY_PRIOR = "bayes-arbitrary-prior"
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,8 @@ class RdpProfile:
 
     def __post_init__(self) -> None:
         alphas = [a for a, _ in self.points]
+        if not alphas:
+            raise ValueError("at least one (alpha, gamma) point required")
         if any(a <= 1.0 for a in alphas):
             raise ValueError("orders alpha must be > 1")
         if any(g < 0.0 for _, g in self.points):
@@ -279,15 +277,18 @@ class Odometer:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# cap\t"):
             raise ValueError("ledger must start with a '# cap' line")
-        odo = cls(Fraction(lines[0].split("\t", 1)[1]))
-        for ln in lines[1:]:
-            parts = ln.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"malformed ledger line: {ln!r}")
-            label, rho, running = parts
-            odo.register(label, Fraction(rho))
-            if odo.spent != Fraction(running):
-                raise ValueError(f"ledger running total mismatch at {label!r}")
+        try:
+            odo = cls(Fraction(lines[0].split("\t", 1)[1]))
+            for ln in lines[1:]:
+                parts = ln.split("\t")
+                if len(parts) != 3:
+                    raise ValueError(f"malformed ledger line: {ln!r}")
+                label, rho, running = parts
+                odo.register(label, Fraction(rho))
+                if odo.spent != Fraction(running):
+                    raise ValueError(f"ledger running total mismatch at {label!r}")
+        except (ZeroDivisionError, BudgetExceededError) as exc:
+            raise ValueError(f"malformed ledger: {exc}") from exc
         return odo
 
 

@@ -260,8 +260,7 @@ def bayes_arbitrary_prior_delta(profile: ZcdpProfile | RdpProfile, eps: float) -
     zCDP one for zCDP.
     """
     if isinstance(profile, RdpProfile):
-        # an empty profile bounds nothing: the vacuous delta 1
-        return rdp_to_delta(profile, eps) if profile.points else 1.0
+        return rdp_to_delta(profile, eps)
     rho = profile.rho
     if rho == 0.0:
         return 0.0 if eps > 0 else 1.0

@@ -305,11 +305,12 @@ def _parse_fraction(text: str, where: str) -> Fraction:
         raise AllocationParseError(f"bad fraction {text!r} in {where}") from exc
 
 
-def parse_allocation(text: str) -> AllocationTable:
-    """Strict parser: unknown sections or keys, duplicates, and missing
-    entries are all rejected."""
-    sections: dict[str, dict[str, Fraction]] = {}
-    current: dict[str, Fraction] | None = None
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """`[section]` headers and `key = value` lines, `#` comments and blank
+    lines skipped.  A duplicate section or key, a key outside any section
+    and a line that is neither are rejected."""
+    sections: dict[str, dict[str, str]] = {}
+    current: dict[str, str] | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -328,7 +329,17 @@ def parse_allocation(text: str) -> AllocationTable:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in current:
             raise AllocationParseError(f"duplicate key {key!r} in [{current_name}]")
-        current[key] = _parse_fraction(value, f"[{current_name}] {key}")
+        current[key] = value
+    return sections
+
+
+def parse_allocation(text: str) -> AllocationTable:
+    """Strict parser: unknown sections or keys, duplicates, and missing
+    entries are all rejected."""
+    sections = {
+        name: {k: _parse_fraction(v, f"[{name}] {k}") for k, v in entries.items()}
+        for name, entries in _read_sections(text).items()
+    }
 
     expected = {"base", "geo.person", "geo.housing"} | {
         f"query.{level.value}" for level in GeoLevel
@@ -414,44 +425,28 @@ def parse_scenario(text: str) -> Scenario:
         block = total, cenrace, occupancy_status
         tract = cenrace
     """
-    name = ""
-    narrative = ""
+    sections = _read_sections(text)
+    unknown = set(sections) - {"scenario", "selected"}
+    if unknown:
+        raise AllocationParseError(f"unknown section [{min(unknown)}]")
+    header = sections.get("scenario", {})
+    unknown = set(header) - {"name", "narrative"}
+    if unknown:
+        raise AllocationParseError(f"unknown scenario key {min(unknown)!r}")
+    name = header.get("name", "")
     selected: set[tuple[QueryKind, GeoLevel]] = set()
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in ("scenario", "selected"):
-                raise AllocationParseError(f"unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise AllocationParseError(f"line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if section == "scenario":
-            if key == "name":
-                name = value
-            elif key == "narrative":
-                narrative = value
-            else:
-                raise AllocationParseError(f"unknown scenario key {key!r}")
-        elif section == "selected":
-            if key not in _GEO_KEYS:
-                raise AllocationParseError(f"unknown geographic level {key!r}")
-            level = _GEO_KEYS[key]
-            for qname in value.split(","):
-                qname = qname.strip()
-                if not qname:
-                    continue
-                try:
-                    query = QueryKind(qname)
-                except ValueError as exc:
-                    raise AllocationParseError(f"unknown query {qname!r}") from exc
-                selected.add((query, level))
-        else:
-            raise AllocationParseError(f"line {lineno}: key outside any section")
+    for key, value in sections.get("selected", {}).items():
+        if key not in _GEO_KEYS:
+            raise AllocationParseError(f"unknown geographic level {key!r}")
+        for qname in value.split(","):
+            qname = qname.strip()
+            if not qname:
+                continue
+            try:
+                query = QueryKind(qname)
+            except ValueError as exc:
+                raise AllocationParseError(f"unknown query {qname!r}") from exc
+            selected.add((query, _GEO_KEYS[key]))
     if not name:
         raise AllocationParseError("scenario needs a name")
-    return Scenario(name, frozenset(selected), narrative)
+    return Scenario(name, frozenset(selected), header.get("narrative", ""))

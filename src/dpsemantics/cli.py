@@ -42,19 +42,27 @@ class FiniteFloat(click.types.FloatParamType):
 FINITE = FiniteFloat()
 
 
-def _parse_grid(spec: str) -> list[float]:
-    try:
-        start, stop, points = spec.split(":")
-        n = int(points)
-    except ValueError:
-        raise click.BadParameter(f"grid must be start:stop:points, got {spec!r}")
-    start_f, stop_f = FINITE.convert(start, None, None), FINITE.convert(stop, None, None)
-    if n < 2:
-        raise click.BadParameter("grid needs at least 2 points")
-    step = (stop_f - start_f) / (n - 1)
-    if not math.isfinite(step):
-        raise click.BadParameter(f"grid {spec!r} spans more than a float can hold")
-    return [start_f + i * step for i in range(n)]
+class Grid(click.ParamType):
+    """A start:stop:points sampling grid with finite endpoints."""
+
+    name = "grid"
+
+    def convert(self, value, param, ctx) -> list[float]:
+        try:
+            start, stop, points = value.split(":")
+            n = int(points)
+        except ValueError:
+            self.fail(f"grid must be start:stop:points, got {value!r}", param, ctx)
+        start_f, stop_f = FINITE.convert(start, param, ctx), FINITE.convert(stop, param, ctx)
+        if n < 2:
+            self.fail("grid needs at least 2 points", param, ctx)
+        step = (stop_f - start_f) / (n - 1)
+        if not math.isfinite(step):
+            self.fail(f"grid {value!r} spans more than a float can hold", param, ctx)
+        return [start_f + i * step for i in range(n)]
+
+
+GRID = Grid()
 
 
 def _mu_from(mu: float | None, rho: float | None) -> float:
@@ -77,12 +85,11 @@ def _scenario_from(name_or_file: str) -> census.Scenario:
     if not path.exists():
         raise click.UsageError(f"{name_or_file!r} is neither a builtin scenario nor a file")
     try:
-        return census.parse_scenario(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
-    except census.AllocationParseError as exc:
-        raise click.UsageError(str(exc))
+    return census.parse_scenario(text)
 
 
 def _resolve_out(path: str) -> Path:
@@ -152,7 +159,18 @@ CURVES = {
 }
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a ValueError from the library as a usage error (exit 2):
+    every such error is a parameter or an input file the library rejects."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Differential-privacy semantics toolkit."""
 
@@ -162,22 +180,18 @@ def main() -> None:
 @click.option("--mu", type=FINITE, default=None, help="Gaussian separation parameter.")
 @click.option("--rho", type=FINITE, default=None, help="zCDP budget; mu = sqrt(2 rho).")
 @click.option("--eps", type=FINITE, default=None, help="pure-DP bound parameter.")
-@click.option("--grid", "grid_spec", default=None, help="start:stop:points sampling grid.")
+@click.option("--grid", type=GRID, default=None, help="start:stop:points sampling grid.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default="csv")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def curve(kind, mu, rho, eps, grid_spec, fmt, out) -> None:
+def curve(kind, mu, rho, eps, grid, fmt, out) -> None:
     """Sample one semantic curve onto a grid and serialize it."""
     param, default_grid, header, point_fn = CURVES[kind]
     value = _mu_from(mu, rho) if param == "mu" else {"rho": rho, "eps": eps}[param]
     if value is None:
         raise click.BadParameter(f"{kind} needs --{param}")
-    grid = _parse_grid(grid_spec or default_grid)
-    try:
-        fn = point_fn(value)
-        text = _render_points([(x, fn(x)) for x in grid], header, fmt, kind)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-    _write_text(out, text)
+    fn = point_fn(value)
+    points = [(x, fn(x)) for x in grid or GRID.convert(default_grid, None, None)]
+    _write_text(out, _render_points(points, header, fmt, kind))
 
 
 @main.command()
@@ -217,10 +231,10 @@ def tables() -> None:
 
 @main.command()
 @click.argument("name_or_file")
-@click.option("--grid", "grid_spec", default="1e-6:0.5:200", help="delta grid for the eps curve.")
+@click.option("--grid", type=GRID, default="1e-6:0.5:200", help="delta grid for the eps curve.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default="csv")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def scenario(name_or_file, grid_spec, fmt, out) -> None:
+def scenario(name_or_file, grid, fmt, out) -> None:
     """Summarize one builtin (A-H) or file-defined scenario."""
     table = census.production_table()
     sc = _scenario_from(name_or_file)
@@ -231,7 +245,6 @@ def scenario(name_or_file, grid_spec, fmt, out) -> None:
             click.echo(
                 f"power at level {level:.2f}: {census.scenario_power(rho, level):.4f}"
             )
-        grid = _parse_grid(grid_spec)
         points = [(d, census.scenario_bayes_epsilon(rho, d)) for d in grid]
         if out is not None:
             _write_text(out, _render_points(points, ("delta", "eps"), fmt, f"scenario-{sc.name}"))
@@ -243,9 +256,9 @@ def scenario(name_or_file, grid_spec, fmt, out) -> None:
 @click.argument("allocation")
 @click.option("--n", "n_samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--grid", "grid_spec", default="0:1:201", help="level grid for the ROC export.")
+@click.option("--grid", type=GRID, default="0:1:201", help="level grid for the ROC export.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def mc(allocation, n_samples, seed, grid_spec, out) -> None:
+def mc(allocation, n_samples, seed, grid, out) -> None:
     """Monte Carlo ROC of the discrete Gaussian release.
 
     ALLOCATION is `production`, `scenario:A`..`scenario:H`, or `file:PATH`
@@ -261,11 +274,7 @@ def mc(allocation, n_samples, seed, grid_spec, out) -> None:
     else:
         raise click.UsageError(f"unknown allocation {allocation!r}")
     queries = dgauss.affected_queries_from_table(table, sc)
-    try:
-        roc = dgauss.mc_roc(queries, n_samples, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    grid = _parse_grid(grid_spec)
+    roc = dgauss.mc_roc(queries, n_samples, seed)
     lines = ["level,power,se"]
     for level in grid:
         lines.append(f"{level!r},{roc.power_at(level)!r},{roc.standard_error(level)!r}")
@@ -343,10 +352,7 @@ def convert() -> None:
 @click.option("--rho", type=FINITE, required=True)
 @click.option("--eps", type=FINITE, required=True)
 def convert_zcdp_delta(rho, eps) -> None:
-    try:
-        click.echo(repr(accountants.zcdp_to_delta(rho, eps)))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    click.echo(repr(accountants.zcdp_to_delta(rho, eps)))
 
 
 @convert.command("pbdp-eps")
@@ -354,11 +360,7 @@ def convert_zcdp_delta(rho, eps) -> None:
 @click.option("--rho", type=FINITE, default=None)
 @click.option("--delta", type=FINITE, required=True)
 def convert_pbdp_eps(mu, rho, delta) -> None:
-    m = _mu_from(mu, rho)
-    try:
-        click.echo(repr(accountants.gaussian_pbdp_epsilon(m, delta)))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    click.echo(repr(accountants.gaussian_pbdp_epsilon(_mu_from(mu, rho), delta)))
 
 
 def run() -> None:

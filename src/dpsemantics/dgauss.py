@@ -30,8 +30,9 @@ NORMALIZER_REL_TOL = 1e-18
 
 MIN_MC_SAMPLES = 1000
 
-#: Logical shard count; fixed so sharded and sequential execution draw
-#: identical streams.
+#: Logical shard count: each arm's samples are drawn in this many batches
+#: with independently seeded streams, which bounds the size of one batch;
+#: fixed, and recorded in the manifest, because the stream depends on it.
 N_SHARDS = 16
 
 
@@ -74,7 +75,7 @@ class DiscreteGaussianSampler:
         weights = np.exp(-self.support.astype(float) ** 2 / (2.0 * params.sigma2))
         self._cdf = np.cumsum(weights / weights.sum())
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         u = rng.random(size)
         return self.support[np.searchsorted(self._cdf, u)]
 
@@ -97,18 +98,6 @@ class AffectedQuerySet:
                 raise ValueError("rho_star entries must be positive")
             if cells < 1:
                 raise ValueError("each entry needs at least one changed cell")
-
-    @property
-    def n_cells(self) -> int:
-        return sum(cells for _, cells in self.entries)
-
-    def cell_params(self) -> list[tuple[float, int]]:
-        """Flatten to per-cell (rho_star, shift) with alternating signs."""
-        out = []
-        for rho_star, cells in self.entries:
-            for i in range(cells):
-                out.append((rho_star, 1 if i % 2 == 0 else -1))
-        return out
 
     def total_rho(self) -> float:
         return sum(rho_star for rho_star, _ in self.entries)
@@ -137,8 +126,15 @@ def llr_statistic(
     observations: Sequence[int], queries: AffectedQuerySet
 ) -> float:
     """Log-likelihood ratio of one release, observations relative to the
-    null answers: sum of log pmf(obs) - log pmf(obs - shift) per cell."""
-    cells = queries.cell_params()
+    null answers: sum of log pmf(obs) - log pmf(obs - shift) per cell.
+
+    The cells of each entry take shifts +1, -1, +1, ... in turn.
+    """
+    cells = [
+        (rho_star, 1 - 2 * (i % 2))
+        for rho_star, n_cells in queries.entries
+        for i in range(n_cells)
+    ]
     if len(observations) != len(cells):
         raise ValueError(
             f"expected {len(cells)} observations, got {len(observations)}"
@@ -186,8 +182,12 @@ class EmpiricalRoc:
         return float(base_power + frac * (next_power - base_power))
 
     def standard_error(self, level: float) -> float:
+        """Binomial standard error of `power_at`, with the variance floored
+        at one event in n: an estimate of 0 or 1 does not mean that the
+        true power is exactly 0 or 1."""
         p = self.power_at(level)
-        return math.sqrt(max(p * (1.0 - p), 1e-12) / self.n_samples)
+        n = self.n_samples
+        return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
     def curve(self, grid: Sequence[float] | None = None) -> PiecewiseLinearCurve:
         if grid is None:
@@ -211,46 +211,38 @@ def _shard_sizes(n: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(N_SHARDS)]
 
 
-def mc_roc(
-    queries: AffectedQuerySet, n_samples: int, seed: int, workers: int = 1
-) -> EmpiricalRoc:
+def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc:
     """Monte Carlo level/power curve of the exact likelihood-ratio test.
 
-    Null-arm observations are pure noise; alternative-arm observations are
-    noise plus the per-cell shift.  Work is split into fixed logical
-    shards with independently seeded streams, so the result depends only
-    on (queries, n_samples, seed); `workers` changes wall time, never the
-    output.
+    A cell with budget rho* and shift s contributes rho* (1/2 - x s) to the
+    LLR.  Under the null x is symmetric noise k, under the alternative
+    x = k + s, so with half = sum of rho*/2 over all cells the release LLR
+    is +half (null) or -half (alternative) plus the sum of rho* k over the
+    cells.  Cells of equal rho* are drawn in one sampler call per shard.
+    The shards have independently seeded streams, so the result depends
+    only on (queries, n_samples, seed).
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    cells = queries.cell_params()
+    cells_of: dict[float, int] = {}
+    for rho_star, cells in queries.entries:
+        cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
     samplers = {
         rho_star: DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
-        for rho_star in {rho for rho, _ in cells}
+        for rho_star in cells_of
     }
-    sizes = _shard_sizes(n_samples)
+    half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
     streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
-
-    def run_arm(shard: int, is_alt: int) -> np.ndarray:
-        rng = np.random.default_rng(streams[2 * shard + is_alt])
-        total = np.zeros(sizes[shard])
-        for rho_star, shift in cells:
-            k = samplers[rho_star].sample(rng, sizes[shard])
-            x = k + shift if is_alt else k
-            total += rho_star * (0.5 - x.astype(float) * shift)
-        return total
-
-    jobs = [(shard, is_alt) for shard in range(N_SHARDS) for is_alt in (0, 1)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda j: run_arm(*j), jobs))
-    else:
-        results = [run_arm(*j) for j in jobs]
-    null_llr = np.sort(np.concatenate(results[0::2]))
-    alt_llr = np.sort(np.concatenate(results[1::2]))
+    arms: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+    for shard, size in enumerate(_shard_sizes(n_samples)):
+        for is_alt, offset in enumerate((half, -half)):
+            rng = np.random.default_rng(streams[2 * shard + is_alt])
+            total = np.full(size, offset)
+            for rho_star, cells in cells_of.items():
+                k = samplers[rho_star].sample(rng, (cells, size))
+                total += rho_star * k.sum(axis=0)
+            arms[is_alt].append(total)
+    null_llr, alt_llr = (np.sort(np.concatenate(arm)) for arm in arms)
     digest = hashlib.sha256(
         json.dumps(queries.entries, sort_keys=True).encode()
     ).hexdigest()[:16]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -202,11 +203,14 @@ class PiecewiseLinearCurve(TradeoffCurve):
         if not self.vertices or self.vertices[-1] != (1.0, 1.0):
             raise ValueError("curve must end at (1, 1)")
 
+    @cached_property
+    def _xy(self) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = zip(*self.vertices)
+        return np.array(xs, dtype=float), np.array(ys, dtype=float)
+
     def power(self, level: float) -> float:
         _check_level(level)
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return float(np.interp(level, xs, ys))
+        return float(np.interp(level, *self._xy))
 
     def inverse_type2(self, z: float) -> float:
         """Generalized inverse inf{y : type2(y) <= z} by vertex search."""

@@ -240,3 +240,17 @@ def test_parse_scenario_rejects_unknown_query():
 def test_parse_scenario_requires_name():
     with pytest.raises(AllocationParseError):
         parse_scenario("[selected]\nblock = total\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[scenario]\nname = x\n[selected]\nblock = total\nblock = cenrace\n",
+        "[scenario]\nname = x\nname = y\n",
+        "[scenario]\nname = x\n[selected]\nblock = total\n[selected]\ntract = total\n",
+    ],
+    ids=["key", "header-key", "section"],
+)
+def test_parse_scenario_rejects_duplicates(text):
+    with pytest.raises(AllocationParseError):
+        parse_scenario(text)

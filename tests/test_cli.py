@@ -135,6 +135,21 @@ def test_bad_input_exits_2_without_traceback_or_nan(runner, argv):
     assert "nan" not in result.output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "curve tradeoff-pure --eps 1 --grid 0:inf:3",
+        "curve tradeoff-pure --eps 1 --grid 0:1",
+        "scenario B --grid 0:1:1",
+        "mc production --n 2000 --out x.csv --grid 0:nan:3",
+    ],
+)
+def test_grid_errors_name_the_grid_option(runner, argv):
+    result = runner.invoke(main, argv.split())
+    assert result.exit_code == 2
+    assert "'--grid'" in result.stderr
+
+
 # --- tables ----------------------------------------------------------------------
 
 def test_tables_reference_values_and_notes(runner):
@@ -247,6 +262,20 @@ def test_odometer_cli_flow(runner, tmp_path):
     shown = invoke(runner, "odometer", "show", "--ledger", ledger)
     assert "person\t64/25\t64/25" in shown.output
     assert "remaining 0" in shown.output
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["bad line\n", "person\t1/0\t1\n", "person\t2\t2\n"],
+    ids=["unparsed", "zero-denominator", "over-cap"],
+)
+def test_malformed_ledger_exits_2(runner, tmp_path, body):
+    ledger = tmp_path / "budget.ledger"
+    ledger.write_text("# cap\t1\n" + body)
+    for argv in (["show"], ["register", "x", "0.1"]):
+        result = runner.invoke(main, ["odometer", *argv, "--ledger", str(ledger)])
+        assert result.exit_code == 2, result.output
+        assert "malformed ledger" in result.stderr
 
 
 # --- convert ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dpsemantics import (
     mc_roc,
     zcdp_power_bound,
 )
-from dpsemantics.dgauss import DiscreteGaussianSampler
+from dpsemantics.dgauss import DiscreteGaussianSampler, EmpiricalRoc
+
 GRID_LEVELS = np.arange(0.01, 1.00, 0.01)
 
 
@@ -171,12 +172,35 @@ def test_mc_roc_deterministic_given_seed():
     assert not np.array_equal(a.null_llr, c.null_llr)
 
 
-def test_mc_roc_sharded_equals_sequential():
-    queries = AffectedQuerySet(((0.5, 2), (0.1, 2)))
-    seq = mc_roc(queries, 5000, seed=42, workers=1)
-    par = mc_roc(queries, 5000, seed=42, workers=4)
-    assert np.array_equal(seq.null_llr, par.null_llr)
-    assert np.array_equal(seq.alt_llr, par.alt_llr)
+def test_mc_roc_matches_per_cell_brute_force():
+    # a repeated rho* and an odd cell count: the per-rho* batching must
+    # give the law of drawing every cell on its own and evaluating the LLR
+    queries = AffectedQuerySet(((0.5, 3), (0.2, 2), (0.5, 1)))
+    n = 4000
+    roc = mc_roc(queries, n, seed=3)
+    rng = np.random.default_rng(17)
+    cells = [(rho, 1 - 2 * (i % 2)) for rho, count in queries.entries for i in range(count)]
+    noise = np.stack([
+        DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho)).sample(rng, (2, n))
+        for rho, _ in cells
+    ])
+    shifts = [shift for _, shift in cells]
+    brute_null = [llr_statistic(noise[:, 0, j].tolist(), queries) for j in range(n)]
+    brute_alt = [
+        llr_statistic([k + s for k, s in zip(noise[:, 1, j].tolist(), shifts)], queries)
+        for j in range(n)
+    ]
+    assert stats.ks_2samp(roc.null_llr, brute_null).pvalue > 0.001
+    assert stats.ks_2samp(roc.alt_llr, brute_alt).pvalue > 0.001
+
+
+def test_standard_error_floored_at_one_event_in_n():
+    n = 1000
+    null = np.arange(n, dtype=float)
+    for alt, power in ((null - 5 * n, 1.0), (null + 5 * n, 0.0)):
+        roc = EmpiricalRoc(null, alt, n, seed=0, allocation_digest="")
+        assert roc.power_at(0.5) == power
+        assert math.isclose(roc.standard_error(0.5), 1.0 / n, rel_tol=1e-12)
 
 
 def test_mc_roc_near_diagonal_for_tiny_budget():

@@ -59,6 +59,8 @@ def test_profiles_reject_bad_parameters():
         RdpProfile(((2.0, -0.5),))
     with pytest.raises(ValueError):
         RdpProfile(((3.0, 0.5), (2.0, 0.5)))
+    with pytest.raises(ValueError):
+        RdpProfile(())
 
 
 def test_power_bounds_reject_bad_arguments():
