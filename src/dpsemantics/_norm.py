@@ -1,9 +1,10 @@
 """Shared standard-normal helpers.
 
-Every closed form in this package routes through these two functions so
+Every closed form in this package routes through these functions so
 that cross-formula agreement checks compare algebra, not CDF
 implementations.  `ndtr` is erfc-based with relative error below 1e-14;
-`ndtri` is its high-precision inverse.
+`ndtri` is its high-precision inverse; `log_ndtr` stays finite where
+`ndtr` underflows to 0 (below about -37.5).
 
 Identity worth remembering when reading call sites: -Phi^{-1}(1-p) equals
 Phi^{-1}(p), and the latter stays accurate when p is tiny.
@@ -11,7 +12,7 @@ Phi^{-1}(p), and the latter stays accurate when p is tiny.
 
 from __future__ import annotations
 
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 
 def phi(x: float) -> float:
@@ -22,3 +23,8 @@ def phi(x: float) -> float:
 def phi_inv(p: float) -> float:
     """Standard normal quantile function."""
     return float(ndtri(p))
+
+
+def log_phi(x: float) -> float:
+    """Logarithm of the standard normal CDF."""
+    return float(log_ndtr(x))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from ._norm import phi, phi_inv
+from ._norm import log_phi, phi, phi_inv
 from .plrv import FiniteMechanismPair, _gaussian_adp_delta
 from .tradeoff import TradeoffCurve, _bisect, np_tradeoff_finite
 
@@ -148,9 +148,11 @@ def gaussian_pbdp_epsilon(mu: float, delta: float) -> float:
         raise ValueError("mu must be positive")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    denom = phi(phi_inv(delta) - mu)
+    x = phi_inv(delta) - mu
+    denom = phi(x)
     if denom == 0.0:
-        return math.inf
+        # the tail underflows; its logarithm does not
+        return math.log(delta) - log_phi(x)
     return math.log(delta / denom)
 
 

@@ -8,13 +8,16 @@ Exit codes: 0 ok, 2 usage error (also a non-finite or rejected number),
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -293,14 +296,38 @@ def allocation(out) -> None:
 
 @main.group()
 def odometer() -> None:
-    """Budget odometer over a text ledger file."""
+    """Budget odometer over a text ledger file.
+
+    Commands that change a ledger hold an exclusive lock on the sidecar
+    file LEDGER.lock for the whole read-modify-write, and replace the
+    ledger whole, so concurrent registrations never lose a spend and a
+    reader never sees half a ledger.
+    """
+
+
+@contextmanager
+def _ledger_lock(path: str) -> Iterator[None]:
+    try:
+        fh = open(path + ".lock", "a")
+    except OSError as exc:
+        click.echo(f"error: cannot lock {path}: {exc}", err=True)
+        sys.exit(3)
+    with fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 def _write_ledger(path: str, text: str) -> None:
     # ledger paths are state files, used verbatim on read and write alike,
-    # so the $DPSEM_OUT_DIR convention does not apply
+    # so the $DPSEM_OUT_DIR convention does not apply; the caller holds
+    # the ledger lock, which makes the temp file name its own
+    tmp = path + ".tmp"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc}", err=True)
         sys.exit(3)
@@ -314,7 +341,8 @@ def odometer_init(cap, ledger) -> None:
         odo = accountants.Odometer(Fraction(cap))
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"bad cap {cap!r}")
-    _write_ledger(ledger, odo.to_ledger_text())
+    with _ledger_lock(ledger):
+        _write_ledger(ledger, odo.to_ledger_text())
 
 
 @odometer.command("register")
@@ -322,16 +350,16 @@ def odometer_init(cap, ledger) -> None:
 @click.argument("rho")
 @click.option("--ledger", type=click.Path(dir_okay=False, exists=True), required=True)
 def odometer_register(label, rho, ledger) -> None:
-    text = Path(ledger).read_text(encoding="utf-8")
-    odo = accountants.Odometer.from_ledger_text(text)
-    try:
-        remaining = odo.register(label, Fraction(rho))
-    except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"bad rho {rho!r}")
-    except accountants.BudgetExceededError as exc:
-        click.echo(f"refused: {exc}", err=True)
-        sys.exit(2)
-    _write_ledger(ledger, odo.to_ledger_text())
+    with _ledger_lock(ledger):
+        odo = accountants.Odometer.from_ledger_text(Path(ledger).read_text(encoding="utf-8"))
+        try:
+            remaining = odo.register(label, Fraction(rho))
+        except (ValueError, ZeroDivisionError):
+            raise click.BadParameter(f"bad rho {rho!r}")
+        except accountants.BudgetExceededError as exc:
+            click.echo(f"refused: {exc}", err=True)
+            sys.exit(2)
+        _write_ledger(ledger, odo.to_ledger_text())
     click.echo(f"registered {label}: remaining budget {float(remaining):g}")
 
 

@@ -35,6 +35,14 @@ MIN_MC_SAMPLES = 1000
 #: fixed, and recorded in the manifest, because the stream depends on it.
 N_SHARDS = 16
 
+#: Guide-table buckets per sampling-table entry, at least (rounded up to
+#: a power of two); more buckets leave fewer draws to the binary search.
+GUIDE_RATIO = 2
+
+#: Draws per chunk of one `sample` call: bounds its temporaries, which
+#: then stay in cache.
+SAMPLE_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True)
 class DiscreteGaussParams:
@@ -66,18 +74,53 @@ def dgauss_pmf(k: int, params: DiscreteGaussParams) -> float:
 
 
 class DiscreteGaussianSampler:
-    """Exact sampler by inversion over a truncated cumulative table."""
+    """Exact sampler by inversion over a truncated cumulative table.
+
+    A draw u in [0, 1) maps to the first table index whose cdf reaches u,
+    `np.searchsorted(cdf, u)`.  A guide table (Chen & Asau's indexed
+    search) finds that index without a binary search: it splits [0, 1)
+    into m equal buckets, m a power of two so that floor(u m) is exact,
+    and stores for bucket j the first index whose cdf reaches j/m.  A
+    bucket that holds at most one cdf entry is resolved by one compare
+    with that entry; the few wide buckets, out in the tails, fall back to
+    the binary search.
+    """
 
     def __init__(self, params: DiscreteGaussParams):
         self.params = params
-        kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(params.sigma2)))
-        self.support = np.arange(-kmax, kmax + 1)
-        weights = np.exp(-self.support.astype(float) ** 2 / (2.0 * params.sigma2))
-        self._cdf = np.cumsum(weights / weights.sum())
+        self._kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(params.sigma2)))
+        k = np.arange(-self._kmax, self._kmax + 1, dtype=float)
+        weights = np.exp(-k**2 / (2.0 * params.sigma2))
+        cdf = np.cumsum(weights / weights.sum())
+        # rounding can leave the last entry below 1, where a draw above it
+        # would map past the table
+        cdf[-1] = max(cdf[-1], 1.0)
+        self._cdf = cdf
+        m = 1 << (GUIDE_RATIO * cdf.size - 1).bit_length()
+        self._m = float(m)
+        first = np.searchsorted(cdf, np.linspace(0.0, 1.0, m + 1))
+        self._guide = first[:-1].astype(np.min_scalar_type(cdf.size))
+        self._wide = np.diff(first) > 1
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        u = rng.random(size)
-        return self.support[np.searchsorted(self._cdf, u)]
+        """Draws of the given shape, filled in chunks of the flattened
+        array; the uniforms are consumed in the same order as by one
+        `rng.random(size)` call."""
+        out = np.empty(size, dtype=np.intp)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, SAMPLE_CHUNK):
+            chunk = flat[start : start + SAMPLE_CHUNK]
+            u = rng.random(chunk.size)
+            # the bucket numbers go into the output chunk, which the
+            # draws overwrite once both lookups have read them
+            j = np.multiply(u, self._m, out=chunk, casting="unsafe")
+            lo = self._guide[j]
+            wide = np.flatnonzero(self._wide[j])
+            np.add(lo, self._cdf[lo] < u, out=chunk)
+            if wide.size:
+                chunk[wide] = np.searchsorted(self._cdf, u[wide])
+            chunk -= self._kmax
+        return out
 
 
 @dataclass(frozen=True)
@@ -233,16 +276,20 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     }
     half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
     streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
-    arms: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+    arms = (np.empty(n_samples), np.empty(n_samples))
+    start = 0
     for shard, size in enumerate(_shard_sizes(n_samples)):
         for is_alt, offset in enumerate((half, -half)):
             rng = np.random.default_rng(streams[2 * shard + is_alt])
-            total = np.full(size, offset)
+            total = arms[is_alt][start : start + size]
+            total.fill(offset)
             for rho_star, cells in cells_of.items():
                 k = samplers[rho_star].sample(rng, (cells, size))
                 total += rho_star * k.sum(axis=0)
-            arms[is_alt].append(total)
-    null_llr, alt_llr = (np.sort(np.concatenate(arm)) for arm in arms)
+        start += size
+    null_llr, alt_llr = arms
+    null_llr.sort()
+    alt_llr.sort()
     digest = hashlib.sha256(
         json.dumps(queries.entries, sort_keys=True).encode()
     ).hexdigest()[:16]

@@ -11,6 +11,7 @@ Neyman-Pearson curve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -32,6 +33,9 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(
 
 POWER_BISECTION_TOL = 1e-6
 
+#: Largest x for which math.exp(x) is finite.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 #: Bracket width at which the generalized inverse of a trade-off curve stops.
 INVERSE_BISECTION_TOL = 2.0**-80
 
@@ -41,6 +45,9 @@ def pure_dp_power_bound(eps: float, level: float) -> float:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_level(level)
+    if eps > LOG_FLOAT_MAX:
+        # e^eps overflows, and 1 - e^-eps (1 - level) rounds to 1
+        return 0.0 if level == 0.0 else math.exp(min(0.0, eps + math.log(level)))
     return min(1.0, math.exp(eps) * level, 1.0 - math.exp(-eps) * (1.0 - level))
 
 

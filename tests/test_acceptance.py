@@ -187,6 +187,17 @@ def test_criterion_4_golden_curves_regenerate_bit_identically():
     print(f"ACCEPTANCE 4 PASS: {len(GOLDEN_SPECS)} golden curves bit-identical")
 
 
+def test_mc_golden_regenerates_bit_identically(tmp_path):
+    name = "mc-production-n2000-seed1.csv"
+    out = tmp_path / name
+    argv = ["mc", "production", "--n", "2000", "--seed", "1", "--out", str(out)]
+    result = CliRunner().invoke(cli_main, argv, catch_exceptions=False)
+    assert result.exit_code == 0
+    for suffix in ("", ".manifest.json"):
+        frozen = (GOLDEN_DIR / (name + suffix)).read_bytes()
+        assert Path(f"{out}{suffix}").read_bytes() == frozen, f"golden drift in {name}{suffix}"
+
+
 # --- criterion 5: plrv closed forms ------------------------------------------------------
 
 def test_criterion_5_plrv_suite(geometric_pair):

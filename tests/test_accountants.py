@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from dpsemantics import (
 )
 from dpsemantics.accountants import adp_gaussian_curve
 from dpsemantics.tradeoff import PiecewiseLinearCurve
+from scipy.special import ndtri
 
 PRODUCTION_MU = math.sqrt(5.26)
 
@@ -139,6 +141,51 @@ def test_two_pbdp_paths_agree_to_1e9():
 
 
 # --- tight pointwise delta for finite pairs ----------------------------------------------
+
+# 50-digit mpmath oracles for the Gaussian closed forms
+
+def mp_gaussian_adp_delta(mu: float, eps: float) -> mpmath.mpf:
+    """Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2)."""
+    with mpmath.workdps(50):
+        mu, eps = mpmath.mpf(mu), mpmath.mpf(eps)
+        return mpmath.ncdf(-eps / mu + mu / 2) - mpmath.exp(eps) * mpmath.ncdf(-eps / mu - mu / 2)
+
+
+def mp_gaussian_pbdp_epsilon(mu: float, delta: float) -> mpmath.mpf:
+    """log(delta / Phi(Phi^-1(delta) - mu)), with the quantile solved on
+    the log scale so that a tiny delta keeps all its digits."""
+    with mpmath.workdps(50):
+        log_delta = mpmath.log(mpmath.mpf(delta))
+        quantile = mpmath.findroot(
+            lambda x: mpmath.log(mpmath.ncdf(x)) - log_delta, mpmath.mpf(float(ndtri(delta)))
+        )
+        return log_delta - mpmath.log(mpmath.ncdf(quantile - mpmath.mpf(mu)))
+
+
+def test_gaussian_pbdp_epsilon_finite_where_the_tail_underflows():
+    # Phi(Phi^-1(delta) - mu) is below the smallest double at these points
+    for mu, delta in ((38.0, 0.5), (37.0, 0.1), (60.0, 1e-300)):
+        got = gaussian_pbdp_epsilon(mu, delta)
+        assert math.isclose(got, float(mp_gaussian_pbdp_epsilon(mu, delta)), rel_tol=1e-13)
+    assert math.isclose(gaussian_pbdp_epsilon(38.0, 0.5), 725.864, abs_tol=1e-3)
+
+
+def test_gaussian_closed_forms_match_mpmath_at_tiny_delta():
+    worst_adp = 0.0
+    for mu in (0.5, 1.0, PRODUCTION_MU, 5.0):
+        curve = adp_gaussian_curve(mu, eps_hi=100.0)
+        for eps in (1.0, 5.0, 10.0, 20.0, 40.0, 60.0):
+            want = mp_gaussian_adp_delta(mu, eps)
+            if want < 1e-300:
+                continue
+            worst_adp = max(worst_adp, float(abs(curve.delta(eps) - want) / want))
+    # the two terms cancel to about mu^2/eps of their size (worst seen 1.2e-12)
+    assert worst_adp < 2e-12
+    for mu in (0.5, PRODUCTION_MU, 5.0, 20.0):
+        for delta in (1e-12, 1e-50, 1e-100, 1e-200, 1e-300):
+            want = mp_gaussian_pbdp_epsilon(mu, delta)
+            assert math.isclose(gaussian_pbdp_epsilon(mu, delta), float(want), rel_tol=1e-13)
+
 
 def test_pbdp_delta_pure_mechanism_is_zero():
     pair = FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75))

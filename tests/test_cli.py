@@ -135,6 +135,12 @@ def test_bad_input_exits_2_without_traceback_or_nan(runner, argv):
     assert "nan" not in result.output
 
 
+def test_pure_curve_at_huge_eps_is_the_step(runner):
+    # e^eps overflows a float here; the bound is 0 at level 0 and 1 elsewhere
+    result = invoke(runner, "curve", "tradeoff-pure", "--eps", "1e308", "--grid", "0:1:3")
+    assert result.output == "level,power\n0.0,0.0\n0.5,1.0\n1.0,1.0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -262,6 +268,35 @@ def test_odometer_cli_flow(runner, tmp_path):
     shown = invoke(runner, "odometer", "show", "--ledger", ledger)
     assert "person\t64/25\t64/25" in shown.output
     assert "remaining 0" in shown.output
+
+
+def test_concurrent_registrations_lose_no_spend(runner, tmp_path):
+    """Eight processes race to register 1/10 each against a cap of 1/2:
+    five fit, three are refused, and every reported success is in the
+    ledger."""
+    ledger = str(tmp_path / "budget.ledger")
+    assert invoke(runner, "odometer", "init", "--cap", "1/2", "--ledger", ledger).exit_code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = {
+        f"q{i}": subprocess.Popen(
+            [sys.executable, "-m", "dpsemantics.cli", "odometer", "register", f"q{i}", "1/10",
+             "--ledger", ledger],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for i in range(8)
+    }
+    codes = {}
+    for label, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        codes[label] = proc.returncode
+        assert proc.returncode in (0, 2), err
+    registered = {label for label, code in codes.items() if code == 0}
+    assert len(registered) == 5
+    shown = invoke(runner, "odometer", "show", "--ledger", ledger).output
+    recorded = {line.split("\t")[0] for line in shown.splitlines() if line.startswith("q")}
+    assert recorded == registered
+    assert "# spent 0.5, remaining 0" in shown
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpsemantics import (
@@ -15,7 +17,7 @@ from dpsemantics import (
     mc_roc,
     zcdp_power_bound,
 )
-from dpsemantics.dgauss import DiscreteGaussianSampler, EmpiricalRoc
+from dpsemantics.dgauss import TRUNCATION_SIGMAS, DiscreteGaussianSampler, EmpiricalRoc
 
 GRID_LEVELS = np.arange(0.01, 1.00, 0.01)
 
@@ -95,6 +97,74 @@ def test_sampler_deterministic_given_seed():
     a = DiscreteGaussianSampler(params).sample(np.random.default_rng(5), 1000)
     b = DiscreteGaussianSampler(params).sample(np.random.default_rng(5), 1000)
     assert np.array_equal(a, b)
+
+
+class ReplayRng:
+    """Stands in for a generator: hands out the given uniforms in order,
+    in whatever batch sizes `random` is asked for."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        out = self.u[self.used : self.used + size]
+        self.used += size
+        return out
+
+
+def inversion_table(sigma2: float) -> tuple[int, np.ndarray]:
+    """kmax and the cumulative table on [-kmax, kmax], built as the
+    binary-search sampler built it, with the last entry raised to 1."""
+    kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(sigma2)))
+    support = np.arange(-kmax, kmax + 1)
+    weights = np.exp(-support.astype(float) ** 2 / (2.0 * sigma2))
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = max(cdf[-1], 1.0)
+    return kmax, cdf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 1e5))
+def test_sampler_is_inversion_by_binary_search(sigma2):
+    kmax, cdf = inversion_table(sigma2)
+    # the edges j/M of M buckets include the edges of every power-of-two
+    # bucket count up to M
+    m = 1 << (8 * cdf.size - 1).bit_length()
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        np.arange(m) / m,
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+    ])
+    u = u[u < 1.0]
+    rng = ReplayRng(u)
+    got = DiscreteGaussianSampler(DiscreteGaussParams(sigma2)).sample(rng, u.size)
+    assert rng.used == u.size
+    assert np.array_equal(got, np.searchsorted(cdf, u) - kmax)
+
+
+def test_sampler_stream_matches_one_random_call():
+    # (3, 40000) spans several fill chunks; the draws must still follow
+    # one rng.random((3, 40000)) call, element for element
+    sigma2 = 1.0 / 0.0005282011251546199
+    kmax, cdf = inversion_table(sigma2)
+    got = DiscreteGaussianSampler(DiscreteGaussParams(sigma2)).sample(
+        np.random.default_rng(3), (3, 40000)
+    )
+    u = np.random.default_rng(3).random((3, 40000))
+    assert got.shape == (3, 40000)
+    assert np.array_equal(got, np.searchsorted(cdf, u) - kmax)
+
+
+def test_sampler_top_draw_maps_to_kmax():
+    # this production table's cumulative sum ends at 1 - 4e-16, below the
+    # largest draw 1 - 2^-53
+    sigma2 = 1.0 / 0.0005282011251546199
+    kmax, _ = inversion_table(sigma2)
+    draws = DiscreteGaussianSampler(DiscreteGaussParams(sigma2)).sample(
+        ReplayRng(np.array([1.0 - 2.0**-53])), 1
+    )
+    assert draws.tolist() == [kmax]
 
 
 # --- llr -------------------------------------------------------------------------
