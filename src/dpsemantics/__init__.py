@@ -11,7 +11,6 @@ from .accountants import (
     EpsDeltaCurve,
     Odometer,
     RdpProfile,
-    Semantics,
     ZcdpProfile,
     adp_gaussian_curve,
     fdp_to_epsdelta,

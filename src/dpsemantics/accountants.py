@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -24,18 +23,10 @@ from .tradeoff import TradeoffCurve, _bisect, np_tradeoff_finite
 DELTA_BISECTION_TOL = 2.0**-60  # far below any tolerance in use
 
 
-class Semantics(Enum):
-    """Which guarantee an (eps, delta) curve expresses."""
-
-    APPROXIMATE_DP = "approximate-dp"
-    ZCDP_TAIL_BOUND = "zcdp-tail-bound"
-
-
 @dataclass(frozen=True)
 class EpsDeltaCurve:
-    """A monotone map eps -> delta under a named semantics."""
+    """A monotone map eps -> delta on [eps_lo, eps_hi]."""
 
-    semantics: Semantics
     _fn: Callable[[float], float]
     eps_lo: float
     eps_hi: float
@@ -182,17 +173,13 @@ def adp_gaussian_curve(mu: float, eps_hi: float = 20.0) -> EpsDeltaCurve:
     """Exact approximate-DP curve of a Gaussian mechanism."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return EpsDeltaCurve(
-        Semantics.APPROXIMATE_DP, partial(_gaussian_adp_delta, mu), 0.0, eps_hi
-    )
+    return EpsDeltaCurve(partial(_gaussian_adp_delta, mu), 0.0, eps_hi)
 
 
 def zcdp_bound_curve(rho: float, eps_hi: float | None = None) -> EpsDeltaCurve:
     """Upper bound on the pointwise delta curve implied by rho-zCDP."""
     hi = eps_hi if eps_hi is not None else rho + math.sqrt(4.0 * rho * math.log(1e12))
-    return EpsDeltaCurve(
-        Semantics.ZCDP_TAIL_BOUND, lambda eps: zcdp_to_delta(rho, eps), 0.0, hi
-    )
+    return EpsDeltaCurve(lambda eps: zcdp_to_delta(rho, eps), 0.0, hi)
 
 
 class BudgetExceededError(RuntimeError):
@@ -295,7 +282,6 @@ class Odometer:
 
 
 __all__ = [
-    "Semantics",
     "EpsDeltaCurve",
     "ZcdpProfile",
     "RdpProfile",

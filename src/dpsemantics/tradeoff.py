@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from .plrv import FiniteMechanismPair
 if TYPE_CHECKING:
     from .accountants import EpsDeltaCurve
 
-#: Default alpha grid for the moment-constraint bounds: log-spaced and
-#: wide enough that the optimal alpha for rho in [0.05, 5] and levels
-#: >= 0.001 falls strictly inside.
-DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(
-    np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
-)
+#: Orders alpha of the zCDP moment constraints: log-spaced and wide enough
+#: that the optimal alpha for rho in [0.05, 5] and levels >= 0.001 falls
+#: strictly inside.
+ALPHA_GRID = np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
+ALPHA_GRID.flags.writeable = False
 
+#: Absolute bracket width at which the moment-constraint power bound stops.
 POWER_BISECTION_TOL = 1e-6
 
 #: Largest x for which math.exp(x) is finite.
@@ -42,13 +42,7 @@ INVERSE_BISECTION_TOL = 2.0**-80
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
     """Maximal power at a given level under pure eps-DP."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    _check_level(level)
-    if eps > LOG_FLOAT_MAX:
-        # e^eps overflows, and 1 - e^-eps (1 - level) rounds to 1
-        return 0.0 if level == 0.0 else math.exp(min(0.0, eps + math.log(level)))
-    return min(1.0, math.exp(eps) * level, 1.0 - math.exp(-eps) * (1.0 - level))
+    return approx_dp_power_bound(eps, 0.0, level)
 
 
 def approx_dp_power_bound(eps: float, delta: float, level: float) -> float:
@@ -58,6 +52,10 @@ def approx_dp_power_bound(eps: float, delta: float, level: float) -> float:
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     _check_level(level)
+    if eps > LOG_FLOAT_MAX:
+        # e^eps overflows, and 1 - e^-eps (1 - level - delta) rounds to 1
+        head = 0.0 if level == 0.0 else math.exp(min(0.0, eps + math.log(level)))
+        return min(1.0, head + delta)
     raw = min(
         math.exp(eps) * level + delta,
         1.0 - math.exp(-eps) * (1.0 - level - delta),
@@ -96,76 +94,14 @@ def gaussian_exact_power(mu: float, level: float) -> float:
     return 1.0 - phi(phi_inv(1.0 - level) - mu)
 
 
-def _moment_constraints_ok(
-    level: float, power: float, alphas: np.ndarray, log_bounds: np.ndarray
-) -> bool:
-    """Check both Renyi moment constraints for every alpha at once.
-
-    Evaluated in log space: (1-p)^(1-alpha) overflows long before the
-    constraint itself becomes meaningless.
-    """
-    if power >= 1.0:
-        return level >= 1.0
-    with np.errstate(divide="ignore"):
-        ll = math.log(level) if level > 0.0 else -math.inf
-        l1l = math.log1p(-level) if level < 1.0 else -math.inf
-        lp = math.log(power) if power > 0.0 else -math.inf
-        l1p = math.log1p(-power)
-    c1 = np.logaddexp(alphas * ll + (1.0 - alphas) * lp, alphas * l1l + (1.0 - alphas) * l1p)
-    c2 = np.logaddexp(alphas * lp + (1.0 - alphas) * ll, alphas * l1p + (1.0 - alphas) * l1l)
-    slack = 1e-12
-    return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
-
-
-def _moment_power_bound(
-    level: float, alphas: np.ndarray, log_bounds: np.ndarray
-) -> float:
-    """Largest power consistent with the moment constraints, by bisection.
-
-    At level 0 the second constraint carries power^alpha * 0^(1-alpha),
-    infinite for any positive power, so only the non-informative test
-    survives; level 1 is trivially unconstrained.
-    """
-    if level <= 0.0:
-        return 0.0
-    if level >= 1.0:
-        return 1.0
-    if not _moment_constraints_ok(level, level, alphas, log_bounds):
-        return level
-    return _bisect(
-        lambda p: not _moment_constraints_ok(level, p, alphas, log_bounds),
-        level, 1.0, POWER_BISECTION_TOL,
-    )[0]
-
-
-def rdp_power_bound(
-    points: list[tuple[float, float]] | tuple[tuple[float, float], ...],
-    level: float,
-) -> float:
+def rdp_power_bound(points: Iterable[tuple[float, float]], level: float) -> float:
     """Maximal power consistent with a set of (alpha, gamma) RDP bounds."""
-    _check_level(level)
-    if not points:
-        raise ValueError("at least one (alpha, gamma) point required")
-    alphas = np.array([a for a, _ in points], dtype=float)
-    gammas = np.array([g for _, g in points], dtype=float)
-    if np.any(alphas <= 1.0) or np.any(gammas < 0.0):
-        raise ValueError("RDP points need alpha > 1 and gamma >= 0")
-    return _moment_power_bound(level, alphas, gammas * (alphas - 1.0))
+    return RdpNumericBoundCurve(tuple(points)).power(level)
 
 
-def zcdp_power_bound(
-    rho: float,
-    level: float,
-    alpha_grid: tuple[float, ...] | np.ndarray = DEFAULT_ALPHA_GRID,
-) -> float:
+def zcdp_power_bound(rho: float, level: float) -> float:
     """Maximal power consistent with rho-zCDP, i.e. gamma = rho * alpha."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    _check_level(level)
-    alphas = np.asarray(alpha_grid, dtype=float)
-    if alphas.size == 0:
-        raise ValueError("alpha grid must be non-empty")
-    return _moment_power_bound(level, alphas, rho * alphas * (alphas - 1.0))
+    return ZcdpNumericBoundCurve(rho).power(level)
 
 
 class TradeoffCurve:
@@ -299,25 +235,102 @@ class GaussianExactCurve(TradeoffCurve):
         return phi(-phi_inv(z) - self.mu)
 
 
-@dataclass(frozen=True)
-class ZcdpNumericBoundCurve(TradeoffCurve):
-    rho: float
-    alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID, repr=False)
+class _MomentBoundCurve(TradeoffCurve):
+    """Numeric bound from Renyi moment constraints at a set of orders.
+
+    A test at (level, power) is consistent with a divergence bound gamma at
+    order alpha iff level^a power^(1-a) + (1-level)^a (1-power)^(1-a) and
+    its mirror image stay below e^{(a-1) gamma}.  Subclasses supply the
+    orders and the log bounds (a-1) gamma as the pair `_constraints`.
+    """
+
+    def _feasible(self, level: float, power: float) -> bool:
+        """Check both moment constraints for every order at once.
+
+        Evaluated in log space: (1-p)^(1-alpha) overflows long before the
+        constraint itself becomes meaningless.
+        """
+        if power >= 1.0:
+            return level >= 1.0
+        alphas, log_bounds = self._constraints
+        with np.errstate(divide="ignore"):
+            ll = math.log(level) if level > 0.0 else -math.inf
+            l1l = math.log1p(-level) if level < 1.0 else -math.inf
+            lp = math.log(power) if power > 0.0 else -math.inf
+            l1p = math.log1p(-power)
+        c1 = np.logaddexp(alphas * ll + (1.0 - alphas) * lp, alphas * l1l + (1.0 - alphas) * l1p)
+        c2 = np.logaddexp(alphas * lp + (1.0 - alphas) * ll, alphas * l1p + (1.0 - alphas) * l1l)
+        slack = 1e-12
+        return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
 
     def power(self, level: float) -> float:
-        return zcdp_power_bound(self.rho, level, self.alpha_grid)
+        """Largest feasible power, bisected to POWER_BISECTION_TOL.
 
-    inverse_type2 = TradeoffCurve.inverse_type2
+        At level 0 the second constraint carries power^alpha * 0^(1-alpha),
+        infinite for any positive power; level 1 is trivially unconstrained.
+        """
+        _check_level(level)
+        if level <= 0.0:
+            return 0.0
+        if level >= 1.0:
+            return 1.0
+        if not self._feasible(level, level):
+            return level
+        return _bisect(
+            lambda p: not self._feasible(level, p), level, 1.0, POWER_BISECTION_TOL
+        )[0]
+
+    def inverse_type2(self, z: float) -> float:
+        """Generalized inverse inf{y : type2(y) <= z}, by one bisection.
+
+        That is the smallest level at which power 1 - z is feasible, found to
+        INVERSE_BISECTION_TOL without calling `power`: feasibility only grows
+        with the level, and level 1 - z itself is always feasible.
+        """
+        if z >= 1.0:
+            return 0.0
+        if z < 0.0:
+            return 1.0
+        return _bisect(
+            lambda y: self._feasible(y, 1.0 - z), 0.0, 1.0 - z, INVERSE_BISECTION_TOL
+        )[1]
 
 
 @dataclass(frozen=True)
-class RdpNumericBoundCurve(TradeoffCurve):
+class ZcdpNumericBoundCurve(_MomentBoundCurve):
+    """rho-zCDP bound: gamma = rho * alpha at the orders of ALPHA_GRID."""
+
+    rho: float
+
+    def __post_init__(self) -> None:
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
+
+    @cached_property
+    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        return ALPHA_GRID, self.rho * ALPHA_GRID * (ALPHA_GRID - 1.0)
+
+    inverse_type2 = _MomentBoundCurve.inverse_type2
+
+
+@dataclass(frozen=True)
+class RdpNumericBoundCurve(_MomentBoundCurve):
+    """Bound from a set of (alpha, gamma) RDP points."""
+
     points: tuple[tuple[float, float], ...]
 
-    def power(self, level: float) -> float:
-        return rdp_power_bound(self.points, level)
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise ValueError("at least one (alpha, gamma) point required")
+        if not all(a > 1.0 and g >= 0.0 for a, g in self.points):
+            raise ValueError("RDP points need alpha > 1 and gamma >= 0")
 
-    inverse_type2 = TradeoffCurve.inverse_type2
+    @cached_property
+    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        alphas, gammas = np.array(self.points, dtype=float).T
+        return alphas, gammas * (alphas - 1.0)
+
+    inverse_type2 = _MomentBoundCurve.inverse_type2
 
 
 def _bisect(

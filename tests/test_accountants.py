@@ -12,7 +12,9 @@ from dpsemantics import (
     FiniteMechanismPair,
     GaussianExactCurve,
     Odometer,
+    PureDpBoundCurve,
     RdpProfile,
+    ZcdpNumericBoundCurve,
     ZcdpProfile,
     fdp_to_epsdelta,
     gaussian_pbdp_epsilon,
@@ -120,6 +122,29 @@ def test_fdp_rr_curve_approaches_pure_eps():
     assert math.isclose(fdp_to_epsdelta(curve, 1e-2), eps0, rel_tol=1e-9)
     # above the kink the conversion can only get easier
     assert fdp_to_epsdelta(curve, 0.9) <= eps0 + 1e-12
+
+
+@pytest.mark.parametrize("eps0", [0.1, 1.0, 4.0])
+def test_fdp_pure_dp_bound_recovers_eps(eps0):
+    for delta in (1e-9, 1e-6):
+        got = fdp_to_epsdelta(PureDpBoundCurve(eps0), delta)
+        assert math.isclose(got, eps0, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.1115, 0.926, 2.63, 5.0])
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-2, 0.1, 0.5])
+def test_fdp_zcdp_bound_between_gaussian_and_chernoff(rho, delta):
+    # the Gaussian mechanism at mu = sqrt(2 rho) satisfies rho-zCDP, so no
+    # sound bound falls below its eps; the Chernoff tail bound is what the
+    # moment constraints give over all orders, up to the order grid's spacing
+    eps = fdp_to_epsdelta(ZcdpNumericBoundCurve(rho), delta)
+    chernoff = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    assert gaussian_pbdp_epsilon(math.sqrt(2.0 * rho), delta) <= eps <= chernoff + 1e-4
+
+
+def test_fdp_zcdp_bound_production_value():
+    got = fdp_to_epsdelta(ZcdpNumericBoundCurve(2.63), 1e-6)
+    assert math.isclose(got, 14.6857, abs_tol=1e-4)
 
 
 def test_gaussian_pbdp_epsilon_values():

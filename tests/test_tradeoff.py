@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsemantics import (
+    ApproxDpBoundCurve,
     FiniteMechanismPair,
     GaussianExactCurve,
+    RdpNumericBoundCurve,
+    ZcdpNumericBoundCurve,
     approx_dp_delta,
     approx_dp_power_bound,
     curve_min_power_bound,
@@ -21,10 +24,11 @@ from dpsemantics import (
 )
 from dpsemantics.accountants import (
     EpsDeltaCurve,
-    Semantics,
+    ZcdpProfile,
     adp_gaussian_curve,
     zcdp_bound_curve,
 )
+from dpsemantics.tradeoff import ALPHA_GRID
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -68,6 +72,12 @@ def test_approx_at_zero_eps_adds_delta():
         assert math.isclose(approx_dp_power_bound(0.0, delta, level), level + delta)
 
 
+def test_approx_bound_huge_eps_does_not_overflow():
+    assert approx_dp_power_bound(1000.0, 0.1, 0.5) == 1.0
+    assert approx_dp_power_bound(1000.0, 0.1, 0.0) == 0.1
+    assert math.isfinite(ApproxDpBoundCurve(1000.0, 0.1).inverse_type2(0.5))
+
+
 def test_approx_direct_evaluation():
     want = min(math.e * 0.05 + 0.01, 1 - math.exp(-1) * (1 - 0.05 - 0.01))
     assert math.isclose(approx_dp_power_bound(1.0, 0.01, 0.05), want)
@@ -77,7 +87,7 @@ def test_approx_direct_evaluation():
 # --- minimization over a curve ------------------------------------------------
 
 def test_curve_min_degenerate_curve_is_pure_bound():
-    curve = EpsDeltaCurve(Semantics.APPROXIMATE_DP, lambda _e: 0.0, 0.7, 0.7)
+    curve = EpsDeltaCurve(lambda _e: 0.0, 0.7, 0.7)
     got = curve_min_power_bound(curve, 0.05, eps_grid=np.array([0.7]))
     assert math.isclose(got, pure_dp_power_bound(0.7, 0.05))
 
@@ -102,7 +112,7 @@ def test_curve_min_zcdp_consistent_with_moment_bound():
 
 
 def test_curve_min_rejects_empty_grid():
-    curve = EpsDeltaCurve(Semantics.APPROXIMATE_DP, lambda _e: 0.0, 1.0, 1.0)
+    curve = EpsDeltaCurve(lambda _e: 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         curve_min_power_bound(curve, 0.05, eps_grid=np.array([]))
 
@@ -147,12 +157,14 @@ def test_zcdp_bound_boundary_levels():
 
 
 def test_rdp_matches_zcdp_on_grid_expansion():
-    from dpsemantics.tradeoff import DEFAULT_ALPHA_GRID
-
-    rho = 2.63
-    points = tuple((a, rho * a) for a in DEFAULT_ALPHA_GRID)
-    for level in (0.01, 0.1):
-        assert abs(rdp_power_bound(points, level) - zcdp_power_bound(rho, level)) < 1e-6
+    # the same constraints in the same arithmetic: equal bits, not just close
+    for rho in (0.1115, 2.63):
+        rdp = RdpNumericBoundCurve(ZcdpProfile(rho).on_alpha_grid(ALPHA_GRID).points)
+        zcdp = ZcdpNumericBoundCurve(rho)
+        for level in (0.0, 1e-6, 0.01, 0.05, 0.1, 0.5, 1.0):
+            assert rdp.power(level) == zcdp.power(level) == zcdp_power_bound(rho, level)
+        for z in (0.0, 1e-3, 0.5, 1.0 - 1e-6, 1.0):
+            assert rdp.inverse_type2(z) == zcdp.inverse_type2(z)
 
 
 def test_rdp_zero_gamma_forces_noninformative():
@@ -235,17 +247,26 @@ prob_vectors = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6).map(
 
 @settings(max_examples=60, deadline=None)
 @given(prob_vectors, prob_vectors)
+@example(  # two chords of about 51/43, the second over a segment 3.7e-8 wide
+    _normalize_weights([0.0, 0.5, 0.75, 0.34375, 5.960464477539063e-08]),
+    _normalize_weights([0.0, 0.0, 1.0, 0.34375, 5.960464477539063e-08]),
+)
 def test_np_curves_concave_and_monotone(p1, p2):
     if p1 is None or p2 is None or len(p1) != len(p2) or sum(p1) == 0 or sum(p2) == 0:
         return
     outputs = tuple(str(i) for i in range(len(p1)))
     curve = np_tradeoff_finite(FiniteMechanismPair(outputs, p1, p2))
-    # non-increasing chord slopes, ignoring negligible-width segments
+    # non-increasing chord slopes, up to each slope's rounding error: the
+    # vertices are running sums of at most 2k rounded terms in [0, 1], so a
+    # coordinate is off by at most 2k ulps of 1, and a slope over a segment
+    # of width dx by twice that times (1 + |slope|) / dx
+    ulps = 2 * len(p1) * 2.0**-52
     chords = []
     for (x0, y0), (x1, y1) in zip(curve.vertices, curve.vertices[1:]):
         if x1 - x0 > 1e-12:
-            chords.append((y1 - y0) / (x1 - x0))
-    assert all(a >= b - 1e-9 for a, b in zip(chords, chords[1:]))
+            slope = (y1 - y0) / (x1 - x0)
+            chords.append((slope, 2 * ulps * (1.0 + abs(slope)) / (x1 - x0)))
+    assert all(a >= b - ea - eb for (a, ea), (b, eb) in zip(chords, chords[1:]))
     grid = np.linspace(0, 1, 21)
     powers = [curve.power(float(x)) for x in grid]
     assert all(a <= b + 1e-12 for a, b in zip(powers, powers[1:]))

@@ -18,7 +18,11 @@ from dpsemantics import (
     zcdp_power_bound,
 )
 from dpsemantics.bayes import BayesVerdict, FiniteMechanismFamily, SmallUniversePrior
-from dpsemantics.tradeoff import PiecewiseLinearCurve
+from dpsemantics.tradeoff import (
+    PiecewiseLinearCurve,
+    RdpNumericBoundCurve,
+    ZcdpNumericBoundCurve,
+)
 
 
 def test_discrete_plrv_rejects_bad_mass():
@@ -74,6 +78,15 @@ def test_power_bounds_reject_bad_arguments():
         gaussian_exact_power(-1.0, 0.5)
     with pytest.raises(ValueError):
         scenario_power(1.0, -0.2)
+
+
+def test_moment_bound_curves_reject_bad_parameters_at_construction():
+    for rho in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            ZcdpNumericBoundCurve(rho)
+    for points in ((), ((1.0, 0.5),), ((2.0, -0.5),)):
+        with pytest.raises(ValueError):
+            RdpNumericBoundCurve(points)
 
 
 def test_piecewise_linear_curve_validation():
