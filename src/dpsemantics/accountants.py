@@ -20,8 +20,6 @@ from ._norm import log_phi, phi, phi_inv
 from .plrv import FiniteMechanismPair, _gaussian_adp_delta
 from .tradeoff import TradeoffCurve, _bisect, np_tradeoff_finite
 
-DELTA_BISECTION_TOL = 2.0**-60  # far below any tolerance in use
-
 
 @dataclass(frozen=True)
 class EpsDeltaCurve:
@@ -160,9 +158,7 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
     scale = math.exp(-eps)
 
     def delta(curve) -> float:
-        return _bisect(
-            lambda d: curve.power(scale * d) <= d + 1e-15, 0.0, 1.0, DELTA_BISECTION_TOL
-        )[1]
+        return _bisect(lambda d: curve.power(scale * d) <= d + 1e-15, 0.0, 1.0)[1]
 
     return max(
         delta(np_tradeoff_finite(pair)), delta(np_tradeoff_finite(pair.reversed()))

@@ -29,9 +29,7 @@ from .accountants import (
     rdp_to_delta,
     zcdp_to_delta,
 )
-from .plrv import FiniteMechanismPair, plrv_of_finite_pair, pure_dp_epsilon
-
-ROW_SUM_TOL = 1e-12
+from .plrv import PROB_SUM_TOL, FiniteMechanismPair, plrv_of_finite_pair, pure_dp_epsilon
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class SmallUniversePrior:
     conditional: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        if abs(sum(p for _, p in self.rest_datasets) - 1.0) > ROW_SUM_TOL:
+        if abs(sum(p for _, p in self.rest_datasets) - 1.0) > PROB_SUM_TOL:
             raise ValueError("rest-dataset probabilities must sum to 1")
         if any(p < 0 for _, p in self.rest_datasets):
             raise ValueError("rest-dataset probabilities must be nonnegative")
@@ -58,7 +56,7 @@ class SmallUniversePrior:
                 raise ValueError(f"conditional row for {rest!r} has wrong length")
             if any(p < 0 for p in row):
                 raise ValueError("conditional probabilities must be nonnegative")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            if abs(sum(row) - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"conditional row for {rest!r} must sum to 1")
 
     @classmethod
@@ -85,7 +83,7 @@ class FiniteMechanismFamily:
                 raise ValueError(f"row for {key!r} has wrong length")
             if any(p < 0 for p in row):
                 raise ValueError("probabilities must be nonnegative")
-            if abs(math.fsum(row) - 1.0) > ROW_SUM_TOL:
+            if abs(math.fsum(row) - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"row for {key!r} must sum to 1")
 
     def pair(self, rest: str, r1: str, r2: str) -> FiniteMechanismPair:

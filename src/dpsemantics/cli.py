@@ -23,7 +23,6 @@ import click
 
 from . import accountants, bayes, census, dgauss, svg
 from .tradeoff import (
-    GaussianExactCurve,
     gaussian_exact_power,
     pure_dp_power_bound,
     zcdp_power_bound,
@@ -157,8 +156,9 @@ CURVES = {
         bayes.bayes_known_rest_delta, accountants.ZcdpProfile(r))),
     "bayes-arbitrary": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
         bayes.bayes_arbitrary_prior_delta, accountants.ZcdpProfile(r))),
-    "bayes-pbdp": ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(
-        bayes.bayes_pbdp_epsilon, GaussianExactCurve(m))),
+    # the known-rest Bayesian eps is the pointwise eps
+    "bayes-pbdp":
+        ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(accountants.gaussian_pbdp_epsilon, m)),
 }
 
 

@@ -184,7 +184,7 @@ def compose(a: Plrv, b: Plrv) -> Plrv:
             for va, pa in a.atoms
             for vb, pb in b.atoms
         ]
-        return DiscretePlrv(_merged(atoms), infinity_mass=inf_mass)
+        return DiscretePlrv(atoms, infinity_mass=inf_mass)
     raise RepresentationMismatchError(
         "cannot compose discrete and Gaussian PLRVs; representation mismatch"
     )
@@ -206,7 +206,7 @@ def plrv_of_finite_pair(pair: FiniteMechanismPair) -> DiscretePlrv:
             inf_mass += q1
         else:
             atoms.append((math.log(q1 / q2), q1))
-    return DiscretePlrv(_merged(atoms), infinity_mass=inf_mass)
+    return DiscretePlrv(atoms, infinity_mass=inf_mass)
 
 
 def pure_dp_epsilon(x: Plrv) -> float:

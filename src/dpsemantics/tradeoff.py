@@ -36,9 +36,6 @@ POWER_BISECTION_TOL = 1e-6
 #: Largest x for which math.exp(x) is finite.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-#: Bracket width at which the generalized inverse of a trade-off curve stops.
-INVERSE_BISECTION_TOL = 2.0**-80
-
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
     """Maximal power at a given level under pure eps-DP."""
@@ -126,7 +123,7 @@ class TradeoffCurve:
             return 0.0
         if self.type2(1.0) > z:
             return 1.0
-        return _bisect(lambda y: self.type2(y) <= z, 0.0, 1.0, INVERSE_BISECTION_TOL)[1]
+        return _bisect(lambda y: self.type2(y) <= z, 0.0, 1.0)[1]
 
 
 @dataclass(frozen=True)
@@ -155,17 +152,7 @@ class PiecewiseLinearCurve(TradeoffCurve):
         _check_level(level)
         return float(np.interp(level, *self._xy))
 
-    def inverse_type2(self, z: float) -> float:
-        """Generalized inverse inf{y : type2(y) <= z} by vertex search."""
-        if z >= self.type2(0.0):
-            return 0.0
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            f0, f1 = 1.0 - y0, 1.0 - y1
-            if f1 <= z <= f0:
-                if f0 == f1:
-                    return x0
-                return x0 + (x1 - x0) * (f0 - z) / (f0 - f1)
-        return 1.0
+    inverse_type2 = TradeoffCurve.inverse_type2
 
 
 def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
@@ -175,27 +162,16 @@ def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
     outputs with equal ratio merge into one segment, which is exactly the
     randomized-test chord.
     """
-    groups: dict[float, list[float]] = {}
-    for q1, q2 in zip(pair.p1, pair.p2):
-        if q1 == 0.0 and q2 == 0.0:
-            continue
-        ratio = math.inf if q1 == 0.0 else q2 / q1
-        acc = groups.setdefault(ratio, [0.0, 0.0])
-        acc[0] += q1
-        acc[1] += q2
-    vertices = [(0.0, 0.0)]
-    level = power = 0.0
-    for ratio in sorted(groups, reverse=True):
-        d1, d2 = groups[ratio]
-        level += d1
-        power += d2
-        vertices.append((level, power))
-    last = vertices[-1]
-    if abs(last[0] - 1.0) < 1e-9 and abs(last[1] - 1.0) < 1e-9:
-        vertices[-1] = (1.0, 1.0)
-    else:
-        vertices.append((1.0, 1.0))
-    return PiecewiseLinearCurve(tuple(vertices))
+    p1, p2 = np.array(pair.p1, dtype=float), np.array(pair.p2, dtype=float)
+    seen = (p1 > 0.0) | (p2 > 0.0)
+    p1, p2 = p1[seen], p2[seen]
+    ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+    _, group = np.unique(-ratio, return_inverse=True)
+    levels = np.cumsum(np.bincount(group, weights=p1))
+    powers = np.cumsum(np.bincount(group, weights=p2))
+    # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
+    levels[-1] = powers[-1] = 1.0
+    return PiecewiseLinearCurve(((0.0, 0.0),) + tuple(zip(levels.tolist(), powers.tolist())))
 
 
 @dataclass(frozen=True)
@@ -283,17 +259,15 @@ class _MomentBoundCurve(TradeoffCurve):
     def inverse_type2(self, z: float) -> float:
         """Generalized inverse inf{y : type2(y) <= z}, by one bisection.
 
-        That is the smallest level at which power 1 - z is feasible, found to
-        INVERSE_BISECTION_TOL without calling `power`: feasibility only grows
-        with the level, and level 1 - z itself is always feasible.
+        That is the smallest level at which power 1 - z is feasible, found
+        without calling `power`: feasibility only grows with the level, and
+        level 1 - z itself is always feasible.
         """
         if z >= 1.0:
             return 0.0
         if z < 0.0:
             return 1.0
-        return _bisect(
-            lambda y: self._feasible(y, 1.0 - z), 0.0, 1.0 - z, INVERSE_BISECTION_TOL
-        )[1]
+        return _bisect(lambda y: self._feasible(y, 1.0 - z), 0.0, 1.0 - z)[1]
 
 
 @dataclass(frozen=True)
@@ -334,13 +308,14 @@ class RdpNumericBoundCurve(_MomentBoundCurve):
 
 
 def _bisect(
-    pred: Callable[[float], bool], lo: float, hi: float, tol: float
+    pred: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0
 ) -> tuple[float, float]:
     """Bracket the point where a monotone predicate turns true.
 
     Expects pred(lo) false and pred(hi) true, and keeps it so while halving
-    [lo, hi]; stops once the bracket is no wider than `tol` or its midpoint
-    rounds onto an end.  Returns the final (lo, hi).
+    [lo, hi]; stops once its midpoint rounds onto an end, so that lo and hi
+    are adjacent floats, or once the bracket is no wider than `tol`.
+    Returns the final (lo, hi).
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -124,7 +124,7 @@ def test_fdp_rr_curve_approaches_pure_eps():
     assert fdp_to_epsdelta(curve, 0.9) <= eps0 + 1e-12
 
 
-@pytest.mark.parametrize("eps0", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("eps0", [0.1, 1.0, 4.0, 50.0, 300.0])
 def test_fdp_pure_dp_bound_recovers_eps(eps0):
     for delta in (1e-9, 1e-6):
         got = fdp_to_epsdelta(PureDpBoundCurve(eps0), delta)
@@ -140,6 +140,15 @@ def test_fdp_zcdp_bound_between_gaussian_and_chernoff(rho, delta):
     eps = fdp_to_epsdelta(ZcdpNumericBoundCurve(rho), delta)
     chernoff = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     assert gaussian_pbdp_epsilon(math.sqrt(2.0 * rho), delta) <= eps <= chernoff + 1e-4
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.1115, 0.926, 2.63, 5.0])
+@pytest.mark.parametrize("delta", [1e-9, 1e-12, 1e-15])
+def test_fdp_zcdp_bound_at_small_delta_not_below_gaussian(rho, delta):
+    # only the lower bound: the inverse is taken at the rounded 1 - delta,
+    # which at delta = 1e-15 moves eps past the Chernoff bound at delta
+    eps = fdp_to_epsdelta(ZcdpNumericBoundCurve(rho), delta)
+    assert eps >= gaussian_pbdp_epsilon(math.sqrt(2.0 * rho), delta)
 
 
 def test_fdp_zcdp_bound_production_value():

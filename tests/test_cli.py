@@ -42,6 +42,13 @@ def test_curve_pbdp_gaussian_csv(runner, tmp_path):
     assert first_eps == gaussian_pbdp_epsilon(mu, 1e-6)
 
 
+def test_curve_bayes_pbdp_is_the_pointwise_eps(runner):
+    bayes = invoke(runner, "curve", "bayes-pbdp", "--rho", "2.63")
+    pbdp = invoke(runner, "curve", "pbdp-gaussian", "--rho", "2.63")
+    assert bayes.exit_code == pbdp.exit_code == 0
+    assert bayes.output == pbdp.output
+
+
 def test_curve_tradeoff_pure_zero_eps_is_diagonal(runner):
     result = invoke(runner, "curve", "tradeoff-pure", "--eps", "0", "--grid", "0:1:11")
     assert result.exit_code == 0

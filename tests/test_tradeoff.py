@@ -10,6 +10,7 @@ from dpsemantics import (
     ApproxDpBoundCurve,
     FiniteMechanismPair,
     GaussianExactCurve,
+    PureDpBoundCurve,
     RdpNumericBoundCurve,
     ZcdpNumericBoundCurve,
     approx_dp_delta,
@@ -288,6 +289,30 @@ def test_dp_bound_dominates_exact_test(p1, p2, eps):
         assert curve.power(float(level)) <= approx_dp_power_bound(
             eps, delta, float(level)
         ) + 1e-9
+
+
+def _finite_pair_curves(k):
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).map(_normalize_weights)
+    outputs = tuple(str(i) for i in range(k))
+    return st.tuples(weights, weights).filter(lambda pq: None not in pq).map(
+        lambda pq: np_tradeoff_finite(FiniteMechanismPair(outputs, *pq))
+    )
+
+
+bisected_curves = st.one_of(
+    st.floats(0.0, 300.0).map(PureDpBoundCurve),
+    st.builds(ApproxDpBoundCurve, st.floats(0.0, 300.0), st.floats(0.0, 1.0)),
+    st.integers(2, 6).flatmap(_finite_pair_curves),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bisected_curves, st.floats(0.0, 1.0))
+def test_bisected_inverse_is_exact_to_the_last_float(curve, z):
+    y = curve.inverse_type2(z)
+    assert curve.type2(y) <= z
+    if y > 0.0:
+        assert curve.type2(math.nextafter(y, 0.0)) > z
 
 
 @pytest.mark.parametrize("rho", [0.1115, 0.926, 2.63])
