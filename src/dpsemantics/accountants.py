@@ -40,7 +40,7 @@ class ZcdpProfile:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be nonnegative")
 
     def on_alpha_grid(self, alphas: Iterable[float]) -> "RdpProfile":
@@ -58,9 +58,9 @@ class RdpProfile:
         alphas = [a for a, _ in self.points]
         if not alphas:
             raise ValueError("at least one (alpha, gamma) point required")
-        if any(a <= 1.0 for a in alphas):
+        if not all(a > 1.0 for a in alphas):
             raise ValueError("orders alpha must be > 1")
-        if any(g < 0.0 for _, g in self.points):
+        if not all(g >= 0.0 for _, g in self.points):
             raise ValueError("gamma values must be nonnegative")
         if alphas != sorted(alphas) or len(set(alphas)) != len(alphas):
             raise ValueError("alphas must be strictly increasing")
@@ -79,14 +79,11 @@ def renyi_divergence(pair: FiniteMechanismPair, alpha: float) -> float:
     """alpha-Renyi divergence of the first output distribution from the second."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
-    total = 0.0
-    for q1, q2 in zip(pair.p1, pair.p2):
-        if q1 == 0.0:
-            continue
-        if q2 == 0.0:
-            return math.inf
-        total += q1 * (q1 / q2) ** (alpha - 1.0)
-    return math.log(total) / (alpha - 1.0)
+    seen = pair.p1 > 0.0
+    q1, q2 = pair.p1[seen], pair.p2[seen]
+    if not q2.all():
+        return math.inf
+    return math.log(float((q1 * (q1 / q2) ** (alpha - 1.0)).sum())) / (alpha - 1.0)
 
 
 def zcdp_to_delta(rho: float, eps: float) -> float:
@@ -95,7 +92,10 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
         raise ValueError("rho must be positive")
     if eps <= rho:
         return 1.0
-    return math.exp(-((eps - rho) ** 2) / (4.0 * rho))
+    try:
+        return math.exp(-((eps - rho) ** 2) / (4.0 * rho))
+    except OverflowError:  # the square overflows only where the bound underflows
+        return 0.0
 
 
 def rdp_to_delta(

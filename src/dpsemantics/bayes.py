@@ -29,7 +29,7 @@ from .accountants import (
     rdp_to_delta,
     zcdp_to_delta,
 )
-from .plrv import PROB_SUM_TOL, FiniteMechanismPair, plrv_of_finite_pair, pure_dp_epsilon
+from .plrv import FiniteMechanismPair, _probabilities, plrv_of_finite_pair, pure_dp_epsilon
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,12 @@ class SmallUniversePrior:
     conditional: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
-        if abs(sum(p for _, p in self.rest_datasets) - 1.0) > PROB_SUM_TOL:
-            raise ValueError("rest-dataset probabilities must sum to 1")
-        if any(p < 0 for _, p in self.rest_datasets):
-            raise ValueError("rest-dataset probabilities must be nonnegative")
+        _probabilities([p for _, p in self.rest_datasets], "rest-dataset probabilities")
         for rest, _ in self.rest_datasets:
             row = self.conditional[rest]
             if len(row) != len(self.record_values):
                 raise ValueError(f"conditional row for {rest!r} has wrong length")
-            if any(p < 0 for p in row):
-                raise ValueError("conditional probabilities must be nonnegative")
-            if abs(sum(row) - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"conditional row for {rest!r} must sum to 1")
+            _probabilities(row, f"conditional row for {rest!r}")
 
     @classmethod
     def known_rest(
@@ -81,10 +75,7 @@ class FiniteMechanismFamily:
         for key, row in self.table.items():
             if len(row) != len(self.outputs):
                 raise ValueError(f"row for {key!r} has wrong length")
-            if any(p < 0 for p in row):
-                raise ValueError("probabilities must be nonnegative")
-            if abs(math.fsum(row) - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"row for {key!r} must sum to 1")
+            _probabilities(row, f"row for {key!r}")
 
     def pair(self, rest: str, r1: str, r2: str) -> FiniteMechanismPair:
         return FiniteMechanismPair(
@@ -247,7 +238,10 @@ def bayes_known_rest_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> flo
         return 0.0 if eps > 0 else 1.0
     if eps <= rho:
         return 1.0
-    return min(1.0, math.exp(-((eps + rho) ** 2) / (4.0 * rho)))
+    try:
+        return min(1.0, math.exp(-((eps + rho) ** 2) / (4.0 * rho)))
+    except OverflowError:  # the square overflows only where the bound underflows
+        return 0.0
 
 
 def bayes_arbitrary_prior_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> float:

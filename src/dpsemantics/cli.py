@@ -74,7 +74,8 @@ def _mu_from(mu: float | None, rho: float | None) -> float:
         return mu
     if rho < 0:
         raise click.BadParameter("rho must be nonnegative")
-    return math.sqrt(2.0 * rho)
+    # 2 rho overflows above about 9e307, where sqrt(2 rho) is still finite
+    return math.sqrt(2.0 * rho) if 2.0 * rho < math.inf else math.sqrt(2.0) * math.sqrt(rho)
 
 
 def _scenario_from(name_or_file: str) -> census.Scenario:

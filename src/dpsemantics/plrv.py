@@ -4,7 +4,7 @@ A privacy-loss random variable (PLRV) is the distribution of the
 log-likelihood-ratio statistic log P(M(D1)=w)/P(M(D2)=w) when w is drawn
 from M(D1).  Two representations cover everything this package needs:
 
-* :class:`DiscretePlrv` -- a finite list of (value, probability) atoms
+* :class:`DiscretePlrv` -- an (n, 2) array of (value, probability) atoms
   plus an optional probability mass at +infinity (outputs that are
   impossible under D2).
 * :class:`GaussianPlrv` -- the N(mu^2/2, mu^2) family produced by
@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._norm import phi
+import numpy as np
+
+from ._norm import log_phi, phi
 
 #: Atoms closer than this merge into one; log-ratio arithmetic produces
 #: float duplicates that would otherwise accumulate.
@@ -32,50 +34,61 @@ class RepresentationMismatchError(TypeError):
     """Raised when an operation would mix discrete and Gaussian PLRVs."""
 
 
-def _merged(atoms: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Sort atoms by value, merge near-duplicates, drop zero mass."""
-    out: list[tuple[float, float]] = []
-    for value, prob in sorted(atoms):
-        if prob <= 0.0:
-            continue
-        if out and abs(value - out[-1][0]) < ATOM_MERGE_TOL:
-            old_v, old_p = out[-1]
-            total = old_p + prob
-            out[-1] = ((old_v * old_p + value * prob) / total, total)
-        else:
-            out.append((value, prob))
-    return tuple(out)
+def _probabilities(x, name: str) -> np.ndarray:
+    """`x` as a read-only float64 vector: finite, nonnegative, fsum within PROB_SUM_TOL of 1."""
+    p = np.array(x, dtype=float)
+    # NaN fails the comparison and +inf the sum
+    if p.ndim != 1 or not (p >= 0.0).all() or abs(math.fsum(p.tolist()) - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{name} must be finite, nonnegative and sum to 1")
+    p.flags.writeable = False
+    return p
 
 
-@dataclass(frozen=True)
+def _merged(atoms: np.ndarray) -> np.ndarray:
+    """Atoms sorted by value with zero mass dropped; each run of values whose
+    gaps are below ATOM_MERGE_TOL becomes one atom at its mass-weighted mean."""
+    atoms = atoms[atoms[:, 1] > 0.0]
+    values, probs = atoms[np.argsort(atoms[:, 0], kind="stable")].T
+    new_run = np.diff(values, prepend=-np.inf) >= ATOM_MERGE_TOL
+    starts = np.flatnonzero(new_run)
+    first, mass = values[starts], np.add.reduceat(probs, starts)
+    # offsets from the run's first value keep a lone atom's value exact
+    offset = np.add.reduceat((values - first[np.cumsum(new_run) - 1]) * probs, starts)
+    out = np.column_stack([first + offset / mass, mass])
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class DiscretePlrv:
-    """Finite-support PLRV: atoms plus optional mass at +infinity."""
+    """Finite-support PLRV: read-only (n, 2) array of atoms plus optional mass at +infinity."""
 
-    atoms: tuple[tuple[float, float], ...]
+    atoms: np.ndarray
     infinity_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _merged(list(self.atoms)))
-        total = sum(p for _, p in self.atoms) + self.infinity_mass
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-        if not 0.0 <= self.infinity_mass <= 1.0:
-            raise ValueError("infinity_mass must lie in [0, 1]")
-        for value, _ in self.atoms:
-            if not math.isfinite(value):
-                raise ValueError("atom values must be finite; use infinity_mass")
+        atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
+        if not np.isfinite(atoms[:, 0]).all():
+            raise ValueError("atom values must be finite; use infinity_mass")
+        _probabilities(np.append(atoms[:, 1], self.infinity_mass), "atom and infinity masses")
+        object.__setattr__(self, "atoms", _merged(atoms))
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DiscretePlrv) and self.infinity_mass == other.infinity_mass
+                and np.array_equal(self.atoms, other.atoms))
 
     def tail(self, t: float) -> float:
         """P(L > t).  Infinite loss counts as exceeding every threshold."""
-        return sum(p for v, p in self.atoms if v > t) + self.infinity_mass
+        return float(self.atoms[self.atoms[:, 0] > t, 1].sum()) + self.infinity_mass
 
     def upper_mass(self, t: float) -> float:
         """P(L >= t), counting infinity_mass."""
-        return sum(p for v, p in self.atoms if v >= t - ATOM_MERGE_TOL) + self.infinity_mass
+        at_least = self.atoms[:, 0] >= t - ATOM_MERGE_TOL
+        return float(self.atoms[at_least, 1].sum()) + self.infinity_mass
 
     def lower_mass(self, t: float) -> float:
         """P(L <= t) over the finite atoms."""
-        return sum(p for v, p in self.atoms if v <= t + ATOM_MERGE_TOL)
+        return float(self.atoms[self.atoms[:, 0] <= t + ATOM_MERGE_TOL, 1].sum())
 
 
 @dataclass(frozen=True)
@@ -103,22 +116,19 @@ class GaussianPlrv:
 Plrv = DiscretePlrv | GaussianPlrv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMechanismPair:
     """Output distributions of one mechanism on two neighboring datasets."""
 
     outputs: tuple[str, ...]
-    p1: tuple[float, ...]
-    p2: tuple[float, ...]
+    p1: np.ndarray
+    p2: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p1", _probabilities(self.p1, "p1"))
+        object.__setattr__(self, "p2", _probabilities(self.p2, "p2"))
         if not (len(self.outputs) == len(self.p1) == len(self.p2)):
             raise ValueError("outputs, p1, p2 must have equal length")
-        for vec, name in ((self.p1, "p1"), (self.p2, "p2")):
-            if any(p < 0 for p in vec):
-                raise ValueError(f"{name} has negative entries")
-            if abs(sum(vec) - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"{name} does not sum to 1")
 
     def reversed(self) -> "FiniteMechanismPair":
         """Swap the roles of the two neighbors."""
@@ -163,9 +173,7 @@ def sampling_plrv(n: int, m: int) -> DiscretePlrv:
         raise ValueError("n must be a positive integer")
     if not 0 <= m <= n:
         raise ValueError("m must lie in [0, n]")
-    inf_mass = m / n
-    atoms = ((0.0, (n - m) / n),) if m < n else ()
-    return DiscretePlrv(atoms, infinity_mass=inf_mass)
+    return DiscretePlrv(((0.0, (n - m) / n),), infinity_mass=m / n)
 
 
 def compose(a: Plrv, b: Plrv) -> Plrv:
@@ -179,15 +187,10 @@ def compose(a: Plrv, b: Plrv) -> Plrv:
         return GaussianPlrv(a.mean + b.mean, a.variance + b.variance)
     if isinstance(a, DiscretePlrv) and isinstance(b, DiscretePlrv):
         inf_mass = 1.0 - (1.0 - a.infinity_mass) * (1.0 - b.infinity_mass)
-        atoms = [
-            (va + vb, pa * pb)
-            for va, pa in a.atoms
-            for vb, pb in b.atoms
-        ]
-        return DiscretePlrv(atoms, infinity_mass=inf_mass)
-    raise RepresentationMismatchError(
-        "cannot compose discrete and Gaussian PLRVs; representation mismatch"
-    )
+        values = np.add.outer(a.atoms[:, 0], b.atoms[:, 0])
+        probs = np.multiply.outer(a.atoms[:, 1], b.atoms[:, 1])
+        return DiscretePlrv(np.column_stack([values.ravel(), probs.ravel()]), inf_mass)
+    raise RepresentationMismatchError("cannot compose discrete and Gaussian PLRVs")
 
 
 def plrv_of_finite_pair(pair: FiniteMechanismPair) -> DiscretePlrv:
@@ -197,15 +200,11 @@ def plrv_of_finite_pair(pair: FiniteMechanismPair) -> DiscretePlrv:
     outputs with p1 > 0 and p2 = 0 are catastrophic and feed the
     infinity mass.
     """
-    atoms: list[tuple[float, float]] = []
-    inf_mass = 0.0
-    for q1, q2 in zip(pair.p1, pair.p2):
-        if q1 == 0.0:
-            continue
-        if q2 == 0.0:
-            inf_mass += q1
-        else:
-            atoms.append((math.log(q1 / q2), q1))
+    p1, p2 = pair.p1, pair.p2
+    both = (p1 > 0.0) & (p2 > 0.0)
+    atoms = np.column_stack([np.log(p1[both] / p2[both]), p1[both]])
+    # p1 sums to 1 only within PROB_SUM_TOL, so its mass here can reach 1 + ulp
+    inf_mass = min(1.0, float(p1[p2 == 0.0].sum()))
     return DiscretePlrv(atoms, infinity_mass=inf_mass)
 
 
@@ -221,9 +220,7 @@ def pure_dp_epsilon(x: Plrv) -> float:
         return abs(x.mean) if x.variance == 0.0 else math.inf
     if x.infinity_mass > 0.0:
         return math.inf
-    if not x.atoms:
-        return 0.0
-    return max(abs(v) for v, _ in x.atoms)
+    return float(np.max(np.abs(x.atoms[:, 0]), initial=0.0))
 
 
 def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
@@ -239,9 +236,7 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
         raise ValueError("eps must be nonnegative")
     if isinstance(forward, GaussianPlrv) or isinstance(reverse, GaussianPlrv):
         if not (isinstance(forward, GaussianPlrv) and isinstance(reverse, GaussianPlrv)):
-            raise RepresentationMismatchError(
-                "forward and reverse PLRVs must share a representation"
-            )
+            raise RepresentationMismatchError("forward and reverse must share a representation")
         if forward != reverse:
             raise ValueError("a Gaussian PLRV is its own reverse; got distinct parameters")
         if forward.variance == 0.0:
@@ -254,4 +249,9 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
 
 def _gaussian_adp_delta(mu: float, eps: float) -> float:
     """Unclamped tight delta of a Gaussian mechanism at eps."""
-    return phi(-eps / mu + mu / 2.0) - math.exp(eps) * phi(-eps / mu - mu / 2.0)
+    x = -eps / mu - mu / 2.0
+    try:
+        tail = math.exp(eps) * phi(x)
+    except OverflowError:  # e^eps overflows; e^eps Phi(x) need not
+        tail = math.exp(eps + log_phi(x))
+    return phi(-eps / mu + mu / 2.0) - tail

@@ -162,9 +162,8 @@ def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
     outputs with equal ratio merge into one segment, which is exactly the
     randomized-test chord.
     """
-    p1, p2 = np.array(pair.p1, dtype=float), np.array(pair.p2, dtype=float)
-    seen = (p1 > 0.0) | (p2 > 0.0)
-    p1, p2 = p1[seen], p2[seen]
+    seen = (pair.p1 > 0.0) | (pair.p2 > 0.0)
+    p1, p2 = pair.p1[seen], pair.p2[seen]
     ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
     _, group = np.unique(-ratio, return_inverse=True)
     levels = np.cumsum(np.bincount(group, weights=p1))

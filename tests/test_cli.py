@@ -7,12 +7,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsemantics import gaussian_pbdp_epsilon, zcdp_to_delta
 from dpsemantics.census import parse_allocation
-from dpsemantics.cli import main
+from dpsemantics.cli import CURVES, main
 
 
 @pytest.fixture()
@@ -146,6 +149,37 @@ def test_pure_curve_at_huge_eps_is_the_step(runner):
     # e^eps overflows a float here; the bound is 0 at level 0 and 1 elsewhere
     result = invoke(runner, "curve", "tradeoff-pure", "--eps", "1e308", "--grid", "0:1:3")
     assert result.output == "level,power\n0.0,0.0\n0.5,1.0\n1.0,1.0\n"
+
+
+HUGE_EPS_GRID = ["zcdp-bound", "bayes-known-rest", "bayes-arbitrary", "adp-gaussian"]
+
+
+@pytest.mark.parametrize("kind", HUGE_EPS_GRID)
+def test_curves_at_huge_eps_underflow_to_zero(runner, kind):
+    # the bound squares eps - rho or takes e^eps; neither may overflow into a traceback
+    result = invoke(runner, "curve", kind, "--rho", "2.63", "--grid", "0:1e308:3")
+    assert result.exit_code == 0
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [float(eps) for eps, _ in rows] == [0.0, 5e307, 1e308]
+    assert [float(delta) for _, delta in rows[1:]] == [0.0, 0.0]
+
+
+def test_convert_zcdp_delta_at_huge_eps_is_zero(runner):
+    result = invoke(runner, "convert", "zcdp-delta", "--rho", "2.63", "--eps", "1e308")
+    assert result.output == "0.0\n"
+
+
+def test_adp_gaussian_past_exp_overflow_is_taken_in_log_space(runner):
+    # e^eps overflows past eps = 709.78, but at mu^2 = 2 eps the delta is still about 0.49
+    result = invoke(runner, "curve", "adp-gaussian", "--rho", "1000", "--grid", "500:1500:3")
+    assert result.exit_code == 0
+    mu = math.sqrt(2.0 * 1000.0)
+    for line in result.output.splitlines()[1:]:
+        eps, delta = (float(v) for v in line.split(","))
+        with mpmath.workdps(50):
+            m, e = mpmath.mpf(mu), mpmath.mpf(eps)
+            want = mpmath.ncdf(-e / m + m / 2) - mpmath.exp(e) * mpmath.ncdf(-e / m - m / 2)
+        assert math.isclose(delta, float(want), rel_tol=1e-9, abs_tol=1e-300)
 
 
 @pytest.mark.parametrize(
@@ -378,3 +412,48 @@ def test_write_failure_exits_3(runner):
         ["curve", "tradeoff-pure", "--eps", "1", "--out", "/nonexistent-dir/x.csv"],
     )
     assert result.exit_code == 3
+
+
+# --- argv grammar ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, -1.0, 0.1115, 1.0, 2.63, 1e3, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+GRIDS = st.one_of(
+    st.just("0:1e308:3"),
+    st.builds("{}:{}:{}".format, NUMBERS, NUMBERS, st.integers(2, 5)),
+)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(["curve", "zcdp-delta", "pbdp-eps", "scenario"]))
+    if command == "curve":
+        argv = ["curve", draw(st.sampled_from(sorted(CURVES)))]
+        options = ["--mu", "--rho", "--eps"]
+    elif command == "scenario":
+        return ["scenario", draw(st.sampled_from("ABCDEFGHZ")), "--grid", draw(GRIDS)]
+    else:
+        argv = ["convert", command]
+        options = ["--rho", "--eps"] if command == "zcdp-delta" else ["--mu", "--rho", "--delta"]
+    for option in draw(st.lists(st.sampled_from(options), unique=True)):
+        argv += [option, draw(NUMBERS)]
+    if command == "curve":
+        if draw(st.booleans()):
+            argv += ["--grid", draw(GRIDS)]
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+@example(["convert", "zcdp-delta", "--rho", "2.63", "--eps", "1e308"])
+@example(["curve", "adp-gaussian", "--rho", "2.63", "--grid", "0:1e308:3", "--format", "csv"])
+@example(["curve", "bayes-known-rest", "--rho", "2.63", "--grid", "0:1e308:3", "--format", "svg"])
+@example(["curve", "bayes-pbdp", "--rho", "1e308", "--grid", "0.5:1:2", "--format", "csv"])
+@example(["curve", "tradeoff-gaussian", "--rho", "1e308", "--grid", "5e-324:5e-324:3", "--format", "csv"])
+def test_any_argv_exits_0_2_or_3_and_prints_no_nan(argv):
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+    assert not re.search(r"\bnan\b", result.output, re.IGNORECASE), result.output

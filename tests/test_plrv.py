@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpsemantics import (
@@ -20,6 +20,7 @@ from dpsemantics import (
     sampling_plrv,
 )
 from dpsemantics.accountants import renyi_divergence
+from dpsemantics.plrv import ATOM_MERGE_TOL
 
 LN3 = math.log(3)
 
@@ -64,7 +65,7 @@ def test_rr_rejects_negative_eps():
 
 def assert_loss_law(plrv, expected, truncated):
     assert len(plrv.atoms) == len(expected)
-    for (gv, gp), (ev, ep) in zip(plrv.atoms, sorted(expected)):
+    for (gv, gp), (ev, ep) in zip(plrv.atoms, sorted(map(tuple, expected))):
         assert math.isclose(gv, ev, rel_tol=0, abs_tol=1e-12)
         assert abs(gp - ep) <= truncated
 
@@ -119,7 +120,7 @@ def test_sampling_release_nothing():
 
 def test_sampling_release_everything():
     plrv = sampling_plrv(5, 5)
-    assert plrv.atoms == ()
+    assert plrv.atoms.shape == (0, 2)
     assert plrv.infinity_mass == 1.0
 
 
@@ -193,6 +194,26 @@ def test_finite_pair_exclusive_output_feeds_infinity():
     plrv = plrv_of_finite_pair(pair)
     assert math.isclose(plrv.infinity_mass, 0.1)
     assert_atoms_close(plrv, [(0.0, 0.9)])
+
+
+def test_finite_pair_disjoint_supports_with_mass_one_ulp_over_one():
+    # p1's float sum is 1 + 1 ulp, inside the probability check's tolerance;
+    # all of it lands on outputs that p2 rules out, and the infinity mass stays 1
+    p1 = (0.10406084450591119, 0.21794278513052656, 0.0, 0.21794278513052656, 0.0,
+          0.4600535852330358)
+    assert sum(p1) == math.nextafter(1.0, 2.0)
+    pair = FiniteMechanismPair(tuple("abcdef"), p1, (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    plrv = plrv_of_finite_pair(pair)
+    assert plrv.infinity_mass == 1.0
+    assert plrv.atoms.shape == (0, 2)
+    assert pure_dp_epsilon(plrv) == math.inf
+
+
+def test_atoms_are_a_read_only_array():
+    plrv = compose(rr_plrv(LN3, True), rr_plrv(LN3, True))
+    assert plrv.atoms.shape == (3, 2)
+    with pytest.raises(ValueError):
+        plrv.atoms[0, 1] = 0.5
 
 
 # --- pure dp epsilon ------------------------------------------------------------
@@ -353,3 +374,60 @@ def test_renyi_moment_matches_divergence(p1, p2, alpha):
         rel_tol=1e-9,
         abs_tol=1e-12,
     )
+
+
+# --- array form against the list-and-loop reference ----------------------------------
+
+def _reference_merged(atoms):
+    """Sort-merge of (value, probability) tuples, one atom at a time."""
+    out = []
+    for value, prob in sorted(atoms):
+        if prob <= 0.0:
+            continue
+        if out and abs(value - out[-1][0]) < ATOM_MERGE_TOL:
+            old_v, old_p = out[-1]
+            total = old_p + prob
+            out[-1] = ((old_v * old_p + value * prob) / total, total)
+        else:
+            out.append((value, prob))
+    return out
+
+
+def _reference_plrv(p1, p2):
+    atoms, inf_mass = [], 0.0
+    for q1, q2 in zip(p1, p2):
+        if q1 > 0.0 and q2 == 0.0:
+            inf_mass += q1
+        elif q1 > 0.0:
+            atoms.append((math.log(q1 / q2), q1))
+    return _reference_merged(atoms), min(1.0, inf_mass)
+
+
+def _assert_same_atoms(got, want):
+    # the array form sums each run in another order: agreement to 1e-12
+    assert len(got) == len(want)
+    for (gv, gp), (wv, wp) in zip(got, want):
+        assert math.isclose(gv, wv, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(gp, wp, rel_tol=0, abs_tol=1e-12)
+
+
+# small integer weights make ties in the likelihood ratio, so runs merge
+weight_pairs = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_pairs)
+def test_array_atoms_match_the_loop_reference(weights):
+    w1, w2 = weights
+    assume(sum(w1) > 0 and sum(w2) > 0)
+    p1, p2 = tuple(w / sum(w1) for w in w1), tuple(w / sum(w2) for w in w2)
+    x = plrv_of_finite_pair(FiniteMechanismPair(tuple(map(str, range(len(p1)))), p1, p2))
+    ref, inf_mass = _reference_plrv(p1, p2)
+    _assert_same_atoms(x.atoms, ref)
+    assert math.isclose(x.infinity_mass, inf_mass, rel_tol=0, abs_tol=1e-15)
+    twice = _reference_merged([(va + vb, pa * pb) for va, pa in ref for vb, pb in ref])
+    _assert_same_atoms(compose(x, x).atoms, twice)
+    thrice = _reference_merged([(va + vb, pa * pb) for va, pa in twice for vb, pb in ref])
+    _assert_same_atoms(compose(compose(x, x), x).atoms, thrice)

@@ -40,6 +40,32 @@ def test_discrete_plrv_merges_near_duplicates():
     assert math.isclose(plrv.atoms[0][1], 1.0)
 
 
+NAN = math.nan
+NAN_INPUTS = {
+    "pair p1": lambda: FiniteMechanismPair(("a", "b"), (NAN, 1.0), (0.5, 0.5)),
+    "plrv probability": lambda: DiscretePlrv(((0.0, NAN),)),
+    "plrv infinity mass": lambda: DiscretePlrv(((0.0, 1.0),), infinity_mass=NAN),
+    "family row": lambda: FiniteMechanismFamily(("x", "y"), {("rest", "a"): (NAN, 1.0)}),
+    "prior rest": lambda: SmallUniversePrior((("rest", NAN),), ("a",), {"rest": (1.0,)}),
+    "prior conditional": lambda: SmallUniversePrior(
+        (("rest", 1.0),), ("a", "b"), {"rest": (NAN, 1.0)}
+    ),
+    "zcdp rho": lambda: ZcdpProfile(NAN),
+    "rdp order": lambda: RdpProfile(((NAN, 1.0),)),
+    "rdp gamma": lambda: RdpProfile(((2.0, NAN),)),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_nan_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_rdp_profile_allows_infinite_gamma():
+    assert RdpProfile(((2.0, math.inf),)).points == ((2.0, math.inf),)
+
+
 def test_gaussian_plrv_rejects_negative_variance():
     with pytest.raises(ValueError):
         GaussianPlrv(mean=0.0, variance=-1.0)
