@@ -46,7 +46,10 @@ def _probabilities(x, name: str) -> np.ndarray:
 
 def _merged(atoms: np.ndarray) -> np.ndarray:
     """Atoms sorted by value with zero mass dropped; each run of values whose
-    gaps are below ATOM_MERGE_TOL becomes one atom at its mass-weighted mean."""
+    gaps are below ATOM_MERGE_TOL becomes one atom at its mass-weighted mean.
+    A non-finite value raises ValueError."""
+    if not np.isfinite(atoms[:, 0]).all():
+        raise ValueError("atom values must be finite; use infinity_mass")
     atoms = atoms[atoms[:, 1] > 0.0]
     values, probs = atoms[np.argsort(atoms[:, 0], kind="stable")].T
     new_run = np.diff(values, prepend=-np.inf) >= ATOM_MERGE_TOL
@@ -68,8 +71,6 @@ class DiscretePlrv:
 
     def __post_init__(self) -> None:
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
-        if not np.isfinite(atoms[:, 0]).all():
-            raise ValueError("atom values must be finite; use infinity_mass")
         _probabilities(np.append(atoms[:, 1], self.infinity_mass), "atom and infinity masses")
         object.__setattr__(self, "atoms", _merged(atoms))
 
@@ -187,9 +188,14 @@ def compose(a: Plrv, b: Plrv) -> Plrv:
         return GaussianPlrv(a.mean + b.mean, a.variance + b.variance)
     if isinstance(a, DiscretePlrv) and isinstance(b, DiscretePlrv):
         inf_mass = 1.0 - (1.0 - a.infinity_mass) * (1.0 - b.infinity_mass)
-        values = np.add.outer(a.atoms[:, 0], b.atoms[:, 0])
+        with np.errstate(over="ignore"):  # an overflowed value fails _merged's finite check
+            values = np.add.outer(a.atoms[:, 0], b.atoms[:, 0])
         probs = np.multiply.outer(a.atoms[:, 1], b.atoms[:, 1])
-        return DiscretePlrv(np.column_stack([values.ravel(), probs.ravel()]), inf_mass)
+        # no probability check: products of checked masses sum to 1 only up to rounding
+        out = object.__new__(DiscretePlrv)
+        object.__setattr__(out, "atoms", _merged(np.column_stack([values.ravel(), probs.ravel()])))
+        object.__setattr__(out, "infinity_mass", inf_mass)
+        return out
     raise RepresentationMismatchError("cannot compose discrete and Gaussian PLRVs")
 
 
@@ -243,7 +249,12 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
             return 0.0
         raw = _gaussian_adp_delta(forward.mu, eps)
     else:
-        raw = forward.upper_mass(eps) - math.exp(eps) * reverse.lower_mass(-eps)
+        mass = reverse.lower_mass(-eps)
+        try:
+            tail = math.exp(eps) * mass
+        except OverflowError:  # in log space; from e^1 on, the tail exceeds every mass
+            tail = 0.0 if mass == 0.0 else math.exp(min(eps + math.log(mass), 1.0))
+        raw = forward.upper_mass(eps) - tail
     return min(1.0, max(0.0, raw))
 
 

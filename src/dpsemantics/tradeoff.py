@@ -88,7 +88,8 @@ def gaussian_exact_power(mu: float, level: float) -> float:
         return 0.0
     if level == 1.0:
         return 1.0
-    return 1.0 - phi(phi_inv(1.0 - level) - mu)
+    # Phi^{-1}(level) itself, not -Phi^{-1}(1 - level): 1 - level rounds to 1 below 2^-53
+    return phi(mu + phi_inv(level))
 
 
 def rdp_power_bound(points: Iterable[tuple[float, float]], level: float) -> float:
@@ -217,26 +218,40 @@ class _MomentBoundCurve(TradeoffCurve):
     order alpha iff level^a power^(1-a) + (1-level)^a (1-power)^(1-a) and
     its mirror image stay below e^{(a-1) gamma}.  Subclasses supply the
     orders and the log bounds (a-1) gamma as the pair `_constraints`.
+
+    Each order's check, logaddexp(x, y) <= lim, is screened exactly, since the
+    computed logaddexp is max(x, y) plus a rounded log1p(e^-|x-y|) in [0, ln 2]:
+    it is >= max, so an order with max > lim fails; it is <= fl(max + ln 2) <=
+    fl(max + 1), so an order with max + 1 <= lim holds.  Only the rest reach logaddexp.
     """
 
-    def _feasible(self, level: float, power: float) -> bool:
-        """Check both moment constraints for every order at once.
+    def _feasible_with(self, u: float) -> Callable[[float], bool]:
+        """Predicate v -> (u, v) meets both constraints, for u and v in (0, 1).
 
-        Evaluated in log space: (1-p)^(1-alpha) overflows long before the
-        constraint itself becomes meaningless.
-        """
-        if power >= 1.0:
-            return level >= 1.0
+        The constraints are mirror images, so `power` fixes the level and
+        `inverse_type2` the power.  In log space, as (1-p)^(1-alpha) overflows
+        long before the constraint means anything.  Callers ignore overflow and
+        invalid-value warnings: huge orders overflow, and inf and NaN screen as
+        they compare."""
         alphas, log_bounds = self._constraints
-        with np.errstate(divide="ignore"):
-            ll = math.log(level) if level > 0.0 else -math.inf
-            l1l = math.log1p(-level) if level < 1.0 else -math.inf
-            lp = math.log(power) if power > 0.0 else -math.inf
-            l1p = math.log1p(-power)
-        c1 = np.logaddexp(alphas * ll + (1.0 - alphas) * lp, alphas * l1l + (1.0 - alphas) * l1p)
-        c2 = np.logaddexp(alphas * lp + (1.0 - alphas) * ll, alphas * l1p + (1.0 - alphas) * l1l)
-        slack = 1e-12
-        return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
+        lu, l1u = math.log(u), math.log1p(-u)
+        oma = 1.0 - alphas
+        # rows: the constraint with u as the level, then its mirror image
+        coef = np.stack([oma, alphas])
+        fixed_x = np.stack([alphas * lu, oma * lu])
+        fixed_y = np.stack([alphas * l1u, oma * l1u])
+        lim = np.stack([log_bounds + 1e-12] * 2)
+
+        def feasible(v: float) -> bool:
+            x = fixed_x + coef * math.log(v)
+            y = fixed_y + coef * math.log1p(-v)
+            top = np.maximum(x, y)
+            if (top > lim).any():
+                return False
+            open_ = ~(top + 1.0 <= lim)
+            return bool((np.logaddexp(x[open_], y[open_]) <= lim[open_]).all())
+
+        return feasible
 
     def power(self, level: float) -> float:
         """Largest feasible power, bisected to POWER_BISECTION_TOL.
@@ -249,11 +264,11 @@ class _MomentBoundCurve(TradeoffCurve):
             return 0.0
         if level >= 1.0:
             return 1.0
-        if not self._feasible(level, level):
-            return level
-        return _bisect(
-            lambda p: not self._feasible(level, p), level, 1.0, POWER_BISECTION_TOL
-        )[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            feasible = self._feasible_with(level)
+            if not feasible(level):
+                return level
+            return _bisect(lambda p: not feasible(p), level, 1.0, POWER_BISECTION_TOL)[0]
 
     def inverse_type2(self, z: float) -> float:
         """Generalized inverse inf{y : type2(y) <= z}, by one bisection.
@@ -264,9 +279,10 @@ class _MomentBoundCurve(TradeoffCurve):
         """
         if z >= 1.0:
             return 0.0
-        if z < 0.0:
+        if 1.0 - z >= 1.0:  # power 1 (or more) is feasible only at level 1
             return 1.0
-        return _bisect(lambda y: self._feasible(y, 1.0 - z), 0.0, 1.0 - z)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _bisect(self._feasible_with(1.0 - z), 0.0, 1.0 - z)[1]
 
 
 @dataclass(frozen=True)
@@ -281,7 +297,8 @@ class ZcdpNumericBoundCurve(_MomentBoundCurve):
 
     @cached_property
     def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        return ALPHA_GRID, self.rho * ALPHA_GRID * (ALPHA_GRID - 1.0)
+        with np.errstate(over="ignore"):  # an infinite bound (huge rho) always holds
+            return ALPHA_GRID, self.rho * ALPHA_GRID * (ALPHA_GRID - 1.0)
 
     inverse_type2 = _MomentBoundCurve.inverse_type2
 

@@ -453,6 +453,7 @@ def argvs(draw) -> list[str]:
 @example(["curve", "bayes-known-rest", "--rho", "2.63", "--grid", "0:1e308:3", "--format", "svg"])
 @example(["curve", "bayes-pbdp", "--rho", "1e308", "--grid", "0.5:1:2", "--format", "csv"])
 @example(["curve", "tradeoff-gaussian", "--rho", "1e308", "--grid", "5e-324:5e-324:3", "--format", "csv"])
+@example(["curve", "tradeoff-zcdp", "--rho", "1e308", "--grid", "0:1:3", "--format", "csv"])
 def test_any_argv_exits_0_2_or_3_and_prints_no_nan(argv):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)

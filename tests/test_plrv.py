@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -209,6 +210,20 @@ def test_finite_pair_disjoint_supports_with_mass_one_ulp_over_one():
     assert pure_dp_epsilon(plrv) == math.inf
 
 
+def test_compose_keeps_masses_that_square_out_of_the_sum_tolerance():
+    # 1 - 0.9e-12 passes the probability check; its square is 1 - 1.8e-12, which would not
+    a = DiscretePlrv(((0.0, 1 - 0.9e-12),))
+    both = compose(a, a)
+    assert both.atoms.tolist() == [[0.0, (1 - 0.9e-12) ** 2]]
+    assert both.infinity_mass == 0.0
+
+
+def test_compose_rejects_values_whose_sum_overflows():
+    a = DiscretePlrv(((1e308, 0.5), (-1.0, 0.5)))
+    with pytest.raises(ValueError, match="finite"):
+        compose(a, a)
+
+
 def test_atoms_are_a_read_only_array():
     plrv = compose(rr_plrv(LN3, True), rr_plrv(LN3, True))
     assert plrv.atoms.shape == (3, 2)
@@ -255,6 +270,22 @@ def test_approx_dp_delta_pure_mechanism_vanishes_at_eps0():
     fwd = rr_plrv(LN3, True)
     assert approx_dp_delta(fwd, fwd, LN3) <= 1e-12
     assert approx_dp_delta(fwd, fwd, LN3 + 0.5) == 0.0
+
+
+def test_approx_dp_delta_past_exp_overflow():
+    # e^eps overflows past eps = 709.78; with no reverse mass below -eps the term is 0
+    fwd = rr_plrv(1.0, True)
+    assert approx_dp_delta(fwd, fwd, 800.0) == 0.0
+    # a reverse mass of e^-720 / 2 keeps e^715 times it near e^-5 / 2: taken in log space
+    m = 0.5 * math.exp(-720.0)
+    fwd = DiscretePlrv(((720.0, 0.5), (-math.log(2.0), 0.5)))
+    rev = DiscretePlrv(((-720.0, m), (math.log(2.0), 1.0 - m)))
+    mpmath.mp.dps = 50
+    want = float(mpmath.mpf(0.5) - mpmath.exp(715) * mpmath.mpf(m))
+    assert math.isclose(approx_dp_delta(fwd, rev, 715.0), want, rel_tol=1e-13)
+    # once e^eps times the mass passes every upper mass, delta clamps to 0
+    assert approx_dp_delta(rev, rev, 715.0) == 0.0
+    assert approx_dp_delta(fwd, rev, 1000.0) == 0.0
 
 
 def test_approx_dp_delta_gaussian_reverse_must_match():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,13 +24,16 @@ from dpsemantics import (
     rdp_power_bound,
     zcdp_power_bound,
 )
+from dpsemantics import census
+from dpsemantics._norm import phi_inv
 from dpsemantics.accountants import (
     EpsDeltaCurve,
     ZcdpProfile,
     adp_gaussian_curve,
+    fdp_to_epsdelta,
     zcdp_bound_curve,
 )
-from dpsemantics.tradeoff import ALPHA_GRID
+from dpsemantics.tradeoff import ALPHA_GRID, POWER_BISECTION_TOL, _bisect
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -136,6 +140,15 @@ def test_gaussian_exact_block_scenario_value():
     assert abs(gaussian_exact_power(math.sqrt(2 * 0.1115), 0.05) - 0.12) <= 0.01
 
 
+@pytest.mark.parametrize("mu, level", [(10.0, 1e-20), (1.0, 2.0**-60), (3.0, 5e-324), (0.5, 0.3)])
+def test_gaussian_exact_power_keeps_its_digits_below_two_to_the_minus_53(mu, level):
+    # 1 - level rounds to 1 below 2^-53; Phi^{-1}(level) itself does not
+    mpmath.mp.dps = 50
+    quantile = mpmath.findroot(lambda x: mpmath.ncdf(x) - level, phi_inv(level))
+    want = float(mpmath.ncdf(mu + quantile))
+    assert math.isclose(gaussian_exact_power(mu, level), want, rel_tol=1e-13)
+
+
 # --- zcdp / rdp numeric bounds ----------------------------------------------------
 
 def test_zcdp_bound_production_values():
@@ -179,6 +192,98 @@ def test_rdp_bound_membership_and_monotone_in_gamma():
     for v in values:
         assert level <= v <= 1.0
     assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
+
+
+# --- exact screen of the moment constraints --------------------------------------
+
+
+def reference_feasible(curve, level, power):
+    """Both moment constraints at every order, each through np.logaddexp: the
+    check as it stood before the screen."""
+    if power >= 1.0:
+        return level >= 1.0
+    alphas, log_bounds = curve._constraints
+    ll = math.log(level) if level > 0.0 else -math.inf
+    l1l = math.log1p(-level) if level < 1.0 else -math.inf
+    lp = math.log(power) if power > 0.0 else -math.inf
+    l1p = math.log1p(-power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = np.logaddexp(alphas * ll + (1.0 - alphas) * lp, alphas * l1l + (1.0 - alphas) * l1p)
+        c2 = np.logaddexp(alphas * lp + (1.0 - alphas) * ll, alphas * l1p + (1.0 - alphas) * l1l)
+    slack = 1e-12
+    return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
+
+
+def reference_power(curve, level):
+    if level <= 0.0:
+        return 0.0
+    if level >= 1.0:
+        return 1.0
+    if not reference_feasible(curve, level, level):
+        return level
+    return _bisect(lambda p: not reference_feasible(curve, level, p), level, 1.0,
+                   POWER_BISECTION_TOL)[0]
+
+
+def reference_inverse_type2(curve, z):
+    if z >= 1.0:
+        return 0.0
+    if z < 0.0:
+        return 1.0
+    return _bisect(lambda y: reference_feasible(curve, y, 1.0 - z), 0.0, 1.0 - z)[1]
+
+
+open_unit = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-12, 0.05, 0.5, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+moment_curves = st.one_of(
+    st.one_of(st.sampled_from([1e-6, 0.1115, 2.63, 5.0, 1e308]), st.floats(1e-6, 1e308)).map(
+        ZcdpNumericBoundCurve
+    ),
+    st.lists(
+        st.tuples(st.floats(1.0, 1e3, exclude_min=True), st.floats(0.0, 1e3)), min_size=1, max_size=6
+    ).map(lambda points: RdpNumericBoundCurve(tuple(points))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_curves, open_unit, open_unit, st.booleans())
+def test_screened_check_equals_logaddexp_at_every_order(curve, u, v, on_the_bound):
+    if on_the_bound:
+        # the largest feasible power, and the one just above: where the orders near
+        # the bound decide and the screen leaves them to logaddexp
+        v = curve.power(u)
+        vs = [w for w in (v, math.nextafter(v, 1.0), v + POWER_BISECTION_TOL) if w < 1.0]
+    else:
+        vs = [v]
+    for v in vs:
+        want = reference_feasible(curve, u, v)
+        assert reference_feasible(curve, v, u) == want
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert curve._feasible_with(u)(v) == want
+            assert curve._feasible_with(v)(u) == want
+
+
+def census_budgets():
+    """Production plus scenarios A-H: rho from 0.1115 to 2.63."""
+    table = census.production_table()
+    return [float(census.total_rho(table))] + [
+        float(census.scenario_rho(table, s)) for s in census.builtin_scenarios()
+    ]
+
+
+def test_zcdp_bound_bits_equal_the_unscreened_bisection():
+    levels = [i * 0.01 for i in range(101)]
+    for rho in census_budgets():
+        curve = ZcdpNumericBoundCurve(rho)
+        assert [zcdp_power_bound(rho, x) for x in levels] == [
+            reference_power(curve, x) for x in levels
+        ]
+        for delta in (0.1, 0.01, 1e-6, 1e-12):
+            y = reference_inverse_type2(curve, 1.0 - delta)
+            assert y > 0.0
+            assert fdp_to_epsdelta(curve, delta) == math.log(delta / y)
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
