@@ -3,8 +3,9 @@
 zCDP budgets add linearly; RDP budgets add pointwise in gamma at shared
 orders.  Both convert into tail bounds delta(eps), and trade-off curves
 convert into the pointwise-bounded (eps, delta) parametrization via the
-generalized inverse of the trade-off function.  A brute-force oracle
-computes the tight pointwise delta of any finite mechanism pair.
+generalized inverse of the trade-off function.  The tight pointwise
+delta of any finite mechanism pair is solved in closed form on its exact
+Neyman-Pearson trade-off, which is piecewise linear.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from ._norm import log_phi, phi, phi_inv
 from .plrv import FiniteMechanismPair, _gaussian_adp_delta
-from .tradeoff import TradeoffCurve, _bisect, np_tradeoff_finite
+from .tradeoff import TradeoffCurve, _np_vertices
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
     """Tail bound e^{-(eps-rho)^2/(4 rho)} on the pointwise delta; 1 below rho."""
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     if eps <= rho:
         return 1.0
     try:
@@ -105,6 +110,8 @@ def rdp_to_delta(
     pts = points.points if isinstance(points, RdpProfile) else tuple(points)
     if not pts:
         raise ValueError("at least one (alpha, gamma) point required")
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     best = 1.0
     for alpha, gamma in pts:
         if eps > gamma:
@@ -146,23 +153,33 @@ def gaussian_pbdp_epsilon(mu: float, delta: float) -> float:
 
 
 def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
-    """Tight pointwise delta of a finite pair at a given eps.
+    """Tight pointwise delta of a finite pair at a given eps, in closed form.
 
-    Characterization through the exact trade-off T of the pair: the
-    smallest delta with T(e^{-eps} * delta) <= delta, evaluated in both
-    neighbor directions with the max taken.  The feasible delta form an
-    upper interval because T is concave, so bisection applies.
+    With T the exact trade-off of the pair and s = e^-eps: the smallest
+    delta with T(s d) <= d + 1e-15 for every d >= delta, that is
+    sup{d in [0, 1] : h(d) > 0} (0 if empty) for h(d) = T(s d) - d - 1e-15,
+    the max over both neighbor directions.  h is linear between T's
+    breakpoints d = level / s, so delta is the root of h after its last
+    positive breakpoint.  The reversed pair's vertices are the mirrored ones.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    scale = math.exp(-eps)
+    s = math.exp(-eps)
 
-    def delta(curve) -> float:
-        return _bisect(lambda d: curve.power(scale * d) <= d + 1e-15, 0.0, 1.0)[1]
+    def delta(levels: np.ndarray, powers: np.ndarray) -> float:
+        inside = levels <= s
+        if s == 0.0:  # h(d) = T(0) - d - 1e-15, T(0) the top vertex at level 0
+            return max(0.0, float(powers[inside][-1]) - 1e-15)
+        d = np.append(levels[inside] / s, 1.0)
+        h = np.append(powers[inside] - d[:-1], np.interp(s, levels, powers) - 1.0) - 1e-15
+        above = np.flatnonzero(h > 0.0)
+        if not above.size:
+            return 0.0
+        k = above[-1]  # h(1) = T(s) - 1 - 1e-15 < 0, so k + 1 exists
+        return float(d[k] + h[k] * (d[k + 1] - d[k]) / (h[k] - h[k + 1]))
 
-    return max(
-        delta(np_tradeoff_finite(pair)), delta(np_tradeoff_finite(pair.reversed()))
-    )
+    levels, powers = _np_vertices(pair)
+    return max(delta(levels, powers), delta(1.0 - powers[::-1], 1.0 - levels[::-1]))
 
 
 def adp_gaussian_curve(mu: float, eps_hi: float = 20.0) -> EpsDeltaCurve:

@@ -208,7 +208,12 @@ def plrv_of_finite_pair(pair: FiniteMechanismPair) -> DiscretePlrv:
     """
     p1, p2 = pair.p1, pair.p2
     both = (p1 > 0.0) & (p2 > 0.0)
-    atoms = np.column_stack([np.log(p1[both] / p2[both]), p1[both]])
+    q1, q2 = p1[both], p2[both]
+    with np.errstate(over="ignore"):  # p2 <= 1: the quotient may overflow, not underflow
+        values = np.log(q1 / q2)
+    over = np.isinf(values)
+    values[over] = np.log(q1[over]) - np.log(q2[over])
+    atoms = np.column_stack([values, q1])
     # p1 sums to 1 only within PROB_SUM_TOL, so its mass here can reach 1 + ulp
     inf_mass = min(1.0, float(p1[p2 == 0.0].sum()))
     return DiscretePlrv(atoms, infinity_mass=inf_mass)

@@ -138,11 +138,14 @@ class PiecewiseLinearCurve(TradeoffCurve):
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        levels = [v[0] for v in self.vertices]
-        if levels != sorted(levels):
-            raise ValueError("vertices must be sorted by level")
         if not self.vertices or self.vertices[-1] != (1.0, 1.0):
             raise ValueError("curve must end at (1, 1)")
+        xs, ys = self._xy
+        # NaN fails both comparisons
+        if not ((xs >= 0.0) & (xs <= 1.0) & (ys >= 0.0) & (ys <= 1.0)).all():
+            raise ValueError("vertices must be finite and lie in [0, 1]^2")
+        if (np.diff(xs) < 0.0).any():
+            raise ValueError("vertices must be sorted by level")
 
     @cached_property
     def _xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,15 +166,25 @@ def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
     outputs with equal ratio merge into one segment, which is exactly the
     randomized-test chord.
     """
+    levels, powers = _np_vertices(pair)
+    return PiecewiseLinearCurve(tuple(zip(levels.tolist(), powers.tolist())))
+
+
+def _np_vertices(pair: FiniteMechanismPair) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex levels and powers of `np_tradeoff_finite`, from (0, 0) to (1, 1).
+
+    The reversed pair's vertices are (1 - power, 1 - level), in reverse order.
+    """
     seen = (pair.p1 > 0.0) | (pair.p2 > 0.0)
     p1, p2 = pair.p1[seen], pair.p2[seen]
     ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
     _, group = np.unique(-ratio, return_inverse=True)
-    levels = np.cumsum(np.bincount(group, weights=p1))
-    powers = np.cumsum(np.bincount(group, weights=p2))
     # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
+    # and a partial sum above 1 is rounding
+    levels = np.minimum(np.cumsum(np.bincount(group, weights=p1)), 1.0)
+    powers = np.minimum(np.cumsum(np.bincount(group, weights=p2)), 1.0)
     levels[-1] = powers[-1] = 1.0
-    return PiecewiseLinearCurve(((0.0, 0.0),) + tuple(zip(levels.tolist(), powers.tolist())))
+    return np.append(0.0, levels), np.append(0.0, powers)
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,7 @@ def test_criterion_6_pointwise_delta_oracle_equivalence():
             worst = max(worst, abs(tight - oracle))
     assert worst < 2e-2
     print(
-        f"ACCEPTANCE 6 PASS: bisection vs randomized-test grid supremum, "
+        f"ACCEPTANCE 6 PASS: closed form vs randomized-test grid supremum, "
         f"worst gap {worst:.4f} over 50 pairs x 3 eps"
     )
 

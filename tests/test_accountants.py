@@ -1,10 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsemantics import (
@@ -26,7 +27,7 @@ from dpsemantics import (
     zcdp_to_delta,
 )
 from dpsemantics.accountants import adp_gaussian_curve
-from dpsemantics.tradeoff import PiecewiseLinearCurve
+from dpsemantics.tradeoff import PiecewiseLinearCurve, _bisect
 from scipy.special import ndtri
 
 PRODUCTION_MU = math.sqrt(5.26)
@@ -221,26 +222,124 @@ def test_gaussian_closed_forms_match_mpmath_at_tiny_delta():
             assert math.isclose(gaussian_pbdp_epsilon(mu, delta), float(want), rel_tol=1e-13)
 
 
+RR3 = FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75))
+CATASTROPHIC = FiniteMechanismPair(
+    ("target", "replacement", "rest"), (0.1, 0.0, 0.9), (0.0, 0.1, 0.9)
+)
+
+
 def test_pbdp_delta_pure_mechanism_is_zero():
-    pair = FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75))
-    assert pbdp_delta_finite(pair, math.log(3)) < 1e-15
-    assert pbdp_delta_finite(pair, 2.0) < 1e-15
+    # at eps = ln 3, h = T(e^-eps d) - d - 1e-15 is -1e-15 up to rounding on the first segment
+    assert pbdp_delta_finite(RR3, math.log(3)) == 0.0
+    assert pbdp_delta_finite(RR3, 2.0) == 0.0
 
 
 def test_pbdp_delta_absorbs_catastrophic_mass():
-    pair = FiniteMechanismPair(
-        ("target", "replacement", "rest"), (0.1, 0.0, 0.9), (0.0, 0.1, 0.9)
-    )
     for eps in (0.1, 1.0, 5.0):
-        assert pbdp_delta_finite(pair, eps) >= 0.1 - 1e-12
+        assert pbdp_delta_finite(CATASTROPHIC, eps) >= 0.1 - 1e-12
 
 
 def test_pbdp_delta_rr_below_pure_eps():
     # the feasibility boundary solved by hand for RR(ln 3) at eps = 0.1:
     # the binding segment gives delta = (2/3) / (1 - e^{-0.1} / 3)
-    pair = FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75))
     want = (2.0 / 3.0) / (1.0 - math.exp(-0.1) / 3.0)
-    assert math.isclose(pbdp_delta_finite(pair, 0.1), want, rel_tol=1e-9)
+    assert math.isclose(pbdp_delta_finite(RR3, 0.1), want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("eps", [800.0, math.inf])
+def test_pbdp_delta_where_e_to_the_minus_eps_underflows(eps):
+    # e^-eps is 0, so h(d) = T(0) - d - 1e-15: the catastrophic mass less the slack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pbdp_delta_finite(CATASTROPHIC, eps) == 0.099999999999999
+        assert pbdp_delta_finite(RR3, eps) == 0.0
+
+
+def reference_pbdp_delta(pair: FiniteMechanismPair, eps: float) -> float:
+    """The bisection the closed form replaced: the smallest d with
+    T(e^-eps d) <= d + 1e-15, to the last float, in both directions."""
+    scale = math.exp(-eps)
+
+    def delta(curve) -> float:
+        return _bisect(lambda d: curve.power(scale * d) <= d + 1e-15, 0.0, 1.0)[1]
+
+    return max(delta(np_tradeoff_finite(pair)), delta(np_tradeoff_finite(pair.reversed())))
+
+
+def _pair_of(weights) -> FiniteMechanismPair | None:
+    w1, w2 = weights
+    if not sum(w1) or not sum(w2):
+        return None
+    return FiniteMechanismPair(
+        tuple(map(str, range(len(w1)))), [x / sum(w1) for x in w1], [x / sum(w2) for x in w2]
+    )
+
+
+# masses with zeros on either side, so catastrophic outputs appear in both directions
+float_pairs = st.integers(1, 8).flatmap(
+    lambda k: st.tuples(*[st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                   min_size=k, max_size=k)] * 2)
+).map(_pair_of).filter(lambda pair: pair is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs, st.floats(1e-3, 10.0))
+@example(RR3, math.log(3))
+@example(CATASTROPHIC, 10.0)
+def test_pbdp_delta_closed_form_matches_the_bisection(pair, eps):
+    assert abs(pbdp_delta_finite(pair, eps) - reference_pbdp_delta(pair, eps)) <= 1e-12
+
+
+def exact_pbdp_delta(w1, w2, s: Fraction) -> Fraction:
+    """sup{d in [0, 1] : T(s d) - d - 1e-15 > 0} in exact arithmetic, the max
+    over both directions, for the pair of integer weight vectors w1, w2."""
+    slack = Fraction(1e-15)
+
+    def direction(a, b) -> Fraction:
+        pa = [Fraction(x, sum(a)) for x in a]
+        pb = [Fraction(x, sum(b)) for x in b]
+        # reject by decreasing b/a; the chords of equal ratios are collinear
+        order = sorted((i for i in range(len(a)) if pa[i] or pb[i]),
+                       key=lambda i: (pa[i] == 0, pb[i] / pa[i] if pa[i] else 0), reverse=True)
+        xs, ys = [Fraction(0)], [Fraction(0)]
+        for i in order:
+            xs.append(xs[-1] + pa[i])
+            ys.append(ys[-1] + pb[i])
+
+        def h(d: Fraction) -> Fraction:
+            x = s * d
+            j = max(i for i in range(len(xs)) if xs[i] <= x)
+            t = ys[j] if j == len(xs) - 1 else ys[j] + (ys[j + 1] - ys[j]) * (x - xs[j]) / (xs[j + 1] - xs[j])
+            return t - d - slack
+
+        if s == 0:
+            return max(Fraction(0), h(Fraction(0)))
+        ds = sorted({x / s for x in xs if x <= s} | {Fraction(1)})
+        hs = [h(d) for d in ds]
+        above = [k for k, v in enumerate(hs) if v > 0]
+        if not above:
+            return Fraction(0)
+        k = above[-1]
+        if k == len(ds) - 1:
+            return Fraction(1)
+        return ds[k] + hs[k] * (ds[k + 1] - ds[k]) / (hs[k] - hs[k + 1])
+
+    return max(direction(w1, w2), direction(w2, w1))
+
+
+small_weights = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(*[st.lists(st.integers(0, 5), min_size=k, max_size=k)] * 2)
+).filter(lambda w: sum(w[0]) and sum(w[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_weights, st.floats(1e-3, 10.0))
+@example(((3, 1), (1, 3)), math.log(3))
+@example(((1, 0, 9), (0, 1, 9)), 800.0)
+def test_pbdp_delta_matches_an_exact_rational_oracle(weights, eps):
+    # s is the exact value of the float e^-eps that the library uses
+    want = exact_pbdp_delta(*weights, Fraction(math.exp(-eps)))
+    assert abs(pbdp_delta_finite(_pair_of(weights), eps) - float(want)) <= 1e-12
 
 
 # --- figure-level orderings ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -286,6 +287,17 @@ def test_approx_dp_delta_past_exp_overflow():
     # once e^eps times the mass passes every upper mass, delta clamps to 0
     assert approx_dp_delta(rev, rev, 715.0) == 0.0
     assert approx_dp_delta(fwd, rev, 1000.0) == 0.0
+
+
+def test_finite_pair_log_ratio_past_quotient_overflow():
+    # p1 / p2 = e^720 overflows; the atom is log p1 - log p2, with no warning
+    m = 0.5 * math.exp(-720.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = plrv_of_finite_pair(FiniteMechanismPair(("a", "b"), (0.5, 0.5), (m, 1.0 - m)))
+    assert x.infinity_mass == 0.0
+    assert math.isclose(x.atoms[-1, 0], 720.0, abs_tol=1e-9)
+    assert x.atoms[0, 0] == math.log(0.5 / (1.0 - m))
 
 
 def test_approx_dp_delta_gaussian_reverse_must_match():

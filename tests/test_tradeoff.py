@@ -25,6 +25,7 @@ from dpsemantics import (
     zcdp_power_bound,
 )
 from dpsemantics import census
+from dpsemantics.bayes import wrong_prior_discretized
 from dpsemantics._norm import phi_inv
 from dpsemantics.accountants import (
     EpsDeltaCurve,
@@ -33,7 +34,7 @@ from dpsemantics.accountants import (
     fdp_to_epsdelta,
     zcdp_bound_curve,
 )
-from dpsemantics.tradeoff import ALPHA_GRID, POWER_BISECTION_TOL, _bisect
+from dpsemantics.tradeoff import ALPHA_GRID, POWER_BISECTION_TOL, _bisect, _np_vertices
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -334,6 +335,26 @@ def test_np_exclusive_output_power_at_level_zero():
     assert (0.0, 0.1) in curve.vertices
     assert math.isclose(curve.power(0.0), 0.1)
     assert math.isclose(curve.power(0.05), 0.15)
+
+
+def test_mirrored_vertices_are_the_reversed_pair_curve():
+    rng = np.random.default_rng(20261018)
+    _prior, mech, _omega = wrong_prior_discretized()
+    pairs = [mech.pair("rest", "target-positive", "target-negative")]
+    for _ in range(200):
+        k = int(rng.integers(1, 10))
+        p1, p2 = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        # zero masses on either side, never on all outputs of one side
+        p1[rng.random(k) < 0.3] = 0.0
+        p2[rng.random(k) < 0.3] = 0.0
+        if p1.sum() and p2.sum():
+            pairs.append(FiniteMechanismPair(tuple(map(str, range(k))), p1 / p1.sum(), p2 / p2.sum()))
+    for pair in pairs:
+        levels, powers = _np_vertices(pair)
+        mirrored = np.column_stack([1.0 - powers[::-1], 1.0 - levels[::-1]])
+        reversed_ = np.array(np_tradeoff_finite(pair.reversed()).vertices)
+        assert mirrored.shape == reversed_.shape
+        assert np.abs(mirrored - reversed_).max() <= 1e-15
 
 
 def _normalize_weights(v):

@@ -12,10 +12,14 @@ from dpsemantics import (
     RdpProfile,
     ZcdpProfile,
     exact_posteriors,
+    fdp_to_epsdelta,
     gaussian_exact_power,
+    pbdp_delta_finite,
+    rdp_to_delta,
     rdp_power_bound,
     scenario_power,
     zcdp_power_bound,
+    zcdp_to_delta,
 )
 from dpsemantics.bayes import BayesVerdict, FiniteMechanismFamily, SmallUniversePrior
 from dpsemantics.tradeoff import (
@@ -120,6 +124,40 @@ def test_piecewise_linear_curve_validation():
         PiecewiseLinearCurve(((0.5, 0.5), (0.2, 0.3), (1.0, 1.0)))
     with pytest.raises(ValueError):
         PiecewiseLinearCurve(((0.0, 0.0), (0.5, 0.6)))
+
+
+BAD_VERTICES = {
+    "nan power": ((0.0, 0.0), (0.5, NAN), (1.0, 1.0)),
+    "nan level": ((0.0, 0.0), (NAN, 0.5), (1.0, 1.0)),
+    "infinite power": ((0.0, 0.0), (0.5, math.inf), (1.0, 1.0)),
+    "power above 1": ((0.0, 0.0), (0.5, 1.5), (1.0, 1.0)),
+    "negative power": ((0.0, -0.1), (0.5, 0.5), (1.0, 1.0)),
+    "negative level": ((-0.5, 0.0), (0.5, 0.5), (1.0, 1.0)),
+    "level above 1": ((0.0, 0.0), (1.5, 1.0), (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("vertices", BAD_VERTICES.values(), ids=BAD_VERTICES.keys())
+def test_piecewise_linear_curve_rejects_vertices_outside_the_unit_square(vertices):
+    # a NaN vertex once gave power nan and fdp_to_epsdelta a negative eps
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        curve = PiecewiseLinearCurve(vertices)
+        fdp_to_epsdelta(curve, 0.1)
+
+
+NAN_EPS = {
+    "zcdp_to_delta": lambda: zcdp_to_delta(1.0, NAN),
+    "rdp_to_delta": lambda: rdp_to_delta(((2.0, 1.0),), NAN),
+    "pbdp_delta_finite": lambda: pbdp_delta_finite(
+        FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75)), NAN
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NAN_EPS.values(), ids=NAN_EPS.keys())
+def test_nan_eps_is_rejected(call):
+    with pytest.raises(ValueError, match="eps"):
+        call()
 
 
 def test_odometer_rejects_negative_cap_and_bad_ledger():
