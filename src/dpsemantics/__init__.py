@@ -19,7 +19,6 @@ from .accountants import (
     rdp_compose,
     rdp_to_delta,
     renyi_divergence,
-    zcdp_bound_curve,
     zcdp_to_delta,
 )
 from .bayes import (
@@ -76,7 +75,6 @@ from .tradeoff import (
     RdpNumericBoundCurve,
     ZcdpNumericBoundCurve,
     approx_dp_power_bound,
-    curve_min_power_bound,
     gaussian_exact_power,
     np_tradeoff_finite,
     pure_dp_power_bound,

@@ -26,13 +26,13 @@ from .tradeoff import TradeoffCurve, _np_vertices
 
 @dataclass(frozen=True)
 class EpsDeltaCurve:
-    """A monotone map eps -> delta on [eps_lo, eps_hi]."""
+    """A map eps -> delta, clamped to [0, 1]."""
 
     _fn: Callable[[float], float]
-    eps_lo: float
-    eps_hi: float
 
     def delta(self, eps: float) -> float:
+        if math.isnan(eps):  # the clamp would read it as delta 0
+            raise ValueError("eps must not be NaN")
         return min(1.0, max(0.0, self._fn(eps)))
 
 
@@ -140,7 +140,7 @@ def gaussian_pbdp_epsilon(mu: float, delta: float) -> float:
     -Phi^{-1}(1 - delta) is evaluated as Phi^{-1}(delta) to stay accurate
     for small delta.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
@@ -182,17 +182,11 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
     return max(delta(levels, powers), delta(1.0 - powers[::-1], 1.0 - levels[::-1]))
 
 
-def adp_gaussian_curve(mu: float, eps_hi: float = 20.0) -> EpsDeltaCurve:
+def adp_gaussian_curve(mu: float) -> EpsDeltaCurve:
     """Exact approximate-DP curve of a Gaussian mechanism."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
-    return EpsDeltaCurve(partial(_gaussian_adp_delta, mu), 0.0, eps_hi)
-
-
-def zcdp_bound_curve(rho: float, eps_hi: float | None = None) -> EpsDeltaCurve:
-    """Upper bound on the pointwise delta curve implied by rho-zCDP."""
-    hi = eps_hi if eps_hi is not None else rho + math.sqrt(4.0 * rho * math.log(1e12))
-    return EpsDeltaCurve(lambda eps: zcdp_to_delta(rho, eps), 0.0, hi)
+    return EpsDeltaCurve(partial(_gaussian_adp_delta, mu))
 
 
 class BudgetExceededError(RuntimeError):
@@ -306,7 +300,6 @@ __all__ = [
     "gaussian_pbdp_epsilon",
     "pbdp_delta_finite",
     "adp_gaussian_curve",
-    "zcdp_bound_curve",
     "Odometer",
     "BudgetExceededError",
 ]

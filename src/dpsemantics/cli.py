@@ -218,10 +218,9 @@ def tables() -> None:
     rho = float(census.total_rho(table))
     click.echo(f"production release, rho = {rho:g}")
     click.echo("level    gaussian   zcdp-bound")
-    mu = math.sqrt(2.0 * rho)
     for level in LEVELS_TABLE:
         click.echo(
-            f"{level:<9.2f}{gaussian_exact_power(mu, level):<11.2f}"
+            f"{level:<9.2f}{census.scenario_power(rho, level):<11.2f}"
             f"{zcdp_power_bound(rho, level):<10.2f}"
         )
     click.echo("")

@@ -100,8 +100,10 @@ class GaussianPlrv:
     variance: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
+        if not self.variance >= 0:
             raise ValueError("variance must be nonnegative")
+        if math.isnan(self.mean):
+            raise ValueError("mean must not be NaN")
 
     @property
     def mu(self) -> float:
@@ -111,7 +113,7 @@ class GaussianPlrv:
         """P(L > t)."""
         if self.variance == 0.0:
             return 1.0 if self.mean > t else 0.0
-        return 1.0 - phi((t - self.mean) / math.sqrt(self.variance))
+        return phi((self.mean - t) / math.sqrt(self.variance))
 
 
 Plrv = DiscretePlrv | GaussianPlrv
@@ -243,7 +245,7 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
     and the closed form  Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2)
     is used.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(forward, GaussianPlrv) or isinstance(reverse, GaussianPlrv):
         if not (isinstance(forward, GaussianPlrv) and isinstance(reverse, GaussianPlrv)):

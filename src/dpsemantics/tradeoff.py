@@ -14,15 +14,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ._norm import phi, phi_inv
 from .plrv import FiniteMechanismPair
-
-if TYPE_CHECKING:
-    from .accountants import EpsDeltaCurve
 
 #: Orders alpha of the zCDP moment constraints: log-spaced and wide enough
 #: that the optimal alpha for rho in [0.05, 5] and levels >= 0.001 falls
@@ -44,7 +41,7 @@ def pure_dp_power_bound(eps: float, level: float) -> float:
 
 def approx_dp_power_bound(eps: float, delta: float, level: float) -> float:
     """Maximal power at a given level under (eps, delta)-DP."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -60,28 +57,9 @@ def approx_dp_power_bound(eps: float, delta: float, level: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def curve_min_power_bound(
-    curve: "EpsDeltaCurve", level: float, eps_grid: np.ndarray | None = None
-) -> float:
-    """Best power bound along an entire (eps, delta) curve.
-
-    A mechanism satisfies approximate DP for every point of its curve, so
-    the binding bound is the minimum over the curve, not any single point.
-    """
-    _check_level(level)
-    if eps_grid is None:
-        eps_grid = np.linspace(curve.eps_lo, curve.eps_hi, 4000)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size == 0:
-        raise ValueError("eps grid must be non-empty")
-    return min(
-        approx_dp_power_bound(float(e), curve.delta(float(e)), level) for e in eps_grid
-    )
-
-
 def gaussian_exact_power(mu: float, level: float) -> float:
     """Exact maximal power of any test against a Gaussian mechanism."""
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     _check_level(level)
     if level == 0.0:
@@ -211,6 +189,10 @@ class ApproxDpBoundCurve(TradeoffCurve):
 @dataclass(frozen=True)
 class GaussianExactCurve(TradeoffCurve):
     mu: float
+
+    def __post_init__(self) -> None:
+        if not self.mu >= 0:
+            raise ValueError("mu must be nonnegative")
 
     def power(self, level: float) -> float:
         return gaussian_exact_power(self.mu, level)

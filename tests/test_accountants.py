@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -208,7 +209,7 @@ def test_gaussian_pbdp_epsilon_finite_where_the_tail_underflows():
 def test_gaussian_closed_forms_match_mpmath_at_tiny_delta():
     worst_adp = 0.0
     for mu in (0.5, 1.0, PRODUCTION_MU, 5.0):
-        curve = adp_gaussian_curve(mu, eps_hi=100.0)
+        curve = adp_gaussian_curve(mu)
         for eps in (1.0, 5.0, 10.0, 20.0, 40.0, 60.0):
             want = mp_gaussian_adp_delta(mu, eps)
             if want < 1e-300:
@@ -347,7 +348,7 @@ def test_pbdp_delta_matches_an_exact_rational_oracle(weights, eps):
 def test_gaussian_curve_orderings_at_fixed_delta():
     rho = 2.63
     mu = math.sqrt(2 * rho)
-    adp = adp_gaussian_curve(mu, eps_hi=60.0)
+    adp = adp_gaussian_curve(mu)
     for delta in np.geomspace(1e-6, 0.5, 30):
         delta = float(delta)
         eps_pbdp = gaussian_pbdp_epsilon(mu, delta)
@@ -367,21 +368,17 @@ def test_gaussian_curve_orderings_at_fixed_delta():
 # --- eps-delta curve objects -----------------------------------------------------------
 
 def test_curves_clamped_and_monotone():
-    import numpy as np
-
-    from dpsemantics.accountants import zcdp_bound_curve
     from dpsemantics.bayes import bayes_arbitrary_prior_delta, bayes_known_rest_delta
 
-    adp, zcdp = adp_gaussian_curve(math.sqrt(5.26)), zcdp_bound_curve(2.63)
     profile = ZcdpProfile(2.63)
     cases = [
-        (adp.delta, adp.eps_hi),
-        (zcdp.delta, zcdp.eps_hi),
-        (lambda eps: bayes_known_rest_delta(profile, eps), 30.0),
-        (lambda eps: bayes_arbitrary_prior_delta(profile, eps), 30.0),
+        adp_gaussian_curve(math.sqrt(5.26)).delta,
+        partial(zcdp_to_delta, 2.63),
+        partial(bayes_known_rest_delta, profile),
+        partial(bayes_arbitrary_prior_delta, profile),
     ]
-    for fn, eps_hi in cases:
-        values = [fn(float(e)) for e in np.linspace(0.0, eps_hi, 60)]
+    for fn in cases:
+        values = [fn(float(e)) for e in np.linspace(0.0, 30.0, 60)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

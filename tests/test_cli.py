@@ -428,7 +428,15 @@ GRIDS = st.one_of(
 
 @st.composite
 def argvs(draw) -> list[str]:
-    command = draw(st.sampled_from(["curve", "zcdp-delta", "pbdp-eps", "scenario"]))
+    command = draw(st.sampled_from(["curve", "zcdp-delta", "pbdp-eps", "scenario", "mc"]))
+    if command == "mc":
+        # --n sizes the sample arrays, so it stays small; a relative --out
+        # lands in $DPSEM_OUT_DIR, an absolute one in a missing directory
+        argv = ["mc", draw(st.sampled_from(["production", "scenario:A", "scenario:Z", "bogus"])),
+                "--n", draw(st.sampled_from(["-1", "0", "999", "1000", "2000"])),
+                "--seed", draw(st.sampled_from(["-1", "0", "7"])),
+                "--out", draw(st.sampled_from(["roc.csv", "/nonexistent-dir/roc.csv"]))]
+        return argv + (["--grid", draw(GRIDS)] if draw(st.booleans()) else [])
     if command == "curve":
         argv = ["curve", draw(st.sampled_from(sorted(CURVES)))]
         options = ["--mu", "--rho", "--eps"]
@@ -446,6 +454,11 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
 @example(["convert", "zcdp-delta", "--rho", "2.63", "--eps", "1e308"])
@@ -454,7 +467,8 @@ def argvs(draw) -> list[str]:
 @example(["curve", "bayes-pbdp", "--rho", "1e308", "--grid", "0.5:1:2", "--format", "csv"])
 @example(["curve", "tradeoff-gaussian", "--rho", "1e308", "--grid", "5e-324:5e-324:3", "--format", "csv"])
 @example(["curve", "tradeoff-zcdp", "--rho", "1e308", "--grid", "0:1:3", "--format", "csv"])
-def test_any_argv_exits_0_2_or_3_and_prints_no_nan(argv):
-    result = CliRunner().invoke(main, argv)
+@example(["mc", "production", "--n", "1000", "--seed", "0", "--out", "roc.csv"])
+def test_any_argv_exits_0_2_or_3_and_prints_no_nan(out_dir, argv):
+    result = CliRunner().invoke(main, argv, env={"DPSEM_OUT_DIR": str(out_dir)})
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
     assert not re.search(r"\bnan\b", result.output, re.IGNORECASE), result.output

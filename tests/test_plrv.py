@@ -321,6 +321,19 @@ def test_tail_at_infinity():
     assert math.isclose(sampling_plrv(100, 10).tail(math.inf), 0.1)
 
 
+def test_gaussian_tail_keeps_its_digits_far_past_the_mean():
+    # 1 - Phi(z) cancels to 0 from about 8 sigma on; Phi(-z) does not
+    assert math.isclose(gaussian_plrv(1.0).tail(10.0), 1.0494515075362604e-21, rel_tol=1e-13)
+    for mu in (0.5, 1.0, math.sqrt(5.26)):
+        g = gaussian_plrv(mu)
+        for sigmas in (-3.0, 0.0, 1.0, 8.0, 9.5, 20.0, 37.0, 40.0):
+            t = g.mean + sigmas * mu
+            with mpmath.workdps(50):
+                want = mpmath.ncdf((mpmath.mpf(g.mean) - t) / mpmath.sqrt(g.variance))
+            # the rounded argument z moves Phi(-z) by about z^2 ulp
+            assert math.isclose(g.tail(t), float(want), rel_tol=1e-12)
+
+
 def test_postprocessing_tail_ordering_regression():
     # the released pair (two copies), keep-first-coordinate, constant-output
     eps = 1.0

@@ -1,8 +1,11 @@
-"""The README's library tour runs as written and prints the values it shows."""
+"""The README's library tour runs as written and prints the values it shows, and
+its list of curve kinds is the CLI's."""
 
 import math
 import re
 from pathlib import Path
+
+from dpsemantics.cli import CURVES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +33,8 @@ def test_library_tour_runs_and_matches_its_comments():
         assert math.isclose(round(value, decimals), float(shown)), (expr, value, shown)
         checked += 1
     assert checked >= 4
+
+
+def test_readme_lists_every_curve_kind():
+    listed = README.read_text(encoding="utf-8").split("Curve kinds:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", listed) == list(CURVES)

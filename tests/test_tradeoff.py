@@ -16,7 +16,6 @@ from dpsemantics import (
     ZcdpNumericBoundCurve,
     approx_dp_delta,
     approx_dp_power_bound,
-    curve_min_power_bound,
     gaussian_exact_power,
     np_tradeoff_finite,
     plrv_of_finite_pair,
@@ -26,13 +25,12 @@ from dpsemantics import (
 )
 from dpsemantics import census
 from dpsemantics.bayes import wrong_prior_discretized
-from dpsemantics._norm import phi_inv
+from dpsemantics._norm import phi, phi_inv
 from dpsemantics.accountants import (
-    EpsDeltaCurve,
     ZcdpProfile,
     adp_gaussian_curve,
     fdp_to_epsdelta,
-    zcdp_bound_curve,
+    zcdp_to_delta,
 )
 from dpsemantics.tradeoff import ALPHA_GRID, POWER_BISECTION_TOL, _bisect, _np_vertices
 
@@ -90,37 +88,35 @@ def test_approx_direct_evaluation():
     assert math.isclose(want, 0.1459, abs_tol=5e-5)
 
 
-# --- minimization over a curve ------------------------------------------------
+# --- the envelope of an (eps, delta) curve ----------------------------------------
 
-def test_curve_min_degenerate_curve_is_pure_bound():
-    curve = EpsDeltaCurve(lambda _e: 0.0, 0.7, 0.7)
-    got = curve_min_power_bound(curve, 0.05, eps_grid=np.array([0.7]))
-    assert math.isclose(got, pure_dp_power_bound(0.7, 0.05))
-
-
-@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("level", [0.01, 0.05, 0.1])
-def test_curve_min_tight_for_gaussian(mu, level):
-    curve = adp_gaussian_curve(mu, eps_hi=8.0)
-    got = curve_min_power_bound(curve, level)
-    assert abs(got - gaussian_exact_power(mu, level)) < 2e-3
-
-
-def test_curve_min_zcdp_consistent_with_moment_bound():
-    # the quadratic tail-bound curve is loose in the power domain: its
-    # curve-minimum stays above the direct moment-constraint bisection,
-    # which is the bound that actually delivers the 0.95-at-level-0.05
-    # reference value
-    got = curve_min_power_bound(zcdp_bound_curve(2.63), 0.05)
-    direct = zcdp_power_bound(2.63, 0.05)
-    assert direct <= got <= 1.0
-    assert direct <= 0.95
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, math.sqrt(5.26), 5.0])
+def test_gaussian_adp_curve_touches_the_exact_tradeoff(mu):
+    # each (eps, delta(eps)) bounds the power; at level Phi(-eps/mu - mu/2) the
+    # bound e^eps level + delta(eps) is the Gaussian power itself, so the
+    # envelope over the curve is the exact trade-off
+    delta = adp_gaussian_curve(mu).delta
+    levels = np.linspace(0.0, 1.0, 51).tolist()
+    exact = [gaussian_exact_power(mu, level) for level in levels]
+    for eps in np.linspace(0.0, 12.0, 121)[1:].tolist():
+        touch, d = phi(-eps / mu - mu / 2.0), delta(eps)
+        if touch > 0.0 and d > 0.0:
+            want = gaussian_exact_power(mu, touch)
+            assert math.isclose(math.exp(eps) * touch + d, want, rel_tol=1e-12)
+        for level, power in zip(levels, exact):
+            assert approx_dp_power_bound(eps, d, level) >= power
 
 
-def test_curve_min_rejects_empty_grid():
-    curve = EpsDeltaCurve(lambda _e: 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        curve_min_power_bound(curve, 0.05, eps_grid=np.array([]))
+@pytest.mark.parametrize("rho", [0.1115, 0.926, 2.63, 5.0])
+def test_zcdp_moment_bound_below_every_point_of_its_delta_curve(rho):
+    # the moment-constraint bound is at most the power bound of any single
+    # point of the zCDP tail-bound curve
+    eps_grid = np.linspace(0.0, 30.0, 3001).tolist()
+    for level in (0.01, 0.05, 0.1, 0.5):
+        bound = zcdp_power_bound(rho, level)
+        for eps in eps_grid:
+            assert bound <= approx_dp_power_bound(eps, zcdp_to_delta(rho, eps), level)
+    assert zcdp_power_bound(2.63, 0.05) <= 0.95
 
 
 # --- gaussian exact -------------------------------------------------------------

@@ -11,18 +11,26 @@ from dpsemantics import (
     Odometer,
     RdpProfile,
     ZcdpProfile,
+    adp_gaussian_curve,
+    approx_dp_delta,
+    approx_dp_power_bound,
     exact_posteriors,
     fdp_to_epsdelta,
     gaussian_exact_power,
+    gaussian_pbdp_epsilon,
+    gaussian_plrv,
     pbdp_delta_finite,
+    pure_dp_power_bound,
     rdp_to_delta,
     rdp_power_bound,
+    rr_plrv,
     scenario_power,
     zcdp_power_bound,
     zcdp_to_delta,
 )
 from dpsemantics.bayes import BayesVerdict, FiniteMechanismFamily, SmallUniversePrior
 from dpsemantics.tradeoff import (
+    GaussianExactCurve,
     PiecewiseLinearCurve,
     RdpNumericBoundCurve,
     ZcdpNumericBoundCurve,
@@ -57,6 +65,8 @@ NAN_INPUTS = {
     "zcdp rho": lambda: ZcdpProfile(NAN),
     "rdp order": lambda: RdpProfile(((NAN, 1.0),)),
     "rdp gamma": lambda: RdpProfile(((2.0, NAN),)),
+    "gaussian plrv mean": lambda: GaussianPlrv(mean=NAN, variance=1.0),
+    "gaussian plrv variance": lambda: GaussianPlrv(mean=0.0, variance=NAN),
 }
 
 
@@ -151,12 +161,36 @@ NAN_EPS = {
     "pbdp_delta_finite": lambda: pbdp_delta_finite(
         FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75)), NAN
     ),
+    # each of these once read NaN as perfect privacy: delta or power 0
+    "approx_dp_delta discrete": lambda: approx_dp_delta(
+        rr_plrv(1.0, True), rr_plrv(1.0, True), NAN
+    ),
+    "approx_dp_delta gaussian": lambda: approx_dp_delta(
+        gaussian_plrv(1.0), gaussian_plrv(1.0), NAN
+    ),
+    "approx_dp_power_bound": lambda: approx_dp_power_bound(NAN, 0.1, 0.5),
+    "pure_dp_power_bound": lambda: pure_dp_power_bound(NAN, 0.5),
+    "adp_gaussian_curve": lambda: adp_gaussian_curve(1.0).delta(NAN),
 }
 
 
 @pytest.mark.parametrize("call", NAN_EPS.values(), ids=NAN_EPS.keys())
 def test_nan_eps_is_rejected(call):
     with pytest.raises(ValueError, match="eps"):
+        call()
+
+
+NAN_MU = {
+    "gaussian_pbdp_epsilon": lambda: gaussian_pbdp_epsilon(NAN, 0.1),
+    "gaussian_exact_power": lambda: gaussian_exact_power(NAN, 0.5),
+    "GaussianExactCurve": lambda: GaussianExactCurve(NAN).inverse_type2(0.5),
+    "adp_gaussian_curve": lambda: adp_gaussian_curve(NAN),
+}
+
+
+@pytest.mark.parametrize("call", NAN_MU.values(), ids=NAN_MU.keys())
+def test_nan_mu_is_rejected(call):
+    with pytest.raises(ValueError, match="mu"):
         call()
 
 
