@@ -21,7 +21,7 @@ import numpy as np
 
 from ._norm import log_phi, phi, phi_inv
 from .plrv import FiniteMechanismPair, _gaussian_adp_delta
-from .tradeoff import TradeoffCurve, _np_vertices
+from .tradeoff import TradeoffCurve
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
         k = above[-1]  # h(1) = T(s) - 1 - 1e-15 < 0, so k + 1 exists
         return float(d[k] + h[k] * (d[k + 1] - d[k]) / (h[k] - h[k + 1]))
 
-    levels, powers = _np_vertices(pair)
-    return max(delta(levels, powers), delta(1.0 - powers[::-1], 1.0 - levels[::-1]))
+    forward, backward = pair._np_vertices
+    return max(delta(*forward), delta(*backward))
 
 
 def adp_gaussian_curve(mu: float) -> EpsDeltaCurve:

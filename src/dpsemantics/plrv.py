@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,17 @@ def _probabilities(x, name: str) -> np.ndarray:
     return p
 
 
-def _merged(atoms: np.ndarray) -> np.ndarray:
-    """Atoms sorted by value with zero mass dropped; each run of values whose
-    gaps are below ATOM_MERGE_TOL becomes one atom at its mass-weighted mean.
-    A non-finite value raises ValueError."""
-    if not np.isfinite(atoms[:, 0]).all():
+def _merged(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Read-only (n, 2) atoms from 1-D value and mass columns: sorted by value
+    (stably, so equal values keep their input order) with zero mass dropped;
+    each run of values whose gaps are below ATOM_MERGE_TOL becomes one atom
+    at its mass-weighted mean.  A non-finite value raises ValueError."""
+    if not np.isfinite(values).all():
         raise ValueError("atom values must be finite; use infinity_mass")
-    atoms = atoms[atoms[:, 1] > 0.0]
-    values, probs = atoms[np.argsort(atoms[:, 0], kind="stable")].T
+    kept = probs > 0.0
+    values, probs = values[kept], probs[kept]
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
     new_run = np.diff(values, prepend=-np.inf) >= ATOM_MERGE_TOL
     starts = np.flatnonzero(new_run)
     first, mass = values[starts], np.add.reduceat(probs, starts)
@@ -72,7 +76,7 @@ class DiscretePlrv:
     def __post_init__(self) -> None:
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
         _probabilities(np.append(atoms[:, 1], self.infinity_mass), "atom and infinity masses")
-        object.__setattr__(self, "atoms", _merged(atoms))
+        object.__setattr__(self, "atoms", _merged(atoms[:, 0], atoms[:, 1]))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, DiscretePlrv) and self.infinity_mass == other.infinity_mass
@@ -137,6 +141,31 @@ class FiniteMechanismPair:
         """Swap the roles of the two neighbors."""
         return FiniteMechanismPair(self.outputs, self.p2, self.p1)
 
+    @cached_property
+    def _np_vertices(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Vertex levels and powers of the exact Neyman-Pearson trade-off, from
+        (0, 0) to (1, 1), for this pair and then for the reversed pair; built
+        once per pair, read-only.
+
+        Outputs are rejected in order of decreasing likelihood ratio p2/p1, and
+        outputs with equal ratio merge into one vertex.  The reversed pair's
+        vertices are (1 - power, 1 - level), in reverse order.
+        """
+        seen = (self.p1 > 0.0) | (self.p2 > 0.0)
+        p1, p2 = self.p1[seen], self.p2[seen]
+        ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+        _, group = np.unique(-ratio, return_inverse=True)
+        # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
+        # and a partial sum above 1 is rounding
+        levels = np.minimum(np.cumsum(np.bincount(group, weights=p1)), 1.0)
+        powers = np.minimum(np.cumsum(np.bincount(group, weights=p2)), 1.0)
+        levels[-1] = powers[-1] = 1.0
+        levels, powers = np.append(0.0, levels), np.append(0.0, powers)
+        vertices = (levels, powers), (1.0 - powers[::-1], 1.0 - levels[::-1])
+        for a in (*vertices[0], *vertices[1]):
+            a.flags.writeable = False
+        return vertices
+
 
 def point_mass_zero() -> DiscretePlrv:
     """The PLRV of a mechanism whose output distribution does not change."""
@@ -195,7 +224,7 @@ def compose(a: Plrv, b: Plrv) -> Plrv:
         probs = np.multiply.outer(a.atoms[:, 1], b.atoms[:, 1])
         # no probability check: products of checked masses sum to 1 only up to rounding
         out = object.__new__(DiscretePlrv)
-        object.__setattr__(out, "atoms", _merged(np.column_stack([values.ravel(), probs.ravel()])))
+        object.__setattr__(out, "atoms", _merged(values.ravel(), probs.ravel()))
         object.__setattr__(out, "infinity_mass", inf_mass)
         return out
     raise RepresentationMismatchError("cannot compose discrete and Gaussian PLRVs")

@@ -27,8 +27,13 @@ from .plrv import FiniteMechanismPair
 ALPHA_GRID = np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
 ALPHA_GRID.flags.writeable = False
 
-#: Absolute bracket width at which the moment-constraint power bound stops.
-POWER_BISECTION_TOL = 1e-6
+#: Relative width of the certificate of the moment-constraint power bound:
+#: the check fails at the returned power p and passes at p (1 - width).
+POWER_CERTIFICATE_WIDTH = 2.0**-40
+
+#: Relative width of the bracket the moment-constraint inverse certifies
+#: before it bisects to adjacent floats: a few dozen ulps.
+_INVERSE_BRACKET_WIDTH = 2.0**-47
 
 #: Largest x for which math.exp(x) is finite.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -144,25 +149,8 @@ def np_tradeoff_finite(pair: FiniteMechanismPair) -> PiecewiseLinearCurve:
     outputs with equal ratio merge into one segment, which is exactly the
     randomized-test chord.
     """
-    levels, powers = _np_vertices(pair)
+    levels, powers = pair._np_vertices[0]
     return PiecewiseLinearCurve(tuple(zip(levels.tolist(), powers.tolist())))
-
-
-def _np_vertices(pair: FiniteMechanismPair) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex levels and powers of `np_tradeoff_finite`, from (0, 0) to (1, 1).
-
-    The reversed pair's vertices are (1 - power, 1 - level), in reverse order.
-    """
-    seen = (pair.p1 > 0.0) | (pair.p2 > 0.0)
-    p1, p2 = pair.p1[seen], pair.p2[seen]
-    ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
-    _, group = np.unique(-ratio, return_inverse=True)
-    # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
-    # and a partial sum above 1 is rounding
-    levels = np.minimum(np.cumsum(np.bincount(group, weights=p1)), 1.0)
-    powers = np.minimum(np.cumsum(np.bincount(group, weights=p2)), 1.0)
-    levels[-1] = powers[-1] = 1.0
-    return np.append(0.0, levels), np.append(0.0, powers)
 
 
 @dataclass(frozen=True)
@@ -218,24 +206,36 @@ class _MomentBoundCurve(TradeoffCurve):
     computed logaddexp is max(x, y) plus a rounded log1p(e^-|x-y|) in [0, ln 2]:
     it is >= max, so an order with max > lim fails; it is <= fl(max + ln 2) <=
     fl(max + 1), so an order with max + 1 <= lim holds.  Only the rest reach logaddexp.
+
+    `power` and `inverse_type2` locate where the check flips by safeguarded
+    Newton on the binding order, in the log-odds t = log(v / (1 - v)) of the
+    free coordinate v, and certify the answer with the check itself.
     """
 
-    def _feasible_with(self, u: float) -> Callable[[float], bool]:
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coef, lim), each (2, orders): row 0 is the constraint with the
+        fixed coordinate as the level, row 1 its mirror image."""
+        alphas, log_bounds = self._constraints
+        coef = np.concatenate((1.0 - alphas, alphas)).reshape(2, -1)
+        return coef, np.concatenate((log_bounds, log_bounds)).reshape(2, -1) + 1e-12
+
+    def _rows(self, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(coef, fixed_x, fixed_y, lim) with u fixed: x = fixed_x + coef log v
+        and y = fixed_y + coef log(1 - v) at the free coordinate v."""
+        coef, lim = self._stacked
+        # the fixed coordinate's exponents are the free one's, rows swapped
+        return coef, coef[::-1] * math.log(u), coef[::-1] * math.log1p(-u), lim
+
+    def _feasible_with(self, u: float, rows: tuple | None = None) -> Callable[[float], bool]:
         """Predicate v -> (u, v) meets both constraints, for u and v in (0, 1).
 
         The constraints are mirror images, so `power` fixes the level and
         `inverse_type2` the power.  In log space, as (1-p)^(1-alpha) overflows
         long before the constraint means anything.  Callers ignore overflow and
         invalid-value warnings: huge orders overflow, and inf and NaN screen as
-        they compare."""
-        alphas, log_bounds = self._constraints
-        lu, l1u = math.log(u), math.log1p(-u)
-        oma = 1.0 - alphas
-        # rows: the constraint with u as the level, then its mirror image
-        coef = np.stack([oma, alphas])
-        fixed_x = np.stack([alphas * lu, oma * lu])
-        fixed_y = np.stack([alphas * l1u, oma * l1u])
-        lim = np.stack([log_bounds + 1e-12] * 2)
+        they compare.  `rows` is `_rows(u)`, where the caller has it."""
+        coef, fixed_x, fixed_y, lim = rows or self._rows(u)
 
         def feasible(v: float) -> bool:
             x = fixed_x + coef * math.log(v)
@@ -248,10 +248,24 @@ class _MomentBoundCurve(TradeoffCurve):
 
         return feasible
 
-    def power(self, level: float) -> float:
-        """Largest feasible power, bisected to POWER_BISECTION_TOL.
+    @cached_property
+    def _gaussian_mu(self) -> float:
+        """Largest mu whose Gaussian mechanism meets every constraint: its
+        divergence at order alpha is alpha mu^2 / 2."""
+        alphas, log_bounds = self._constraints
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.sqrt(max(0.0, float(np.min(2.0 * log_bounds / ((alphas - 1.0) * alphas)))))
 
-        At level 0 the second constraint carries power^alpha * 0^(1-alpha),
+    def power(self, level: float) -> float:
+        """Smallest power at which the check fails, to a relative 2^-40.
+
+        Certified: the check fails at the returned power p and passes at
+        p (1 - POWER_CERTIFICATE_WIDTH) (at the float below p where that
+        rounds to p, at the level where either lies below it), so p lies
+        above the supremum of the feasible powers, by at most that much.  The
+        search starts from the power of the Gaussian mechanism that meets
+        every constraint, or from the level if the check rejects that.  At
+        level 0 the second constraint carries power^alpha * 0^(1-alpha),
         infinite for any positive power; level 1 is trivially unconstrained.
         """
         _check_level(level)
@@ -259,25 +273,222 @@ class _MomentBoundCurve(TradeoffCurve):
             return 0.0
         if level >= 1.0:
             return 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            feasible = self._feasible_with(level)
-            if not feasible(level):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            flip = _Flip(self, level, rising=True)
+            start = phi(self._gaussian_mu + phi_inv(level))
+            if level < start < 1.0 and flip.feasible(start):
+                flip.lo = start
+            elif not flip.feasible(level):
                 return level
-            return _bisect(lambda p: not feasible(p), level, 1.0, POWER_BISECTION_TOL)[0]
+            flip.pick_from(flip.lo)
+            return flip.bracket(POWER_CERTIFICATE_WIDTH)[1]
 
     def inverse_type2(self, z: float) -> float:
-        """Generalized inverse inf{y : type2(y) <= z}, by one bisection.
+        """Generalized inverse inf{y : type2(y) <= z}, exact to the last float.
 
         That is the smallest level at which power 1 - z is feasible, found
         without calling `power`: feasibility only grows with the level, and
-        level 1 - z itself is always feasible.
+        level 1 - z itself is always feasible.  Newton starts from the level
+        at which the Gaussian mechanism that meets every constraint reaches
+        power 1 - z and certifies a bracket a few dozen ulps wide; bisection
+        inside it ends at adjacent floats.
         """
         if z >= 1.0:
             return 0.0
-        if 1.0 - z >= 1.0:  # power 1 (or more) is feasible only at level 1
+        w = 1.0 - z
+        if w >= 1.0:  # power 1 (or more) is feasible only at level 1
             return 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _bisect(self._feasible_with(1.0 - z), 0.0, 1.0 - z)[1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            flip = _Flip(self, w, rising=False)
+            start = phi(phi_inv(w) - self._gaussian_mu)
+            flip.pick_from(start if 0.0 < start < w else w)
+            lo, hi = flip.bracket(_INVERSE_BRACKET_WIDTH)
+            return _bisect(flip.feasible, lo, hi)[1]
+
+
+class _Flip:
+    """Where the moment check with one coordinate u fixed flips, along v.
+
+    With `rising`, v is the power at level u: the check passes from v = u
+    up to the flip and fails above it, up to v = 1.  Otherwise v is the level
+    at power u: the check fails from v = 0 up to the flip and passes above.
+    Each order and mirror row k has its own flip, a root of
+    f_k(t) = logaddexp(x_k, y_k) - lim_k in t = log(v / (1 - v)), and the
+    check flips at the first root met going out from the feasible side.
+    The bracket (lo, hi) has the check's answer `rising` at lo and the other
+    answer at hi.  The ends of the whole range, `whole`, are taken as given,
+    never evaluated: 0 fails, 1 fails, the level u passes (its constraints
+    hold with a margin of their 1e-12 slack) and so does the power u.
+    """
+
+    def __init__(self, curve: _MomentBoundCurve, u: float, rising: bool) -> None:
+        rows = curve._rows(u)
+        self.coef, self.fixed_x, self.fixed_y, self.lim = (a.ravel() for a in rows)
+        self.orders = rows[0].shape[1]
+        self.feasible = curve._feasible_with(u, rows)
+        self.rising = rising
+        self.lo, self.hi = self.whole = (u, 1.0) if rising else (0.0, u)
+        #: (row k, Newton guess for its root in t) to solve next, or None
+        self.pick: tuple[int, float] | None = None
+
+    def pick_from(self, v: float) -> None:
+        """Pick the row to solve first, by a Newton step from a feasible v
+        inside the bracket, among every _STRIDE-th order."""
+        self.pick = self._pick(v, slice(None, None, _STRIDE if self.orders > _NEIGHBORS else 1))
+
+    def _pick(self, v: float, rows: slice, only_failing: bool = False) -> tuple[int, float] | None:
+        """The row among `rows` whose one Newton step from v lands inside the
+        bracket nearest its feasible end, with that landing point in t; None
+        if there is none.  With `only_failing`, v is an end of the bracket,
+        and the pick is among the rows that fail there.
+
+        The step is approximate, as only the choice rests on it: e^-|x-y| is
+        floored at e^-40, which can only raise f, by at most 5e-18."""
+        lv, l1v = math.log(v), math.log1p(-v)
+        coef = self.coef[rows]
+        x = self.fixed_x[rows] + coef * lv
+        y = self.fixed_y[rows] + coef * l1v
+        d = x - y
+        e = np.exp(-np.minimum(np.abs(d), 40.0))
+        f = np.maximum(x, y) + np.log1p(e) - self.lim[rows]
+        # df/dt = coef ((1 - v) wx - v wy), with wy = 1 - wx the weight of y
+        wy = np.where(d >= 0.0, e, 1.0) / (1.0 + e)
+        t = (lv - l1v) - f / (coef * ((1.0 - v) - wy))
+        if only_failing:
+            # a row that fails at v has its root inside the bracket
+            t = np.clip(t, _logit(self.lo), _logit(self.hi))
+            ok = (f > 0.0) & ~np.isnan(t)
+        else:
+            ok = (t > _logit(self.lo)) & (t < _logit(self.hi))
+        if not ok.any():
+            return None
+        # nearest the feasible end: lowest for a power, highest for a level
+        k = int(np.argmin(np.where(ok, t, np.inf)) if self.rising else np.argmax(np.where(ok, t, -np.inf)))
+        return range(self.coef.size)[rows][k], float(t[k])
+
+    def _root(self, k: int, t: float) -> float:
+        """Root of f_k inside the bracket, by Newton in t from the guess t,
+        falling back to bisection (or, toward an open end, doubling) when a
+        step leaves what is known of the root."""
+        c, fx, fy, lim = (float(a[k]) for a in (self.coef, self.fixed_x, self.fixed_y, self.lim))
+        t_pass, t_fail = _logit(self.lo), _logit(self.hi)
+        if not self.rising:
+            t_pass, t_fail = t_fail, t_pass
+        for _ in range(_NEWTON_STEPS):
+            lv = -math.log1p(math.exp(-t)) if t >= 0.0 else t - math.log1p(math.exp(t))
+            l1v = lv - t
+            x, y = fx + c * lv, fy + c * l1v
+            cv = max(x, y) + math.log1p(math.exp(-abs(x - y)))
+            f = cv - lim
+            if f > 0.0:
+                t_fail = t
+            else:
+                t_pass = t
+            slope = c * (math.exp(x - cv + l1v) - math.exp(y - cv + lv))
+            nxt = t - f / slope if slope != 0.0 else math.nan
+            if abs(nxt - t) <= 1e-15 * max(1.0, abs(t)):
+                return nxt
+            if not min(t_pass, t_fail) < nxt < max(t_pass, t_fail):
+                if math.isinf(t_fail):
+                    nxt = t + (t - t_pass) + math.copysign(1.0, t_fail)
+                else:
+                    nxt = 0.5 * (t_pass + t_fail)
+            t = nxt
+        return t
+
+    def _solve(self) -> float:
+        """Root in v of the binding row, starting from the pick.  Roots are
+        flat in the order near the binding one, so a pick made far from the
+        flip is often only near it: the rows of the same mirror side within
+        _NEIGHBORS orders predict their roots from the first root, and the
+        nearest of them is solved instead if it comes first."""
+        k, t = self.pick
+        t = self._root(k, t)
+        v = _expit(t)
+        if 0.0 < v < 1.0:
+            side = k - k % self.orders
+            near = slice(max(side, k - _NEIGHBORS), min(side + self.orders, k + _NEIGHBORS + 1))
+            pick = self._pick(v, near)
+            if pick is not None and (pick[1] < t if self.rising else pick[1] > t):
+                v = _expit(self._root(*pick))
+        return v
+
+    def bracket(self, width: float) -> tuple[float, float]:
+        """(a, b) with a = b (1 - width), or the float below b, or the lower
+        end of the whole range: the check gives the answer it gives at lo at
+        a, and the one it gives at hi at b, so the flip lies between them.
+
+        Each round solves for the binding row's root r and checks the window
+        around it, lower end first.  The end that answers as the opposite
+        end of the bracket does replaces that end, and the next pick is made
+        from it: among the rows that fail there, if it fails.  Every round
+        lowers hi or raises lo.  Without a pick the flip is within rounding
+        of the end that moved last, and the next window lies just inside it;
+        if that fails too, or after _NEWTON_ROUNDS rounds, at the midpoint.
+        Orders close to 1 make the check ragged, by about 1e-12 in v: where a
+        point below lo answers as hi does, lo falls back to the range's end.
+        """
+        # without a row to solve, the window lies just inside the end that
+        # moved last (for a power without any, the flip lies at 1), once;
+        # then at the bracket's midpoint
+        nudge = self.hi if self.rising else math.nan
+        end = self.whole[0]
+        for rounds in range(_CERTIFY_STEPS):
+            lo, hi = self.lo, self.hi
+            nudged = self.pick is None or rounds >= _NEWTON_ROUNDS
+            r = nudge if nudged else self._solve()
+            # a root a rounding error outside the bracket: the window just inside
+            if lo > 0.0 and lo * (1.0 - width) < r <= lo:
+                r = lo * (1.0 + width)
+            elif hi < r <= hi * (1.0 + width):
+                r = hi
+            if not lo < r <= hi:
+                r = max(0.5 * (lo + hi), math.nextafter(lo, 1.0))
+            b = min(r * (1.0 + 0.5 * width), hi)
+            a = max(b * (1.0 - width), end)
+            if a == b:  # b (1 - width) rounds to b among subnormals
+                a = max(math.nextafter(b, 0.0), end)
+            if a not in (lo, end) and self.feasible(a) != self.rising:
+                if a < lo:
+                    self.lo = end
+                self.hi = a
+                nudge = math.nan if nudged else a
+                self.pick = self._pick(a, slice(None), only_failing=self.rising)
+            elif b < hi and self.feasible(b) == self.rising:
+                self.lo = b
+                nudge = math.nan if nudged else b * (1.0 + width)
+                self.pick = self._pick(b, slice(None), only_failing=not self.rising)
+            else:
+                return a, b
+        return self.lo, self.hi
+
+
+#: Iteration caps: Newton steps of one root; certificate rounds that may
+#: solve roots before they fall back to the bracket's midpoint; all rounds,
+#: enough for the midpoints to reach adjacent floats anywhere in (0, 1).
+_NEWTON_STEPS = 60
+_NEWTON_ROUNDS = 16
+_CERTIFY_STEPS = 1200
+
+#: The first pick looks at every _STRIDE-th order; a solved row's neighbors
+#: within _NEIGHBORS orders then predict their roots from it.
+_STRIDE = 8
+_NEIGHBORS = 64
+
+
+def _logit(v: float) -> float:
+    if v <= 0.0:
+        return -math.inf
+    if v >= 1.0:
+        return math.inf
+    return math.log(v) - math.log1p(-v)
+
+
+def _expit(t: float) -> float:
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)

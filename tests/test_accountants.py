@@ -233,6 +233,10 @@ def test_pbdp_delta_pure_mechanism_is_zero():
     # at eps = ln 3, h = T(e^-eps d) - d - 1e-15 is -1e-15 up to rounding on the first segment
     assert pbdp_delta_finite(RR3, math.log(3)) == 0.0
     assert pbdp_delta_finite(RR3, 2.0) == 0.0
+    # RR(ln 3) is pure ln(3)-DP: without the slack, its tight delta at eps = ln 3
+    # is 0 in exact arithmetic, at s = 1/3 and at s = fl(e^-ln 3)
+    for s in (Fraction(1, 3), Fraction(math.exp(-math.log(3)))):
+        assert exact_pbdp_delta((3, 1), (1, 3), s, slack=Fraction(0)) == 0
 
 
 def test_pbdp_delta_absorbs_catastrophic_mass():
@@ -291,41 +295,59 @@ def test_pbdp_delta_closed_form_matches_the_bisection(pair, eps):
     assert abs(pbdp_delta_finite(pair, eps) - reference_pbdp_delta(pair, eps)) <= 1e-12
 
 
-def exact_pbdp_delta(w1, w2, s: Fraction) -> Fraction:
-    """sup{d in [0, 1] : T(s d) - d - 1e-15 > 0} in exact arithmetic, the max
-    over both directions, for the pair of integer weight vectors w1, w2."""
-    slack = Fraction(1e-15)
+#: the slack that pbdp_delta_finite subtracts from h
+SLACK = Fraction(1e-15)
 
-    def direction(a, b) -> Fraction:
-        pa = [Fraction(x, sum(a)) for x in a]
-        pb = [Fraction(x, sum(b)) for x in b]
-        # reject by decreasing b/a; the chords of equal ratios are collinear
-        order = sorted((i for i in range(len(a)) if pa[i] or pb[i]),
-                       key=lambda i: (pa[i] == 0, pb[i] / pa[i] if pa[i] else 0), reverse=True)
-        xs, ys = [Fraction(0)], [Fraction(0)]
-        for i in order:
-            xs.append(xs[-1] + pa[i])
-            ys.append(ys[-1] + pb[i])
 
-        def h(d: Fraction) -> Fraction:
-            x = s * d
-            j = max(i for i in range(len(xs)) if xs[i] <= x)
-            t = ys[j] if j == len(xs) - 1 else ys[j] + (ys[j + 1] - ys[j]) * (x - xs[j]) / (xs[j + 1] - xs[j])
-            return t - d - slack
+def exact_np_vertices(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Vertices of the exact Neyman-Pearson trade-off of integer weight
+    vectors a (null) and b, in rationals, from (0, 0) to (1, 1)."""
+    pa = [Fraction(x, sum(a)) for x in a]
+    pb = [Fraction(x, sum(b)) for x in b]
+    # reject by decreasing b/a; the chords of equal ratios are collinear
+    order = sorted((i for i in range(len(a)) if pa[i] or pb[i]),
+                   key=lambda i: (pa[i] == 0, pb[i] / pa[i] if pa[i] else 0), reverse=True)
+    xs, ys = [Fraction(0)], [Fraction(0)]
+    for i in order:
+        xs.append(xs[-1] + pa[i])
+        ys.append(ys[-1] + pb[i])
+    return xs, ys
 
-        if s == 0:
-            return max(Fraction(0), h(Fraction(0)))
-        ds = sorted({x / s for x in xs if x <= s} | {Fraction(1)})
-        hs = [h(d) for d in ds]
-        above = [k for k, v in enumerate(hs) if v > 0]
-        if not above:
-            return Fraction(0)
-        k = above[-1]
-        if k == len(ds) - 1:
-            return Fraction(1)
-        return ds[k] + hs[k] * (ds[k + 1] - ds[k]) / (hs[k] - hs[k + 1])
 
-    return max(direction(w1, w2), direction(w2, w1))
+def exact_tradeoff(xs, ys, x: Fraction) -> tuple[Fraction, Fraction]:
+    """T(x) and its right-hand slope, for x in [0, 1]."""
+    j = max(i for i in range(len(xs)) if xs[i] <= x)
+    if j == len(xs) - 1:
+        return ys[j], Fraction(0)
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return ys[j] + slope * (x - xs[j]), slope
+
+
+def exact_direction_delta(a, b, s: Fraction, slack: Fraction = SLACK) -> Fraction:
+    """sup{d in [0, 1] : T(s d) - d - slack > 0} in exact arithmetic, 0 if
+    empty, with T the trade-off of integer weight vectors a (null) and b."""
+    xs, ys = exact_np_vertices(a, b)
+
+    def h(d: Fraction) -> Fraction:
+        return exact_tradeoff(xs, ys, s * d)[0] - d - slack
+
+    if s == 0:
+        return max(Fraction(0), h(Fraction(0)))
+    ds = sorted({x / s for x in xs if x <= s} | {Fraction(1)})
+    hs = [h(d) for d in ds]
+    above = [k for k, v in enumerate(hs) if v > 0]
+    if not above:
+        return Fraction(0)
+    k = above[-1]
+    if k == len(ds) - 1:
+        return Fraction(1)
+    return ds[k] + hs[k] * (ds[k + 1] - ds[k]) / (hs[k] - hs[k + 1])
+
+
+def exact_pbdp_delta(w1, w2, s: Fraction, slack: Fraction = SLACK) -> Fraction:
+    """The tight pointwise delta of pbdp_delta_finite in exact arithmetic:
+    the max over both directions."""
+    return max(exact_direction_delta(w1, w2, s, slack), exact_direction_delta(w2, w1, s, slack))
 
 
 small_weights = st.integers(1, 4).flatmap(
@@ -341,6 +363,43 @@ def test_pbdp_delta_matches_an_exact_rational_oracle(weights, eps):
     # s is the exact value of the float e^-eps that the library uses
     want = exact_pbdp_delta(*weights, Fraction(math.exp(-eps)))
     assert abs(pbdp_delta_finite(_pair_of(weights), eps) - float(want)) <= 1e-12
+
+
+two_to_five_outcomes = st.integers(2, 5).flatmap(
+    lambda k: st.tuples(*[st.lists(st.integers(0, 5), min_size=k, max_size=k)] * 2)
+).filter(lambda w: sum(w[0]) and sum(w[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_to_five_outcomes, st.floats(1e-3, 10.0))
+@example(((3, 1), (1, 3)), math.log(3))
+@example(((3, 1), (1, 3)), 0.1)
+@example(((1, 0, 9), (0, 1, 9)), 2.0)
+def test_pbdp_delta_slack_errs_low_by_a_bounded_amount(weights, eps):
+    # The slack moves delta down, the unsound side, and by a bounded amount.
+    # In exact arithmetic at s = fl(e^-eps), per direction: the slacked d1 and
+    # the tight d0 satisfy d1 <= d0 <= d1 + slack / (1 - s m), with m the slope
+    # of T at s d1.  The bound follows from the concavity of T(s d) - d.
+    s = Fraction(math.exp(-eps))
+    tight, slacked = [], []
+    for a, b in (weights, weights[::-1]):
+        d0 = exact_direction_delta(a, b, s, slack=Fraction(0))
+        d1 = exact_direction_delta(a, b, s)
+        assert d1 <= d0
+        xs, ys = exact_np_vertices(a, b)
+        k = 1 - s * exact_tradeoff(xs, ys, s * d1)[1]
+        if k > 0:
+            assert d0 - d1 <= SLACK / k
+        else:  # T(s d) - d may rise above d1 = 0, but never past the slack
+            assert d1 == 0
+            assert all(exact_tradeoff(xs, ys, s * d)[0] - d <= SLACK
+                       for d in [Fraction(0), Fraction(1)] + [x / s for x in xs if x <= s])
+        tight.append(d0)
+        slacked.append(d1)
+    got = pbdp_delta_finite(_pair_of(weights), eps)
+    # the library's delta: the slacked one up to rounding, and never above the tight one
+    assert abs(got - float(max(slacked))) <= 1e-12
+    assert Fraction(got) <= max(tight)
 
 
 # --- figure-level orderings ------------------------------------------------------------

@@ -32,7 +32,7 @@ from dpsemantics.accountants import (
     fdp_to_epsdelta,
     zcdp_to_delta,
 )
-from dpsemantics.tradeoff import ALPHA_GRID, POWER_BISECTION_TOL, _bisect, _np_vertices
+from dpsemantics.tradeoff import ALPHA_GRID, POWER_CERTIFICATE_WIDTH, _bisect
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -211,17 +211,6 @@ def reference_feasible(curve, level, power):
     return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
 
 
-def reference_power(curve, level):
-    if level <= 0.0:
-        return 0.0
-    if level >= 1.0:
-        return 1.0
-    if not reference_feasible(curve, level, level):
-        return level
-    return _bisect(lambda p: not reference_feasible(curve, level, p), level, 1.0,
-                   POWER_BISECTION_TOL)[0]
-
-
 def reference_inverse_type2(curve, z):
     if z >= 1.0:
         return 0.0
@@ -251,7 +240,7 @@ def test_screened_check_equals_logaddexp_at_every_order(curve, u, v, on_the_boun
         # the largest feasible power, and the one just above: where the orders near
         # the bound decide and the screen leaves them to logaddexp
         v = curve.power(u)
-        vs = [w for w in (v, math.nextafter(v, 1.0), v + POWER_BISECTION_TOL) if w < 1.0]
+        vs = [w for w in (v, math.nextafter(v, 0.0), v * (1.0 - POWER_CERTIFICATE_WIDTH)) if 0.0 < w < 1.0]
     else:
         vs = [v]
     for v in vs:
@@ -270,17 +259,59 @@ def census_budgets():
     ]
 
 
-def test_zcdp_bound_bits_equal_the_unscreened_bisection():
+def assert_power_certified(curve, level):
+    """The power bound p fails the unscreened check at p and passes it at
+    p (1 - 2^-40), or at the float below p where that rounds to p, or at the
+    level where either lies below it: p lies above the supremum of the
+    feasible powers, by at most that much.  Levels 0 and 1 and a failing
+    level keep their fixed answers."""
+    p = curve.power(level)
+    if level in (0.0, 1.0):
+        assert p == level
+    elif p == level:
+        assert not reference_feasible(curve, level, level)
+    else:
+        assert level < p <= 1.0
+        assert not reference_feasible(curve, level, p)
+        below = max(level, min(p * (1.0 - POWER_CERTIFICATE_WIDTH), math.nextafter(p, 0.0)))
+        assert reference_feasible(curve, level, below)
+
+
+def assert_inverse_exact(curve, z):
+    """inverse_type2(z) is the level y at which the check with power 1 - z
+    flips, to adjacent floats: it passes at y and fails just below."""
+    y = curve.inverse_type2(z)
+    if z >= 1.0:
+        assert y == 0.0
+    elif 1.0 - z >= 1.0:
+        assert y == 1.0
+    else:
+        assert 0.0 < y <= 1.0 - z
+        assert reference_feasible(curve, y, 1.0 - z)
+        assert not reference_feasible(curve, math.nextafter(y, 0.0), 1.0 - z)
+
+
+def test_zcdp_bound_is_certified_by_the_unscreened_check():
     levels = [i * 0.01 for i in range(101)]
     for rho in census_budgets():
         curve = ZcdpNumericBoundCurve(rho)
-        assert [zcdp_power_bound(rho, x) for x in levels] == [
-            reference_power(curve, x) for x in levels
-        ]
+        for level in levels:
+            assert_power_certified(curve, level)
         for delta in (0.1, 0.01, 1e-6, 1e-12):
+            assert_inverse_exact(curve, 1.0 - delta)
+            # the same adjacent floats as a bisection of the whole range
             y = reference_inverse_type2(curve, 1.0 - delta)
-            assert y > 0.0
             assert fdp_to_epsdelta(curve, delta) == math.log(delta / y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_curves, open_unit)
+@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # orders near 1 make the check ragged at 1e-12
+@example(ZcdpNumericBoundCurve(1e308), 0.5)  # every power below 1 is feasible
+@example(RdpNumericBoundCurve(((2.0, 0.0),)), 0.3)  # gamma 0: the flip sits at the level
+def test_moment_bounds_are_certified_by_the_unscreened_check(curve, u):
+    assert_power_certified(curve, u)
+    assert_inverse_exact(curve, u)
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
@@ -346,11 +377,14 @@ def test_mirrored_vertices_are_the_reversed_pair_curve():
         if p1.sum() and p2.sum():
             pairs.append(FiniteMechanismPair(tuple(map(str, range(k))), p1 / p1.sum(), p2 / p2.sum()))
     for pair in pairs:
-        levels, powers = _np_vertices(pair)
+        (levels, powers), backward = pair._np_vertices
+        assert np.array_equal(np.column_stack([levels, powers]), np_tradeoff_finite(pair).vertices)
         mirrored = np.column_stack([1.0 - powers[::-1], 1.0 - levels[::-1]])
+        assert np.array_equal(mirrored, np.column_stack(backward))
         reversed_ = np.array(np_tradeoff_finite(pair.reversed()).vertices)
         assert mirrored.shape == reversed_.shape
         assert np.abs(mirrored - reversed_).max() <= 1e-15
+        assert pair._np_vertices is pair._np_vertices  # built once
 
 
 def _normalize_weights(v):
