@@ -12,8 +12,9 @@ import fcntl
 import json
 import math
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -103,15 +104,66 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str, *more: tuple[str, str]) -> None:
+    """Write text to the --out path, or to standard output without one, and
+    each (path, text) of `more` beside it.
+
+    Every file is written whole to a fresh hidden temp file in its target's
+    directory; only once all are written is each swapped in: the old file is
+    unlinked and the temp renamed into the freed name.  Truncating the old
+    file, or renaming over it, makes ext4 flush the new bytes to disk, tens
+    of ms; a new name costs nothing.  A failed write leaves every old file
+    as it was.  A target that exists but is not a regular file (a FIFO,
+    /dev/stdout) is written straight through.
+    """
     if path is None:
         click.echo(text, nl=False)
         return
+    swaps: list[tuple[str, str]] = []  # (temp file, target)
+    swapped = 0
+    name = path
     try:
-        _resolve_out(path).write_text(text, encoding="utf-8")
+        for name, body in ((path, text), *more):
+            _stage(str(_resolve_out(name)), body.encode("utf-8"), swaps)
+        for tmp, name in swaps:
+            with suppress(FileNotFoundError):  # a concurrent writer unlinked it first
+                os.unlink(name)
+            os.rename(tmp, name)
+            swapped += 1
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
+        click.echo(f"error: cannot write {name}: {exc}", err=True)
         sys.exit(3)
+    finally:
+        for tmp, _ in swaps[swapped:]:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
+def _stage(target: str, data: bytes, swaps: list[tuple[str, str]]) -> None:
+    """Write data straight into a target that exists and is not a regular
+    file; else into a new temp file beside the target (beside the file a
+    symlink points at), created as a plain new file is and given the old
+    file's permission bits, and queue (temp, target) on `swaps`."""
+    try:
+        old = os.stat(target)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    target = os.path.realpath(target)
+    tmp = os.path.join(os.path.dirname(target), f".dpsem-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    swaps.append((tmp, target))
+    try:
+        if old is not None:
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _render_points(
@@ -281,9 +333,10 @@ def mc(allocation, n_samples, seed, grid, out) -> None:
     lines = ["level,power,se"]
     for level in grid:
         lines.append(f"{level!r},{roc.power_at(level)!r},{roc.standard_error(level)!r}")
-    _write_text(out, "\n".join(lines) + "\n")
-    manifest = roc.manifest()
-    _write_text(out + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest = json.dumps(roc.manifest(), sort_keys=True, indent=2) + "\n"
+    # both files are written before either is swapped in, so a failure
+    # leaves the previous ROC and manifest in place as a pair
+    _write_text(out, "\n".join(lines) + "\n", (out + ".manifest.json", manifest))
     click.echo(f"wrote {out} ({n_samples} samples, seed {seed})")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -82,7 +82,14 @@ def rdp_power_bound(points: Iterable[tuple[float, float]], level: float) -> floa
 
 def zcdp_power_bound(rho: float, level: float) -> float:
     """Maximal power consistent with rho-zCDP, i.e. gamma = rho * alpha."""
-    return ZcdpNumericBoundCurve(rho).power(level)
+    return _zcdp_curve(rho).power(level)
+
+
+@lru_cache(maxsize=1)
+def _zcdp_curve(rho: float) -> ZcdpNumericBoundCurve:
+    """The last rho's curve, so the levels of one curve (callers ask for
+    them in a run) share its constraint rows and Gaussian seed."""
+    return ZcdpNumericBoundCurve(rho)
 
 
 class TradeoffCurve:

@@ -1,10 +1,13 @@
+import errno
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import mpmath
@@ -414,6 +417,103 @@ def test_write_failure_exits_3(runner):
     assert result.exit_code == 3
 
 
+# --- --out writer ----------------------------------------------------------------------------
+
+PURE = ("curve", "tradeoff-pure", "--eps", "1", "--grid")
+
+
+def _stdout(runner, *args) -> bytes:
+    """What the command prints without --out: the bytes --out must hold."""
+    return invoke(runner, *args).stdout_bytes
+
+
+def test_rewrite_swaps_in_a_new_file(runner, tmp_path):
+    """The old file is never truncated: a hard link to it keeps the old bytes,
+    and the new file holds the new ones, with the old permission bits."""
+    out, link = tmp_path / "c.csv", tmp_path / "old.csv"
+    assert invoke(runner, *PURE, "0:1:5", "--out", str(out)).exit_code == 0
+    old = out.read_bytes()
+    os.link(out, link)
+    out.chmod(0o640)
+    assert invoke(runner, *PURE, "0:1:7", "--out", str(out)).exit_code == 0
+    assert link.read_bytes() == old
+    assert out.read_bytes() == _stdout(runner, *PURE, "0:1:7") != old
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "old.csv"]
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["roc", "manifest"])
+def test_failed_write_keeps_the_old_outputs(runner, tmp_path, monkeypatch, failing):
+    """A write that fails before the swap exits 3, leaves the previous ROC and
+    manifest byte-identical and leaves no temp file, whichever file fails."""
+    out = str(tmp_path / "roc.csv")
+    assert invoke(runner, "mc", "scenario:A", "--n", "2000", "--seed", "1", "--out", out).exit_code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls, real_write = [], os.write
+
+    def write(fd, data):
+        calls.append(fd)
+        if len(calls) > failing:  # half of this file, then a full disk
+            real_write(fd, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    result = runner.invoke(main, ["mc", "scenario:A", "--n", "2000", "--seed", "2", "--out", out])
+    assert result.exit_code == 3
+    assert "No space left on device" in result.stderr
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_symlinked_out_keeps_the_link(runner, tmp_path):
+    (tmp_path / "data").mkdir()
+    target, link = tmp_path / "data" / "real.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to("data/real.csv")
+    assert invoke(runner, *PURE, "0:1:5", "--out", str(link)).exit_code == 0
+    assert os.readlink(link) == "data/real.csv"
+    assert target.read_bytes() == _stdout(runner, *PURE, "0:1:5")
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+    assert os.listdir(tmp_path / "data") == ["real.csv"]
+
+
+def test_fifo_out_is_written_through(runner, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert invoke(runner, *PURE, "0:1:5", "--out", str(fifo)).exit_code == 0
+    reader.join(timeout=60)
+    assert received == [_stdout(runner, *PURE, "0:1:5")]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_concurrent_writers_leave_one_complete_output(runner, tmp_path):
+    """Two processes rewrite one --out with different grids: the file ends
+    as one of the two outputs, whole, and no temp file is left."""
+    out = tmp_path / "same.csv"
+    out.write_text("old\n")
+    grids = ("0:1:4001", "0:1:6001")
+    wanted = {_stdout(runner, *PURE, grid) for grid in grids}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for _ in range(3):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "dpsemantics.cli", *PURE, grid, "--out", str(out)],
+                stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for grid in grids
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert out.read_bytes() in wanted
+        assert os.listdir(tmp_path) == ["same.csv"]
+
+
 # --- argv grammar ---------------------------------------------------------------------------
 
 NUMBERS = st.one_of(
@@ -472,3 +572,5 @@ def test_any_argv_exits_0_2_or_3_and_prints_no_nan(out_dir, argv):
     result = CliRunner().invoke(main, argv, env={"DPSEM_OUT_DIR": str(out_dir)})
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
     assert not re.search(r"\bnan\b", result.output, re.IGNORECASE), result.output
+    # whatever the exit code, only whole outputs remain: no temp file
+    assert set(os.listdir(out_dir)) <= {"roc.csv", "roc.csv.manifest.json"}
