@@ -25,9 +25,7 @@ from .bayes import (
     BayesVerdict,
     FiniteMechanismFamily,
     SmallUniversePrior,
-    bayes_arbitrary_prior_delta,
     bayes_known_rest_delta,
-    bayes_pbdp_epsilon,
     exact_posteriors,
     pure_dp_ratio_bound_check,
 )
@@ -40,8 +38,6 @@ from .census import (
     builtin_scenarios,
     parse_allocation,
     production_table,
-    scenario_bayes_epsilon,
-    scenario_power,
     scenario_rho,
     total_rho,
 )

@@ -4,9 +4,14 @@ The attacker compares their posterior about a target's record in the
 actual world against the counterfactual world where the record was
 replaced by a draw from the attacker's own conditional prior.  For pure
 DP the ratio of those posteriors is bounded outright; for RDP and zCDP
-the probability of a large ratio is bounded; and for known-rest priors
-the resulting (eps, delta) curve coincides with the pointwise curve of
-the mechanism's trade-off function.
+the probability of a large ratio is bounded.  Two of the paper's
+theorems make Bayesian statements equal to frequentist ones, computed in
+`accountants` and not repeated here:
+
+* arbitrary prior: P(ratio >= e^eps) is at most the RDP/zCDP tail bound
+  on the pointwise delta (`rdp_to_delta`, `zcdp_to_delta`);
+* known rest: the (eps, delta) curve is the pointwise curve of the
+  mechanism's trade-off function (`fdp_to_epsdelta`).
 
 An exact small-universe oracle evaluates both posteriors by direct
 summation, which is what the tests of the theorem-level bounds run
@@ -22,13 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from ._norm import phi
-from .accountants import (
-    RdpProfile,
-    ZcdpProfile,
-    fdp_to_epsdelta,
-    rdp_to_delta,
-    zcdp_to_delta,
-)
+from .accountants import RdpProfile, ZcdpProfile
 from .plrv import FiniteMechanismPair, _probabilities, plrv_of_finite_pair, pure_dp_epsilon
 
 
@@ -242,26 +241,6 @@ def bayes_known_rest_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> flo
         return min(1.0, math.exp(-((eps + rho) ** 2) / (4.0 * rho)))
     except OverflowError:  # the square overflows only where the bound underflows
         return 0.0
-
-
-def bayes_arbitrary_prior_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> float:
-    """Bound on P(posterior ratio >= e^eps) for the true record, any prior.
-
-    Weaker than the known-rest bound: both branches are exactly the tail
-    bounds on the pointwise delta, e^{(alpha-1)(gamma-eps)} for RDP and the
-    zCDP one for zCDP.
-    """
-    if isinstance(profile, RdpProfile):
-        return rdp_to_delta(profile, eps)
-    rho = profile.rho
-    if rho == 0.0:
-        return 0.0 if eps > 0 else 1.0
-    return zcdp_to_delta(rho, eps)
-
-
-#: Known-rest Bayesian eps at a given delta (curve, delta) -> eps: the same
-#: function as the pointwise (eps, delta) reparametrization of the curve.
-bayes_pbdp_epsilon = fdp_to_epsdelta
 
 
 def wrong_prior_ratio_closed_form(

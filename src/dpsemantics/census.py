@@ -14,7 +14,6 @@ their rho.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,8 +22,6 @@ from typing import Iterable, Mapping
 
 # unused here; bench/test_bench.py checks that its tracer reaches census.phi
 from ._norm import phi  # noqa: F401
-from .accountants import gaussian_pbdp_epsilon
-from .tradeoff import gaussian_exact_power
 
 
 class GeoLevel(Enum):
@@ -158,22 +155,6 @@ def scenario_rho(table: AllocationTable, scenario: Scenario) -> Fraction:
     return sum(
         (table.rho_star(q, level) for q, level in scenario.selected), Fraction(0)
     )
-
-
-def scenario_power(rho: float, level: float) -> float:
-    """Maximal test power at a given level for a rho-sized Gaussian release:
-    the Gaussian power at mu = sqrt(2 rho)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return gaussian_exact_power(math.sqrt(2.0 * rho), level)
-
-
-def scenario_bayes_epsilon(rho: float, delta: float) -> float:
-    """Known-rest Bayesian eps at a given delta for a rho-sized release:
-    the Gaussian pointwise eps at mu = sqrt(2 rho)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return gaussian_pbdp_epsilon(math.sqrt(2.0 * rho), delta)
 
 
 def _all_queries_at(levels: Iterable[GeoLevel]) -> set[tuple[QueryKind, GeoLevel]]:

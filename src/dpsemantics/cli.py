@@ -207,12 +207,11 @@ CURVES = {
         ("rho", "0:1:101", LEVEL_POWER, lambda r: partial(zcdp_power_bound, r)),
     "bayes-known-rest": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
         bayes.bayes_known_rest_delta, accountants.ZcdpProfile(r))),
-    "bayes-arbitrary": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
-        bayes.bayes_arbitrary_prior_delta, accountants.ZcdpProfile(r))),
-    # the known-rest Bayesian eps is the pointwise eps
-    "bayes-pbdp":
-        ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(accountants.gaussian_pbdp_epsilon, m)),
 }
+# labels on the frequentist curves the paper's Bayesian theorems equate
+# them with (see the bayes module docstring)
+CURVES["bayes-arbitrary"] = CURVES["zcdp-bound"]
+CURVES["bayes-pbdp"] = CURVES["pbdp-gaussian"]
 
 
 class _Main(click.Group):
@@ -270,9 +269,10 @@ def tables() -> None:
     rho = float(census.total_rho(table))
     click.echo(f"production release, rho = {rho:g}")
     click.echo("level    gaussian   zcdp-bound")
+    mu = _mu_from(None, rho)
     for level in LEVELS_TABLE:
         click.echo(
-            f"{level:<9.2f}{census.scenario_power(rho, level):<11.2f}"
+            f"{level:<9.2f}{gaussian_exact_power(mu, level):<11.2f}"
             f"{zcdp_power_bound(rho, level):<10.2f}"
         )
     click.echo("")
@@ -280,7 +280,8 @@ def tables() -> None:
     click.echo("scenario rho and power at levels 0.01 / 0.05 / 0.10")
     for s in census.builtin_scenarios():
         r = float(census.scenario_rho(table, s))
-        powers = " / ".join(f"{census.scenario_power(r, lv):.2f}" for lv in LEVELS_TABLE)
+        mu = _mu_from(None, r)
+        powers = " / ".join(f"{gaussian_exact_power(mu, lv):.2f}" for lv in LEVELS_TABLE)
         click.echo(f"{s.name}: rho = {r:.4f}  power = {powers}  ({s.narrative})")
 
 
@@ -296,11 +297,10 @@ def scenario(name_or_file, grid, fmt, out) -> None:
     rho = float(census.scenario_rho(table, sc))
     click.echo(f"scenario {sc.name}: rho = {rho:.6g}")
     if rho > 0:
+        mu = _mu_from(None, rho)
         for level in LEVELS_TABLE:
-            click.echo(
-                f"power at level {level:.2f}: {census.scenario_power(rho, level):.4f}"
-            )
-        points = [(d, census.scenario_bayes_epsilon(rho, d)) for d in grid]
+            click.echo(f"power at level {level:.2f}: {gaussian_exact_power(mu, level):.4f}")
+        points = [(d, accountants.gaussian_pbdp_epsilon(mu, d)) for d in grid]
         if out is not None:
             _write_text(out, _render_points(points, ("delta", "eps"), fmt, f"scenario-{sc.name}"))
     else:

@@ -536,17 +536,14 @@ class RdpNumericBoundCurve(_MomentBoundCurve):
     inverse_type2 = _MomentBoundCurve.inverse_type2
 
 
-def _bisect(
-    pred: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0
-) -> tuple[float, float]:
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
     """Bracket the point where a monotone predicate turns true.
 
     Expects pred(lo) false and pred(hi) true, and keeps it so while halving
     [lo, hi]; stops once its midpoint rounds onto an end, so that lo and hi
-    are adjacent floats, or once the bracket is no wider than `tol`.
-    Returns the final (lo, hi).
+    are adjacent floats.  Returns the final (lo, hi).
     """
-    while hi - lo > tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

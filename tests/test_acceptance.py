@@ -15,8 +15,6 @@ from dpsemantics import (
     GaussianExactCurve,
     RdpProfile,
     SmallUniversePrior,
-    ZcdpProfile,
-    bayes_arbitrary_prior_delta,
     bayes_known_rest_delta,
     builtin_scenario,
     builtin_scenarios,
@@ -34,8 +32,6 @@ from dpsemantics import (
     pure_dp_ratio_bound_check,
     rr_plrv,
     sampling_plrv,
-    scenario_bayes_epsilon,
-    scenario_power,
     scenario_rho,
     total_rho,
     zcdp_power_bound,
@@ -152,7 +148,8 @@ def test_criterion_3_scenario_suite(production_table, mc_scenario_a):
         assert abs(rho - PUBLISHED_SCENARIO_RHO[scenario.name]) < 5e-3, scenario.name
     for name, powers in PUBLISHED_SCENARIO_POWERS.items():
         for lv, want in zip(LEVELS, powers):
-            assert abs(scenario_power(rhos[name], lv) - want) <= 0.01, (name, lv)
+            power = gaussian_exact_power(math.sqrt(2 * rhos[name]), lv)
+            assert abs(power - want) <= 0.01, (name, lv)
     for lv, want in zip(LEVELS, PUBLISHED_BLOCK_ZCDP_BOUND):
         assert abs(zcdp_power_bound(rhos["A"], lv) - want) <= 0.01
     # the block-level monte carlo column
@@ -434,17 +431,28 @@ def test_criterion_8_cross_formula_agreement():
     rho = 2.63
     mu = math.sqrt(2 * rho)
     curve = GaussianExactCurve(mu)
+    runner = CliRunner()
+
+    def cli_rows(kind):
+        argv = ["curve", kind, "--rho", str(rho)]
+        out = runner.invoke(cli_main, argv, catch_exceptions=False).output
+        return out, [tuple(map(float, row.split(","))) for row in out.splitlines()[1:]]
+
     worst = 0.0
     for delta in np.geomspace(1e-6, 0.5, 60):
         delta = float(delta)
+        worst = max(worst, abs(fdp_to_epsdelta(curve, delta) - gaussian_pbdp_epsilon(mu, delta)))
+    # the third path: the known-rest Bayesian eps as `dpsem` prints it
+    _, bayes_rows = cli_rows("bayes-pbdp")
+    for delta, c in bayes_rows:
         a = fdp_to_epsdelta(curve, delta)
         b = gaussian_pbdp_epsilon(mu, delta)
-        c = scenario_bayes_epsilon(rho, delta)
         worst = max(worst, abs(a - b), abs(b - c), abs(a - c))
     assert worst < 1e-9
-    for eps in np.linspace(0.0, 25.0, 80):
-        eps = float(eps)
-        assert bayes_arbitrary_prior_delta(ZcdpProfile(rho), eps) == zcdp_to_delta(rho, eps)
+    arbitrary, arbitrary_rows = cli_rows("bayes-arbitrary")
+    assert arbitrary == cli_rows("zcdp-bound")[0]
+    for eps, delta in arbitrary_rows:
+        assert delta == zcdp_to_delta(rho, eps)
     print(
         f"ACCEPTANCE 8 PASS: three pointwise-eps paths agree to {worst:.2e}; "
         "arbitrary-prior delta identical to the zCDP tail bound"

@@ -427,14 +427,13 @@ def test_gaussian_curve_orderings_at_fixed_delta():
 # --- eps-delta curve objects -----------------------------------------------------------
 
 def test_curves_clamped_and_monotone():
-    from dpsemantics.bayes import bayes_arbitrary_prior_delta, bayes_known_rest_delta
+    from dpsemantics.bayes import bayes_known_rest_delta
 
     profile = ZcdpProfile(2.63)
     cases = [
         adp_gaussian_curve(math.sqrt(5.26)).delta,
         partial(zcdp_to_delta, 2.63),
         partial(bayes_known_rest_delta, profile),
-        partial(bayes_arbitrary_prior_delta, profile),
     ]
     for fn in cases:
         values = [fn(float(e)) for e in np.linspace(0.0, 30.0, 60)]

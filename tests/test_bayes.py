@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from dpsemantics import (
     RdpProfile,
     ZcdpProfile,
-    bayes_arbitrary_prior_delta,
     bayes_known_rest_delta,
-    bayes_pbdp_epsilon,
     exact_posteriors,
+    fdp_to_epsdelta,
     gaussian_pbdp_epsilon,
     pure_dp_ratio_bound_check,
     zcdp_to_delta,
@@ -158,26 +157,12 @@ def test_known_rest_delta_zcdp():
     assert math.isclose(bayes_known_rest_delta(ZcdpProfile(rho), eps), want, rel_tol=1e-12)
 
 
-def test_arbitrary_prior_delta_rdp_point():
-    got = bayes_arbitrary_prior_delta(RdpProfile(((2.0, 1.0),)), 3.0)
-    assert math.isclose(got, math.exp(-2.0), rel_tol=1e-12)
-
-
-def test_arbitrary_prior_delta_equals_zcdp_tail_exactly():
-    for rho in (0.1115, 2.63):
-        for eps in np.linspace(0.01, 20, 37):
-            eps = float(eps)
-            assert bayes_arbitrary_prior_delta(ZcdpProfile(rho), eps) == zcdp_to_delta(
-                rho, eps
-            )
-
-
 def test_known_rest_strictly_below_arbitrary_above_rho():
     rho = 2.63
     for eps in np.linspace(rho + 0.01, 25, 30):
         eps = float(eps)
         a = bayes_known_rest_delta(ZcdpProfile(rho), eps)
-        b = bayes_arbitrary_prior_delta(ZcdpProfile(rho), eps)
+        b = zcdp_to_delta(rho, eps)
         assert a < b
 
 
@@ -185,7 +170,7 @@ def test_bayes_pbdp_delegates_to_tradeoff_conversion():
     mu = math.sqrt(5.26)
     for delta in (1e-4, 0.1, 0.4):
         assert math.isclose(
-            bayes_pbdp_epsilon(GaussianExactCurve(mu), delta),
+            fdp_to_epsdelta(GaussianExactCurve(mu), delta),
             gaussian_pbdp_epsilon(mu, delta),
             abs_tol=1e-9,
         )
@@ -196,7 +181,7 @@ def test_bayes_pbdp_perfect_privacy():
 
     diagonal = PiecewiseLinearCurve(((0.0, 0.0), (1.0, 1.0)))
     for delta in (0.05, 0.5, 1.0):
-        assert math.isclose(bayes_pbdp_epsilon(diagonal, delta), 0.0, abs_tol=1e-12)
+        assert math.isclose(fdp_to_epsdelta(diagonal, delta), 0.0, abs_tol=1e-12)
 
 
 # --- the wrong-prior example ----------------------------------------------------------

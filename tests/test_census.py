@@ -14,10 +14,9 @@ from dpsemantics import (
     builtin_scenario,
     builtin_scenarios,
     gaussian_exact_power,
+    gaussian_pbdp_epsilon,
     parse_allocation,
     production_table,
-    scenario_bayes_epsilon,
-    scenario_power,
     scenario_rho,
     total_rho,
 )
@@ -117,30 +116,28 @@ def test_scenario_rho_monotone_in_selection(pairs, extra):
 
 # --- closed forms ----------------------------------------------------------------------
 
+def _power(rho, level):
+    return gaussian_exact_power(math.sqrt(2 * rho), level)
+
+
+def _bayes_eps(rho, delta):
+    return gaussian_pbdp_epsilon(math.sqrt(2 * rho), delta)
+
+
 def test_scenario_power_published_values():
-    assert math.isclose(scenario_power(0.1115, 0.01), 0.03, abs_tol=0.01)
-    assert math.isclose(scenario_power(0.926, 0.05), 0.39, abs_tol=0.01)
-    assert math.isclose(scenario_power(1.32, 0.10), 0.63, abs_tol=0.01)
-
-
-def test_scenario_power_matches_unit_normal_form():
-    for rho in (0.1115, 0.926, 2.63):
-        for level in (0.01, 0.05, 0.2, 0.8):
-            assert math.isclose(
-                scenario_power(rho, level),
-                gaussian_exact_power(math.sqrt(2 * rho), level),
-                abs_tol=1e-12,
-            )
+    assert math.isclose(_power(0.1115, 0.01), 0.03, abs_tol=0.01)
+    assert math.isclose(_power(0.926, 0.05), 0.39, abs_tol=0.01)
+    assert math.isclose(_power(1.32, 0.10), 0.63, abs_tol=0.01)
 
 
 def test_scenario_power_monotone():
     rhos = (0.05, 0.1, 0.5, 1.0, 2.0)
     levels = (0.01, 0.05, 0.2, 0.5)
     for level in levels:
-        values = [scenario_power(r, level) for r in rhos]
+        values = [_power(r, level) for r in rhos]
         assert all(a < b for a, b in zip(values, values[1:]))
     for rho in rhos:
-        values = [scenario_power(rho, lv) for lv in levels]
+        values = [_power(rho, lv) for lv in levels]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -152,18 +149,18 @@ def test_scenario_bayes_epsilon_matches_accountants():
                 d = mpmath.mpf(delta)
                 quantile = mpmath.sqrt(2) * mpmath.erfinv(2 * d - 1)
                 want = mpmath.log(d / mpmath.ncdf(quantile - mpmath.sqrt(2 * mpmath.mpf(rho))))
-            got = scenario_bayes_epsilon(rho, delta)
+            got = _bayes_eps(rho, delta)
             assert math.isclose(got, float(want), rel_tol=1e-12), (rho, delta)
 
 
 def test_scenario_bayes_epsilon_production_value():
-    assert math.isclose(scenario_bayes_epsilon(2.63, 0.1), 6.35, abs_tol=5e-3)
+    assert math.isclose(_bayes_eps(2.63, 0.1), 6.35, abs_tol=5e-3)
 
 
 def test_scenario_bayes_epsilon_vanishing_rho():
-    assert abs(scenario_bayes_epsilon(1e-12, 0.2)) < 1e-5
+    assert abs(_bayes_eps(1e-12, 0.2)) < 1e-5
     with pytest.raises(ValueError):
-        scenario_bayes_epsilon(1.0, 0.0)
+        _bayes_eps(1.0, 0.0)
 
 
 # --- allocation file format ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import threading
 from pathlib import Path
+from xml.etree import ElementTree
 
 import mpmath
 import pytest
@@ -48,11 +49,16 @@ def test_curve_pbdp_gaussian_csv(runner, tmp_path):
     assert first_eps == gaussian_pbdp_epsilon(mu, 1e-6)
 
 
-def test_curve_bayes_pbdp_is_the_pointwise_eps(runner):
-    bayes = invoke(runner, "curve", "bayes-pbdp", "--rho", "2.63")
-    pbdp = invoke(runner, "curve", "pbdp-gaussian", "--rho", "2.63")
-    assert bayes.exit_code == pbdp.exit_code == 0
-    assert bayes.output == pbdp.output
+@pytest.mark.parametrize("rho", ["0.1115", "2.63", "5"])
+@pytest.mark.parametrize(
+    "label, kind", [("bayes-arbitrary", "zcdp-bound"), ("bayes-pbdp", "pbdp-gaussian")]
+)
+def test_curve_bayes_pbdp_is_the_pointwise_eps(runner, label, kind, rho):
+    # each Bayesian kind is a label on the frequentist curve its theorem names
+    bayes = invoke(runner, "curve", label, "--rho", rho)
+    frequentist = invoke(runner, "curve", kind, "--rho", rho)
+    assert bayes.exit_code == frequentist.exit_code == 0
+    assert bayes.output == frequentist.output
 
 
 def test_curve_tradeoff_pure_zero_eps_is_diagonal(runner):
@@ -129,6 +135,7 @@ BAD_INPUT = [
     "curve tradeoff-zcdp --rho 0",
     "curve tradeoff-pure --eps -1",
     "curve zcdp-bound --rho 0",
+    "curve bayes-arbitrary --rho 0",
     "curve adp-gaussian --mu 0",
     "curve bayes-known-rest --rho -1",
     "curve tradeoff-zcdp --rho 1 --grid 0:2:3",
@@ -251,6 +258,17 @@ def test_scenario_empty_file_selection(runner, tmp_path):
     assert result.exit_code == 0
     assert "rho = 0" in result.output
     assert "non-informative" in result.output
+
+
+def test_scenario_svg_escapes_its_title(runner, tmp_path):
+    sc = tmp_path / "rd.scenario"
+    sc.write_text("[scenario]\nname = R&D <block>\n[selected]\nblock = total\n")
+    out = tmp_path / "rd.svg"
+    result = invoke(runner, "scenario", str(sc), "--format", "svg", "--out", str(out))
+    assert result.exit_code == 0
+    root = ElementTree.parse(out).getroot()
+    titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == "scenario-R&D <block>"
 
 
 def test_scenario_unknown_name_exits_2(runner):

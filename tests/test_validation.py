@@ -24,7 +24,6 @@ from dpsemantics import (
     rdp_to_delta,
     rdp_power_bound,
     rr_plrv,
-    scenario_power,
     zcdp_power_bound,
     zcdp_to_delta,
 )
@@ -117,7 +116,7 @@ def test_power_bounds_reject_bad_arguments():
     with pytest.raises(ValueError):
         gaussian_exact_power(-1.0, 0.5)
     with pytest.raises(ValueError):
-        scenario_power(1.0, -0.2)
+        gaussian_exact_power(math.sqrt(2.0), -0.2)
 
 
 def test_moment_bound_curves_reject_bad_parameters_at_construction():
