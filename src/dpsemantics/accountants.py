@@ -107,9 +107,7 @@ def rdp_to_delta(
     points: Sequence[tuple[float, float]] | RdpProfile, eps: float
 ) -> float:
     """Best tail bound e^{(alpha-1)(gamma-eps)} over points with eps > gamma."""
-    pts = points.points if isinstance(points, RdpProfile) else tuple(points)
-    if not pts:
-        raise ValueError("at least one (alpha, gamma) point required")
+    pts = (points if isinstance(points, RdpProfile) else RdpProfile(tuple(points))).points
     if math.isnan(eps):
         raise ValueError("eps must not be NaN")
     best = 1.0
@@ -227,6 +225,7 @@ class Odometer:
             raise ValueError("cap must be nonnegative")
         self._cap = cap
         self._entries: list[tuple[str, Fraction]] = []
+        self._spent = Fraction(0)  # running sum of the entries
         self._lock = threading.Lock()
 
     @property
@@ -236,7 +235,7 @@ class Odometer:
     @property
     def spent(self) -> Fraction:
         with self._lock:
-            return sum((r for _, r in self._entries), Fraction(0))
+            return self._spent
 
     @property
     def remaining(self) -> Fraction:
@@ -253,11 +252,11 @@ class Odometer:
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         with self._lock:
-            spent = sum((r for _, r in self._entries), Fraction(0))
-            if spent + rho > self._cap:
-                raise BudgetExceededError(label, rho, self._cap - spent)
+            if self._spent + rho > self._cap:
+                raise BudgetExceededError(label, rho, self._cap - self._spent)
             self._entries.append((label, rho))
-            return self._cap - spent - rho
+            self._spent += rho
+            return self._cap - self._spent
 
     def to_ledger_text(self) -> str:
         """Audit serialization: one tab-separated line per entry."""

@@ -13,15 +13,16 @@ theorems make Bayesian statements equal to frequentist ones, computed in
 * known rest: the (eps, delta) curve is the pointwise curve of the
   mechanism's trade-off function (`fdp_to_epsdelta`).
 
-An exact small-universe oracle evaluates both posteriors by direct
-summation, which is what the tests of the theorem-level bounds run
-against.
+An exact small-universe oracle, which the tests of the theorem-level
+bounds run against, reads every posterior, marginal and ratio off one
+joint table: P(record, output) in both worlds, summed over the rests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Mapping
 
 import numpy as np
@@ -82,15 +83,15 @@ class FiniteMechanismFamily:
         )
 
     def pure_dp_epsilon(self, prior: SmallUniversePrior) -> float:
-        """Worst-case pure-DP parameter over all neighbor pairs in the universe."""
-        eps = 0.0
-        for rest, _ in prior.rest_datasets:
-            for i, r1 in enumerate(prior.record_values):
-                for r2 in prior.record_values[i + 1:]:
-                    eps = max(
-                        eps, pure_dp_epsilon(plrv_of_finite_pair(self.pair(rest, r1, r2)))
-                    )
-        return eps
+        """Worst-case pure-DP parameter over all neighbor pairs in the universe,
+        in both orders: a forward loss drops the outputs its first row never
+        produces, so only the reverse loss sees them."""
+        pairs = (
+            self.pair(rest, r1, r2)
+            for rest, _ in prior.rest_datasets
+            for r1, r2 in permutations(prior.record_values, 2)
+        )
+        return max((pure_dp_epsilon(plrv_of_finite_pair(p)) for p in pairs), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -110,46 +111,41 @@ class BayesVerdict:
         return "\n".join(lines)
 
 
+def _joint(
+    prior: SmallUniversePrior, mech: FiniteMechanismFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(record, omega) in the actual and counterfactual worlds, summed over
+    the rests: two (records x outputs) arrays.  The counterfactual redraws the
+    target's record r'' from the attacker's conditional, hence its inner sum
+    over r'' weighted by the conditional itself."""
+    rests = prior.rest_datasets
+    cond = np.array([prior.conditional[rest] for rest, _ in rests])
+    weight = np.array([p for _, p in rests])[:, None] * cond
+    rows = np.array([[mech.table[(rest, r)] for r in prior.record_values] for rest, _ in rests])
+    return np.einsum("kr,krw->rw", weight, rows), np.einsum("kr,ks,ksw->rw", weight, cond, rows)
+
+
+def _posteriors(
+    prior: SmallUniversePrior, mech: FiniteMechanismFamily
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Actual and counterfactual posteriors and their ratio as (records x
+    outputs) arrays, NaN in the column of an output of zero probability.  IEEE
+    division gives the ratio a / c, inf where only c is 0, and NaN for 0/0."""
+    actual, counter = _joint(prior, mech)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        actual, counter = actual / actual.sum(axis=0), counter / counter.sum(axis=0)
+        return actual, counter, actual / counter
+
+
 def exact_posteriors(
     prior: SmallUniversePrior, mech: FiniteMechanismFamily, omega: str
 ) -> BayesVerdict:
-    """Evaluate both posteriors for output `omega` by direct summation.
-
-    The counterfactual replaces the target's record by a fresh draw from
-    the attacker's conditional, hence the inner sum over r'' weighted by
-    the conditional itself.
-    """
+    """Both posteriors for output `omega`: column omega of the joint table."""
     w = mech.outputs.index(omega)
-    n = len(prior.record_values)
-    actual = [0.0] * n
-    counter = [0.0] * n
-    for rest, p_rest in prior.rest_datasets:
-        cond = prior.conditional[rest]
-        # marginal probability of omega given this rest, over a resampled record
-        mix = sum(
-            cond[j] * mech.table[(rest, rj)][w]
-            for j, rj in enumerate(prior.record_values)
-        )
-        for i, r in enumerate(prior.record_values):
-            weight = p_rest * cond[i]
-            actual[i] += weight * mech.table[(rest, r)][w]
-            counter[i] += weight * mix
-    z_actual = math.fsum(actual)
-    z_counter = math.fsum(counter)
-    if z_actual == 0.0 and z_counter == 0.0:
+    actual, counter, ratio = (a[:, w].tolist() for a in _posteriors(prior, mech))
+    if all(map(math.isnan, actual + counter)):
         raise ValueError(f"output {omega!r} has zero probability in both worlds")
-    actual_post = tuple(a / z_actual if z_actual > 0.0 else math.nan for a in actual)
-    counter_post = tuple(c / z_counter if z_counter > 0.0 else math.nan for c in counter)
-    ratio = tuple(_safe_ratio(a, c) for a, c in zip(actual_post, counter_post))
-    return BayesVerdict(actual_post, counter_post, ratio)
-
-
-def _safe_ratio(a: float, c: float) -> float:
-    if math.isnan(a) or math.isnan(c):
-        return math.nan
-    if c > 0.0:
-        return a / c
-    return math.inf if a > 0.0 else math.nan
+    return BayesVerdict(tuple(actual), tuple(counter), tuple(ratio))
 
 
 def marginal_output_probabilities(
@@ -158,22 +154,12 @@ def marginal_output_probabilities(
     """Marginal P(omega) in the actual and counterfactual worlds.
 
     The two must agree: resampling the target's record from the
-    attacker's own conditional does not move the output marginal.
+    attacker's own conditional does not move the output marginal.  The
+    counterfactual column sums keep the sum over the resampled record, so
+    the identity Sum(cond) = 1 is what the consistency check verifies.
     """
-    n_out = len(mech.outputs)
-    actual = np.zeros(n_out)
-    counter = np.zeros(n_out)
-    for rest, p_rest in prior.rest_datasets:
-        cond = np.asarray(prior.conditional[rest], dtype=float)
-        rows = np.array(
-            [mech.table[(rest, r)] for r in prior.record_values], dtype=float
-        )
-        mix = cond @ rows
-        actual += p_rest * mix
-        # counterfactual keeps its double sum over the sampled record: the
-        # identity Sum(cond) = 1 is what the consistency check verifies
-        counter += p_rest * np.sum(cond[:, None] * mix[None, :], axis=0)
-    return actual, counter
+    actual, counter = _joint(prior, mech)
+    return actual.sum(axis=0), counter.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -189,31 +175,21 @@ def pure_dp_ratio_bound_check(
 ) -> RatioBoundReport:
     """Exhaustively verify the pure-DP posterior-ratio bound.
 
-    Derives eps from the mechanism family itself, sweeps every output
-    with positive marginal, and checks each defined ratio against
-    [e^-eps, e^eps].  Undefined 0/0 ratios carry no inference and are
-    skipped.
+    Derives eps from the mechanism family itself and checks the ratio
+    of every record at every output against [e^-eps, e^eps].  Undefined
+    ratios (0/0, or an output of zero probability) carry no inference and
+    are skipped.
     """
     eps = mech.pure_dp_epsilon(prior)
     if not math.isfinite(eps):
         raise ValueError("mechanism is not pure-DP on this universe")
-    lo_bound, hi_bound = math.exp(-eps), math.exp(eps)
-    marginal, _ = marginal_output_probabilities(prior, mech)
-    max_ratio, min_ratio = -math.inf, math.inf
-    ok = True
+    _, _, ratio = _posteriors(prior, mech)
+    q = ratio[~np.isnan(ratio)]
     slack = 1e-9
-    for w, omega in enumerate(mech.outputs):
-        if marginal[w] == 0.0:
-            continue
-        verdict = exact_posteriors(prior, mech, omega)
-        for q in verdict.ratio:
-            if math.isnan(q):
-                continue
-            max_ratio = max(max_ratio, q)
-            min_ratio = min(min_ratio, q)
-            if not (lo_bound - slack <= q <= hi_bound + slack):
-                ok = False
-    return RatioBoundReport(ok, eps, max_ratio, min_ratio)
+    ok = bool(np.all((math.exp(-eps) - slack <= q) & (q <= math.exp(eps) + slack)))
+    return RatioBoundReport(
+        ok, eps, float(np.max(q, initial=-math.inf)), float(np.min(q, initial=math.inf))
+    )
 
 
 def bayes_known_rest_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> float:
@@ -315,17 +291,8 @@ def simulate_ratio_exceedance(
     if len(prior.rest_datasets) != 1:
         raise ValueError("simulation requires a known-rest prior")
     marginal, _ = marginal_output_probabilities(prior, mech)
-    threshold = math.exp(eps)
-    exceed = np.zeros((len(prior.record_values), len(mech.outputs)), dtype=bool)
-    for w, omega in enumerate(mech.outputs):
-        if marginal[w] == 0.0:
-            continue
-        verdict = exact_posteriors(prior, mech, omega)
-        for i, q in enumerate(verdict.ratio):
-            exceed[i, w] = (not math.isnan(q)) and q >= threshold
+    _, _, ratio = _posteriors(prior, mech)
+    exceed = ratio >= math.exp(eps)  # NaN ratios never exceed
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_draws, marginal / marginal.sum())
-    return {
-        r: float(counts[exceed[i]].sum()) / n_draws
-        for i, r in enumerate(prior.record_values)
-    }
+    return dict(zip(prior.record_values, (exceed @ counts / n_draws).tolist()))

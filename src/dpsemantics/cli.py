@@ -244,6 +244,8 @@ def curve(kind, mu, rho, eps, grid, fmt, out) -> None:
     value = _mu_from(mu, rho) if param == "mu" else {"rho": rho, "eps": eps}[param]
     if value is None:
         raise click.BadParameter(f"{kind} needs --{param}")
+    if param == "rho" and not value > 0:
+        raise ValueError("rho must be positive")
     fn = point_fn(value)
     points = [(x, fn(x)) for x in grid or GRID.convert(default_grid, None, None)]
     _write_text(out, _render_points(points, header, fmt, kind))

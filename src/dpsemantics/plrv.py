@@ -143,28 +143,31 @@ class FiniteMechanismPair:
 
     @cached_property
     def _np_vertices(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Vertex levels and powers of the exact Neyman-Pearson trade-off, from
-        (0, 0) to (1, 1), for this pair and then for the reversed pair; built
-        once per pair, read-only.
+        """`_np_vertices` of this pair, then of the reversed pair; built once."""
+        return _np_vertices(self.p1, self.p2), _np_vertices(self.p2, self.p1)
 
-        Outputs are rejected in order of decreasing likelihood ratio p2/p1, and
-        outputs with equal ratio merge into one vertex.  The reversed pair's
-        vertices are (1 - power, 1 - level), in reverse order.
-        """
-        seen = (self.p1 > 0.0) | (self.p2 > 0.0)
-        p1, p2 = self.p1[seen], self.p2[seen]
-        ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
-        _, group = np.unique(-ratio, return_inverse=True)
-        # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
-        # and a partial sum above 1 is rounding
-        levels = np.minimum(np.cumsum(np.bincount(group, weights=p1)), 1.0)
-        powers = np.minimum(np.cumsum(np.bincount(group, weights=p2)), 1.0)
-        levels[-1] = powers[-1] = 1.0
-        levels, powers = np.append(0.0, levels), np.append(0.0, powers)
-        vertices = (levels, powers), (1.0 - powers[::-1], 1.0 - levels[::-1])
-        for a in (*vertices[0], *vertices[1]):
-            a.flags.writeable = False
-        return vertices
+
+def _np_vertices(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex levels and powers of the exact Neyman-Pearson trade-off of p1
+    against p2, from (0, 0) to (1, 1), as read-only arrays.
+
+    Outputs are rejected in order of decreasing likelihood ratio p2/p1, and
+    outputs with equal ratio merge into one vertex.  Each direction of a pair
+    is built from its own rows: mirroring the other direction's vertices as
+    (1 - power, 1 - level) loses relative precision at small levels.
+    """
+    seen = (p1 > 0.0) | (p2 > 0.0)
+    p1, p2 = p1[seen], p2[seen]
+    ratio = np.divide(p2, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+    _, group = np.unique(-ratio, return_inverse=True)
+    # both vectors sum to 1 within PROB_SUM_TOL, so the last vertex is (1, 1)
+    # and a partial sum above 1 is rounding
+    levels = np.minimum(np.cumsum(np.bincount(group, weights=p1)), 1.0)
+    powers = np.minimum(np.cumsum(np.bincount(group, weights=p2)), 1.0)
+    levels[-1] = powers[-1] = 1.0
+    levels, powers = np.append(0.0, levels), np.append(0.0, powers)
+    levels.flags.writeable = powers.flags.writeable = False
+    return levels, powers
 
 
 def point_mass_zero() -> DiscretePlrv:

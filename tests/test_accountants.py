@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -291,6 +292,9 @@ float_pairs = st.integers(1, 8).flatmap(
 @given(float_pairs, st.floats(1e-3, 10.0))
 @example(RR3, math.log(3))
 @example(CATASTROPHIC, 10.0)
+# a reversed level of 7e-5: mirrored from the forward vertices as 1 - power it
+# keeps only absolute precision, and the delta drifts 1.03e-12
+@example(_pair_of(((0.5, 1.0, 0.5, 1.0), (0.0, 0.625, 0.25, 6.103515625e-05))), 9.0)
 def test_pbdp_delta_closed_form_matches_the_bisection(pair, eps):
     assert abs(pbdp_delta_finite(pair, eps) - reference_pbdp_delta(pair, eps)) <= 1e-12
 
@@ -494,6 +498,22 @@ def test_odometer_ledger_round_trip():
     back = Odometer.from_ledger_text(text)
     assert back.cap == odo.cap
     assert back.entries == odo.entries
+    assert back.to_ledger_text() == text
+
+
+def test_odometer_reads_a_long_ledger_in_linear_time():
+    # reading costs one addition per line; a sum over every entry on each
+    # line would make it O(n^2), about 20 s for these 5,000
+    rhos = [Fraction(i % 7 + 1, 10_000) for i in range(5_000)]
+    odo = Odometer(2)
+    for i, rho in enumerate(rhos):
+        odo.register(f"op{i}", rho)
+    text = odo.to_ledger_text()
+    start = time.perf_counter()
+    back = Odometer.from_ledger_text(text)
+    assert time.perf_counter() - start < 5.0
+    assert back.spent == sum(rhos) == Fraction("1.9995")
+    assert back.remaining == Fraction("0.0005")
     assert back.to_ledger_text() == text
 
 

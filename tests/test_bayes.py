@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,64 @@ def test_marginal_consistency_to_1e12():
         assert math.isclose(sum(verdict.counterfactual_posterior), 1.0, abs_tol=1e-9)
 
 
+def _exact_joint(prior, mech):
+    """P(record, omega) in the actual and counterfactual worlds from their
+    definition, in rationals: the record is kept, or redrawn from the
+    attacker's conditional."""
+    recs = prior.record_values
+    actual = [[Fraction(0)] * len(mech.outputs) for _ in recs]
+    counter = [[Fraction(0)] * len(mech.outputs) for _ in recs]
+    for rest, p_rest in prior.rest_datasets:
+        cond = [Fraction(c) for c in prior.conditional[rest]]
+        for i, r in enumerate(recs):
+            weight = Fraction(p_rest) * cond[i]
+            for w in range(len(mech.outputs)):
+                actual[i][w] += weight * Fraction(mech.table[(rest, r)][w])
+                counter[i][w] += weight * sum(
+                    cond[j] * Fraction(mech.table[(rest, s)][w]) for j, s in enumerate(recs)
+                )
+    return actual, counter
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_matches_rational_posteriors(seed):
+    rng = np.random.default_rng(seed)
+    rests, recs, outputs = ("r0", "r1"), ("a", "b", "c"), ("w0", "w1", "w2", "w3")
+
+    def dist(n):  # rational weights, zeros included, never all zero
+        weights = [int(x) for x in rng.integers(0, 4, n)]
+        weights[int(rng.integers(n))] += 1
+        return tuple(float(Fraction(x, sum(weights))) for x in weights)
+
+    mech = FiniteMechanismFamily(outputs, {(k, r): dist(4) for k in rests for r in recs})
+    prior = SmallUniversePrior(
+        tuple(zip(rests, dist(2))), recs, {k: dist(3) for k in rests}
+    )
+    actual, counter = _exact_joint(prior, mech)
+    marginals = marginal_output_probabilities(prior, mech)
+    for joint, got in zip((actual, counter), marginals):
+        want = [sum(col) for col in zip(*joint)]
+        assert np.allclose(got, [float(x) for x in want], rtol=0, atol=1e-12)
+    for w, omega in enumerate(outputs):
+        z_actual = sum(row[w] for row in actual)
+        z_counter = sum(row[w] for row in counter)
+        if z_actual == z_counter == 0:
+            with pytest.raises(ValueError):
+                exact_posteriors(prior, mech, omega)
+            continue
+        verdict = exact_posteriors(prior, mech, omega)
+        for i in range(len(recs)):
+            a, c = actual[i][w] / z_actual, counter[i][w] / z_counter
+            assert math.isclose(verdict.actual_posterior[i], a, abs_tol=1e-12)
+            assert math.isclose(verdict.counterfactual_posterior[i], c, abs_tol=1e-12)
+            q = verdict.ratio[i]
+            if c:
+                assert math.isclose(q, a / c, rel_tol=1e-12)
+            else:
+                assert q == math.inf if a else math.isnan(q)
+
+
 # --- pure dp ratio bound ----------------------------------------------------------
 
 def test_rr_ratio_bound_holds():
@@ -140,6 +199,17 @@ def test_random_priors_never_violate_pure_bound(seed):
     prior = SmallUniversePrior((("r0", w), ("r1", 1 - w)), ("pos", "neg"), conds)
     report = pure_dp_ratio_bound_check(prior, mech)
     assert report.ok
+
+
+@pytest.mark.parametrize("records", [("a", "b"), ("b", "a")])
+def test_pure_dp_epsilon_does_not_depend_on_the_record_order(records):
+    # the loss a -> b drops output "1", which a never produces; only b -> a sees it
+    rows = {"a": (1.0, 0.0), "b": (0.5, 0.5)}
+    mech = FiniteMechanismFamily(("0", "1"), {("rest", r): rows[r] for r in records})
+    prior = SmallUniversePrior.known_rest(records, (0.5, 0.5))
+    assert mech.pure_dp_epsilon(prior) == math.inf
+    with pytest.raises(ValueError, match="not pure-DP"):
+        pure_dp_ratio_bound_check(prior, mech)
 
 
 # --- theorem-level delta curves --------------------------------------------------------

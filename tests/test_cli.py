@@ -138,6 +138,7 @@ BAD_INPUT = [
     "curve bayes-arbitrary --rho 0",
     "curve adp-gaussian --mu 0",
     "curve bayes-known-rest --rho -1",
+    "curve bayes-known-rest --rho 0",
     "curve tradeoff-zcdp --rho 1 --grid 0:2:3",
     "curve tradeoff-pure --eps 1 --grid 0:inf:3",
     "curve zcdp-bound --rho 1 --grid -1e308:1e308:3",

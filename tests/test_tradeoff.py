@@ -379,9 +379,10 @@ def test_mirrored_vertices_are_the_reversed_pair_curve():
     for pair in pairs:
         (levels, powers), backward = pair._np_vertices
         assert np.array_equal(np.column_stack([levels, powers]), np_tradeoff_finite(pair).vertices)
-        mirrored = np.column_stack([1.0 - powers[::-1], 1.0 - levels[::-1]])
-        assert np.array_equal(mirrored, np.column_stack(backward))
         reversed_ = np.array(np_tradeoff_finite(pair.reversed()).vertices)
+        assert np.array_equal(np.column_stack(backward), reversed_)
+        # the mirror image of the forward vertices is the same curve, up to rounding
+        mirrored = np.column_stack([1.0 - powers[::-1], 1.0 - levels[::-1]])
         assert mirrored.shape == reversed_.shape
         assert np.abs(mirrored - reversed_).max() <= 1e-15
         assert pair._np_vertices is pair._np_vertices  # built once

@@ -106,6 +106,20 @@ def test_profiles_reject_bad_parameters():
         RdpProfile(())
 
 
+BAD_RDP_POINTS = {
+    # rdp_to_delta once turned this into a non-vacuous delta, 0.368 at eps 0
+    "negative gamma": [(2.0, -1.0)],
+    "order at 1": [(1.0, 0.5)],
+    "unsorted orders": [(3.0, 0.5), (2.0, 0.5)],
+}
+
+
+@pytest.mark.parametrize("points", BAD_RDP_POINTS.values(), ids=BAD_RDP_POINTS.keys())
+def test_rdp_to_delta_rejects_what_rdp_profile_rejects(points):
+    with pytest.raises(ValueError):
+        rdp_to_delta(points, 0.0)
+
+
 def test_power_bounds_reject_bad_arguments():
     with pytest.raises(ValueError):
         zcdp_power_bound(0.0, 0.5)
