@@ -334,7 +334,8 @@ def mc(allocation, n_samples, seed, grid, out) -> None:
     roc = dgauss.mc_roc(queries, n_samples, seed)
     lines = ["level,power,se"]
     for level in grid:
-        lines.append(f"{level!r},{roc.power_at(level)!r},{roc.standard_error(level)!r}")
+        power = roc.power_at(level)
+        lines.append(f"{level!r},{power!r},{roc._se(power)!r}")
     manifest = json.dumps(roc.manifest(), sort_keys=True, indent=2) + "\n"
     # both files are written before either is swapped in, so a failure
     # leaves the previous ROC and manifest in place as a pair

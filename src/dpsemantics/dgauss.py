@@ -7,6 +7,12 @@ and the new value of the changed record), so the exact likelihood-ratio
 statistic of the whole release is a sum of per-cell log pmf ratios.
 Sampling that statistic under both hypotheses yields the empirical
 level/power curve of the release.
+
+`mc_roc` builds one `DiscreteGaussianSampler` per distinct rho* and
+draws that rho*'s cells from all 2 x `N_SHARDS` seeded streams before it
+builds the next, so one sampling table is alive at a time.  The sampler's
+bucket-exact guide table returns the inversion draw of almost every
+uniform with one table read.
 """
 
 from __future__ import annotations
@@ -36,12 +42,13 @@ MIN_MC_SAMPLES = 1000
 N_SHARDS = 16
 
 #: Guide-table buckets per sampling-table entry, at least (rounded up to
-#: a power of two); more buckets leave fewer draws to the binary search.
-GUIDE_RATIO = 2
+#: a power of two): at most one bucket in GUIDE_RATIO needs more than
+#: its one table read.
+GUIDE_RATIO = 32
 
 #: Draws per chunk of one `sample` call: bounds its temporaries, which
 #: then stay in cache.
-SAMPLE_CHUNK = 1 << 13
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,20 +83,28 @@ def dgauss_pmf(k: int, params: DiscreteGaussParams) -> float:
 class DiscreteGaussianSampler:
     """Exact sampler by inversion over a truncated cumulative table.
 
-    A draw u in [0, 1) maps to the first table index whose cdf reaches u,
-    `np.searchsorted(cdf, u)`.  A guide table (Chen & Asau's indexed
-    search) finds that index without a binary search: it splits [0, 1)
-    into m equal buckets, m a power of two so that floor(u m) is exact,
-    and stores for bucket j the first index whose cdf reaches j/m.  A
-    bucket that holds at most one cdf entry is resolved by one compare
-    with that entry; the few wide buckets, out in the tails, fall back to
-    the binary search.
+    A uniform u in [0, 1) maps to the first table index whose cdf reaches
+    u, `np.searchsorted(cdf, u)`, less kmax.  A bucket-exact guide table
+    (Chen & Asau's indexed search) returns that same draw with one table
+    read for almost every u.  It splits [0, 1) into m equal buckets, m the
+    power of two at least GUIDE_RATIO times the table length, so
+    m <= 2 GUIDE_RATIO (2 kmax + 1) and the bucket j = floor(u m) of a
+    draw is exact.  Let first[j] be the first index whose cdf reaches j/m.
+    Every u in bucket j maps to an index from first[j] to first[j + 1]:
+    u >= j/m, and the cdf at first[j + 1] reaches (j + 1)/m > u.  So a
+    bucket with no cdf entry inside it sends every u to first[j], and the
+    table holds that draw, first[j] - kmax, outright.  The other buckets
+    hold at least one entry each, so they are at most one in GUIDE_RATIO,
+    and the table flags them with a value above kmax.  A flagged draw is
+    resolved by one compare with the bucket's first entry inside; the few
+    that lie past it, in the wide buckets out in the tails, by the binary
+    search.
     """
 
     def __init__(self, params: DiscreteGaussParams):
         self.params = params
-        self._kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(params.sigma2)))
-        k = np.arange(-self._kmax, self._kmax + 1, dtype=float)
+        kmax = self._kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(params.sigma2)))
+        k = np.arange(-kmax, kmax + 1, dtype=float)
         weights = np.exp(-k**2 / (2.0 * params.sigma2))
         cdf = np.cumsum(weights / weights.sum())
         # rounding can leave the last entry below 1, where a draw above it
@@ -98,9 +113,15 @@ class DiscreteGaussianSampler:
         self._cdf = cdf
         m = 1 << (GUIDE_RATIO * cdf.size - 1).bit_length()
         self._m = float(m)
-        first = np.searchsorted(cdf, np.linspace(0.0, 1.0, m + 1))
-        self._guide = first[:-1].astype(np.min_scalar_type(cdf.size))
-        self._wide = np.diff(first) > 1
+        # cdf[i] reaches j/m exactly when j <= floor(cdf[i] m), a product
+        # that scaling by a power of two keeps exact; so first[j] takes
+        # index i for each j above floor(cdf[i - 1] m) up to floor(cdf[i] m)
+        reach = np.minimum(np.floor(cdf * m), m).astype(np.intp)
+        self._draw = np.repeat(k.astype(np.intp), np.diff(reach, prepend=-1))[:m]
+        # entry i lies inside bucket reach[i] (none lies inside bucket m);
+        # the flag adds cdf.size once per bucket, however many entries it
+        # holds, and puts the value above kmax
+        self._draw[reach[reach < m]] += cdf.size
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """Draws of the given shape, filled in chunks of the flattened
@@ -108,18 +129,27 @@ class DiscreteGaussianSampler:
         `rng.random(size)` call."""
         out = np.empty(size, dtype=np.intp)
         flat = out.reshape(-1)
+        buckets = np.empty(min(flat.size, SAMPLE_CHUNK), dtype=np.intp)
+        kmax, cdf = self._kmax, self._cdf
         for start in range(0, flat.size, SAMPLE_CHUNK):
             chunk = flat[start : start + SAMPLE_CHUNK]
             u = rng.random(chunk.size)
-            # the bucket numbers go into the output chunk, which the
-            # draws overwrite once both lookups have read them
-            j = np.multiply(u, self._m, out=chunk, casting="unsafe")
-            lo = self._guide[j]
-            wide = np.flatnonzero(self._wide[j])
-            np.add(lo, self._cdf[lo] < u, out=chunk)
-            if wide.size:
-                chunk[wide] = np.searchsorted(self._cdf, u[wide])
-            chunk -= self._kmax
+            # the bucket numbers get their own buffer: `take` does not
+            # promise to read its indices before it writes an aliased output;
+            # they are below m, and "clip" skips the buffered bounds check
+            j = np.multiply(u, self._m, out=buckets[: chunk.size], casting="unsafe")
+            self._draw.take(j, out=chunk, mode="clip")
+            flagged = (chunk > kmax).nonzero()[0]
+            if flagged.size:
+                uf = u[flagged]
+                # first[j], from its flagged value first[j] - kmax + cdf.size
+                idx = chunk[flagged] - (kmax + 1)
+                idx += cdf[idx] < uf
+                # past the bucket's first entry inside, the draw is found by search
+                far = (cdf[idx] < uf).nonzero()[0]
+                if far.size:
+                    idx[far] = cdf.searchsorted(uf[far])
+                chunk[flagged] = idx - kmax
         return out
 
 
@@ -228,9 +258,12 @@ class EmpiricalRoc:
         """Binomial standard error of `power_at`, with the variance floored
         at one event in n: an estimate of 0 or 1 does not mean that the
         true power is exactly 0 or 1."""
-        p = self.power_at(level)
+        return self._se(self.power_at(level))
+
+    def _se(self, power: float) -> float:
+        """`standard_error` of the level whose `power_at` is `power`."""
         n = self.n_samples
-        return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+        return math.sqrt(max(power * (1.0 - power), 1.0 / n) / n)
 
     def curve(self, grid: Sequence[float] | None = None) -> PiecewiseLinearCurve:
         if grid is None:
@@ -261,32 +294,32 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     LLR.  Under the null x is symmetric noise k, under the alternative
     x = k + s, so with half = sum of rho*/2 over all cells the release LLR
     is +half (null) or -half (alternative) plus the sum of rho* k over the
-    cells.  Cells of equal rho* are drawn in one sampler call per shard.
-    The shards have independently seeded streams, so the result depends
-    only on (queries, n_samples, seed).
+    cells.  Each shard of each arm has its own independently seeded
+    stream, so the result depends only on (queries, n_samples, seed).
+    The loop runs rho* by rho*: it builds one sampler per rho* and draws
+    all cells of that rho* from each stream in one call.  Each stream
+    still consumes its uniforms, and each sample adds its terms, in the
+    rho* order of a loop over shards, so the nesting moves no byte.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     cells_of: dict[float, int] = {}
     for rho_star, cells in queries.entries:
         cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
-    samplers = {
-        rho_star: DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
-        for rho_star in cells_of
-    }
     half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
     streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
-    arms = (np.empty(n_samples), np.empty(n_samples))
+    arms = (np.full(n_samples, half), np.full(n_samples, -half))
+    # (shard's slice of one arm, that shard and arm's stream), in stream order
+    blocks = []
     start = 0
     for shard, size in enumerate(_shard_sizes(n_samples)):
-        for is_alt, offset in enumerate((half, -half)):
-            rng = np.random.default_rng(streams[2 * shard + is_alt])
-            total = arms[is_alt][start : start + size]
-            total.fill(offset)
-            for rho_star, cells in cells_of.items():
-                k = samplers[rho_star].sample(rng, (cells, size))
-                total += rho_star * k.sum(axis=0)
+        for arm, stream in zip(arms, streams[2 * shard : 2 * shard + 2]):
+            blocks.append((arm[start : start + size], np.random.default_rng(stream)))
         start += size
+    for rho_star, cells in cells_of.items():
+        sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
+        for total, rng in blocks:
+            total += rho_star * sampler.sample(rng, (cells, total.size)).sum(axis=0)
     null_llr, alt_llr = arms
     null_llr.sort()
     alt_llr.sort()

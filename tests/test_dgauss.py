@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from dpsemantics import (
     mc_roc,
     zcdp_power_bound,
 )
-from dpsemantics.dgauss import TRUNCATION_SIGMAS, DiscreteGaussianSampler, EmpiricalRoc
+from dpsemantics.dgauss import (
+    GUIDE_RATIO,
+    SAMPLE_CHUNK,
+    TRUNCATION_SIGMAS,
+    DiscreteGaussianSampler,
+    EmpiricalRoc,
+)
 
 GRID_LEVELS = np.arange(0.01, 1.00, 0.01)
 
@@ -128,9 +135,10 @@ def inversion_table(sigma2: float) -> tuple[int, np.ndarray]:
 @given(st.floats(0.05, 1e5))
 def test_sampler_is_inversion_by_binary_search(sigma2):
     kmax, cdf = inversion_table(sigma2)
+    sampler = DiscreteGaussianSampler(DiscreteGaussParams(sigma2))
     # the edges j/M of M buckets include the edges of every power-of-two
-    # bucket count up to M
-    m = 1 << (8 * cdf.size - 1).bit_length()
+    # bucket count up to M, and M is twice the sampler's bucket count
+    m = 1 << (2 * GUIDE_RATIO * cdf.size - 1).bit_length()
     u = np.concatenate([
         [0.0, 1.0 - 2.0**-53],
         np.arange(m) / m,
@@ -138,21 +146,27 @@ def test_sampler_is_inversion_by_binary_search(sigma2):
     ])
     u = u[u < 1.0]
     rng = ReplayRng(u)
-    got = DiscreteGaussianSampler(DiscreteGaussParams(sigma2)).sample(rng, u.size)
+    got = sampler.sample(rng, u.size)
     assert rng.used == u.size
     assert np.array_equal(got, np.searchsorted(cdf, u) - kmax)
+    # at most one bucket in GUIDE_RATIO is flagged for the compare path,
+    # and the table has at most 2 GUIDE_RATIO entries per cdf entry
+    buckets = sampler._draw.size
+    assert m == 2 * buckets <= 4 * GUIDE_RATIO * cdf.size
+    assert np.count_nonzero(sampler._draw > kmax) * GUIDE_RATIO <= buckets
 
 
 def test_sampler_stream_matches_one_random_call():
-    # (3, 40000) spans several fill chunks; the draws must still follow
-    # one rng.random((3, 40000)) call, element for element
+    # the block spans three fill chunks, the last one partial; the draws
+    # must still follow one rng.random(shape) call, element for element
     sigma2 = 1.0 / 0.0005282011251546199
     kmax, cdf = inversion_table(sigma2)
+    shape = (3, SAMPLE_CHUNK - 1)
     got = DiscreteGaussianSampler(DiscreteGaussParams(sigma2)).sample(
-        np.random.default_rng(3), (3, 40000)
+        np.random.default_rng(3), shape
     )
-    u = np.random.default_rng(3).random((3, 40000))
-    assert got.shape == (3, 40000)
+    u = np.random.default_rng(3).random(shape)
+    assert got.shape == shape
     assert np.array_equal(got, np.searchsorted(cdf, u) - kmax)
 
 
@@ -262,6 +276,30 @@ def test_mc_roc_matches_per_cell_brute_force():
     ]
     assert stats.ks_2samp(roc.null_llr, brute_null).pvalue > 0.001
     assert stats.ks_2samp(roc.alt_llr, brute_alt).pvalue > 0.001
+
+
+def _llr_digest(roc: EmpiricalRoc) -> str:
+    return hashlib.sha256(roc.null_llr.tobytes() + roc.alt_llr.tobytes()).hexdigest()
+
+
+def test_mc_roc_bytes_pinned_with_unequal_shards_and_repeated_rho():
+    # 4003 = 16 x 250 + 3: three shards hold one sample more; rho* = 0.5
+    # repeats, with odd cell counts.  The digest was recorded before the
+    # bucket-exact sampling table and the rho*-major loop, which must not
+    # move a single draw.
+    queries = AffectedQuerySet(((0.5, 3), (0.2, 2), (0.5, 1)))
+    assert _llr_digest(mc_roc(queries, 4003, seed=3)) == (
+        "815fd9f818a74c81c0e5410f8d2f487ba6ed437f191cb224dfc1f78329a0b074"
+    )
+
+
+def test_mc_roc_bytes_pinned_scenario_a(production_table):
+    # as above, for scenario A's 12 queries (6 distinct rho*) at
+    # n = 2011 = 16 x 125 + 11
+    queries = affected_queries_from_table(production_table, builtin_scenario("A"))
+    assert _llr_digest(mc_roc(queries, 2011, seed=1)) == (
+        "f340f2cedba653917d34a8ff6f8f5ab7b2008341832810279c44f3fc1a5dfa04"
+    )
 
 
 def test_standard_error_floored_at_one_event_in_n():
