@@ -335,7 +335,7 @@ def mc(allocation, n_samples, seed, grid, out) -> None:
     lines = ["level,power,se"]
     for level in grid:
         power = roc.power_at(level)
-        lines.append(f"{level!r},{power!r},{roc._se(power)!r}")
+        lines.append(f"{level!r},{power!r},{roc.standard_error_of_power(power)!r}")
     manifest = json.dumps(roc.manifest(), sort_keys=True, indent=2) + "\n"
     # both files are written before either is swapped in, so a failure
     # leaves the previous ROC and manifest in place as a pair

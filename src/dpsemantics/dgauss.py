@@ -95,10 +95,8 @@ class DiscreteGaussianSampler:
     bucket with no cdf entry inside it sends every u to first[j], and the
     table holds that draw, first[j] - kmax, outright.  The other buckets
     hold at least one entry each, so they are at most one in GUIDE_RATIO,
-    and the table flags them with a value above kmax.  A flagged draw is
-    resolved by one compare with the bucket's first entry inside; the few
-    that lie past it, in the wide buckets out in the tails, by the binary
-    search.
+    and the table flags them with kmax + 1, a value no draw takes.  A
+    flagged draw is found by the binary search.
     """
 
     def __init__(self, params: DiscreteGaussParams):
@@ -118,10 +116,8 @@ class DiscreteGaussianSampler:
         # index i for each j above floor(cdf[i - 1] m) up to floor(cdf[i] m)
         reach = np.minimum(np.floor(cdf * m), m).astype(np.intp)
         self._draw = np.repeat(k.astype(np.intp), np.diff(reach, prepend=-1))[:m]
-        # entry i lies inside bucket reach[i] (none lies inside bucket m);
-        # the flag adds cdf.size once per bucket, however many entries it
-        # holds, and puts the value above kmax
-        self._draw[reach[reach < m]] += cdf.size
+        # entry i lies inside bucket reach[i] (none lies inside bucket m)
+        self._draw[reach[reach < m]] = kmax + 1
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """Draws of the given shape, filled in chunks of the flattened
@@ -141,15 +137,7 @@ class DiscreteGaussianSampler:
             self._draw.take(j, out=chunk, mode="clip")
             flagged = (chunk > kmax).nonzero()[0]
             if flagged.size:
-                uf = u[flagged]
-                # first[j], from its flagged value first[j] - kmax + cdf.size
-                idx = chunk[flagged] - (kmax + 1)
-                idx += cdf[idx] < uf
-                # past the bucket's first entry inside, the draw is found by search
-                far = (cdf[idx] < uf).nonzero()[0]
-                if far.size:
-                    idx[far] = cdf.searchsorted(uf[far])
-                chunk[flagged] = idx - kmax
+                chunk[flagged] = cdf.searchsorted(u[flagged]) - kmax
         return out
 
 
@@ -258,9 +246,9 @@ class EmpiricalRoc:
         """Binomial standard error of `power_at`, with the variance floored
         at one event in n: an estimate of 0 or 1 does not mean that the
         true power is exactly 0 or 1."""
-        return self._se(self.power_at(level))
+        return self.standard_error_of_power(self.power_at(level))
 
-    def _se(self, power: float) -> float:
+    def standard_error_of_power(self, power: float) -> float:
         """`standard_error` of the level whose `power_at` is `power`."""
         n = self.n_samples
         return math.sqrt(max(power * (1.0 - power), 1.0 / n) / n)

@@ -149,7 +149,7 @@ def test_sampler_is_inversion_by_binary_search(sigma2):
     got = sampler.sample(rng, u.size)
     assert rng.used == u.size
     assert np.array_equal(got, np.searchsorted(cdf, u) - kmax)
-    # at most one bucket in GUIDE_RATIO is flagged for the compare path,
+    # at most one bucket in GUIDE_RATIO is flagged for the binary search,
     # and the table has at most 2 GUIDE_RATIO entries per cdf entry
     buckets = sampler._draw.size
     assert m == 2 * buckets <= 4 * GUIDE_RATIO * cdf.size
