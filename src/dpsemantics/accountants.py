@@ -247,7 +247,10 @@ class Odometer:
             return tuple(self._entries)
 
     def register(self, label: str, rho: float | int | str | Fraction) -> Fraction:
-        """Append an entry; returns the remaining budget afterwards."""
+        """Append an entry; returns the remaining budget afterwards.  The
+        label is one field of a ledger line, so it holds no tab or line break."""
+        if "\t" in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"label {label!r} holds a tab or a line break")
         rho = _as_fraction(rho)
         if rho < 0:
             raise ValueError("rho must be nonnegative")

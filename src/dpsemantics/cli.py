@@ -409,9 +409,11 @@ def odometer_register(label, rho, ledger) -> None:
     with _ledger_lock(ledger):
         odo = accountants.Odometer.from_ledger_text(Path(ledger).read_text(encoding="utf-8"))
         try:
-            remaining = odo.register(label, Fraction(rho))
+            spend = Fraction(rho)
         except (ValueError, ZeroDivisionError):
             raise click.BadParameter(f"bad rho {rho!r}")
+        try:
+            remaining = odo.register(label, spend)
         except accountants.BudgetExceededError as exc:
             click.echo(f"refused: {exc}", err=True)
             sys.exit(2)

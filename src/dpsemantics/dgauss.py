@@ -10,9 +10,10 @@ level/power curve of the release.
 
 `mc_roc` builds one `DiscreteGaussianSampler` per distinct rho* and
 draws that rho*'s cells from all 2 x `N_SHARDS` seeded streams before it
-builds the next, so one sampling table is alive at a time.  The sampler's
-bucket-exact guide table returns the inversion draw of almost every
-uniform with one table read.
+builds the next, so one sampling table is alive at a time.  The sampler
+inverts the cumulative sum of the truncated weights that also normalize
+`dgauss_pmf`; its bucket-exact guide table returns the inversion draw of
+almost every uniform with one table read.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ import numpy as np
 from .census import AllocationTable, GeoLevel, QueryKind, Scenario
 from .tradeoff import PiecewiseLinearCurve
 
-#: Truncation radius for sampling tables: P(|X| > 12 sigma) < 1e-30.
+#: Truncation radius of the table, kmax = ceil(12 sigma): the mass outside
+#: [-kmax, kmax] is below 1e-30 of the total, so the pmf is normalized by it.
 TRUNCATION_SIGMAS = 12.0
-
-#: Relative size at which the pmf normalizer stops adding terms.
-NORMALIZER_REL_TOL = 1e-18
 
 MIN_MC_SAMPLES = 1000
 
@@ -62,22 +61,17 @@ class DiscreteGaussParams:
             raise ValueError("sigma2 must be a finite positive real")
 
 
-def _normalizer(sigma2: float) -> float:
-    """sum over all integers of exp(-j^2 / (2 sigma^2)), symmetric sum
-    truncated once terms stop mattering."""
-    total = 1.0
-    j = 1
-    while True:
-        term = math.exp(-j * j / (2.0 * sigma2))
-        total += 2.0 * term
-        if term < NORMALIZER_REL_TOL * total:
-            return total
-        j += 1
+def _table(sigma2: float) -> tuple[int, np.ndarray]:
+    """kmax and the weights exp(-k^2 / (2 sigma^2)) for k from -kmax to
+    kmax: the truncated table behind both the pmf and the sampler."""
+    kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(sigma2)))
+    k = np.arange(-kmax, kmax + 1, dtype=float)
+    return kmax, np.exp(-k**2 / (2.0 * sigma2))
 
 
 def dgauss_pmf(k: int, params: DiscreteGaussParams) -> float:
-    """Probability mass at integer k."""
-    return math.exp(-k * k / (2.0 * params.sigma2)) / _normalizer(params.sigma2)
+    """Probability mass at integer k, normalized over the truncated table."""
+    return math.exp(-k * k / (2.0 * params.sigma2)) / _table(params.sigma2)[1].sum()
 
 
 class DiscreteGaussianSampler:
@@ -100,22 +94,20 @@ class DiscreteGaussianSampler:
     """
 
     def __init__(self, params: DiscreteGaussParams):
-        self.params = params
-        kmax = self._kmax = int(math.ceil(TRUNCATION_SIGMAS * math.sqrt(params.sigma2)))
-        k = np.arange(-kmax, kmax + 1, dtype=float)
-        weights = np.exp(-k**2 / (2.0 * params.sigma2))
+        kmax, weights = _table(params.sigma2)
         cdf = np.cumsum(weights / weights.sum())
         # rounding can leave the last entry below 1, where a draw above it
         # would map past the table
         cdf[-1] = max(cdf[-1], 1.0)
-        self._cdf = cdf
+        self._cdf, self._kmax = cdf, kmax
         m = 1 << (GUIDE_RATIO * cdf.size - 1).bit_length()
         self._m = float(m)
         # cdf[i] reaches j/m exactly when j <= floor(cdf[i] m), a product
         # that scaling by a power of two keeps exact; so first[j] takes
         # index i for each j above floor(cdf[i - 1] m) up to floor(cdf[i] m)
         reach = np.minimum(np.floor(cdf * m), m).astype(np.intp)
-        self._draw = np.repeat(k.astype(np.intp), np.diff(reach, prepend=-1))[:m]
+        support = np.arange(-kmax, kmax + 1, dtype=np.intp)
+        self._draw = np.repeat(support, np.diff(reach, prepend=-1))[:m]
         # entry i lies inside bucket reach[i] (none lies inside bucket m)
         self._draw[reach[reach < m]] = kmax + 1
 

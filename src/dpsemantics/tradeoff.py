@@ -209,51 +209,20 @@ class _MomentBoundCurve(TradeoffCurve):
     its mirror image stay below e^{(a-1) gamma}.  Subclasses supply the
     orders and the log bounds (a-1) gamma as the pair `_constraints`.
 
-    Each order's check, logaddexp(x, y) <= lim, is screened exactly, since the
-    computed logaddexp is max(x, y) plus a rounded log1p(e^-|x-y|) in [0, ln 2]:
-    it is >= max, so an order with max > lim fails; it is <= fl(max + ln 2) <=
-    fl(max + 1), so an order with max + 1 <= lim holds.  Only the rest reach logaddexp.
-
-    `power` and `inverse_type2` locate where the check flips by safeguarded
-    Newton on the binding order, in the log-odds t = log(v / (1 - v)) of the
-    free coordinate v, and certify the answer with the check itself.
+    `power` fixes the level and `inverse_type2` the power; a `_Flip` owns the
+    rows and the check with that coordinate fixed, finds where the check flips
+    by safeguarded Newton on the binding order, in the log-odds of the free
+    coordinate, and certifies the answer with the check itself.
     """
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coef, lim), each (2, orders): row 0 is the constraint with the
-        fixed coordinate as the level, row 1 its mirror image."""
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(coef, swapped, lim) over 2 x orders rows, the constraint then its mirror
+        image; `swapped`, coef with its halves swapped, holds the fixed exponents."""
         alphas, log_bounds = self._constraints
-        coef = np.concatenate((1.0 - alphas, alphas)).reshape(2, -1)
-        return coef, np.concatenate((log_bounds, log_bounds)).reshape(2, -1) + 1e-12
-
-    def _rows(self, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(coef, fixed_x, fixed_y, lim) with u fixed: x = fixed_x + coef log v
-        and y = fixed_y + coef log(1 - v) at the free coordinate v."""
-        coef, lim = self._stacked
-        # the fixed coordinate's exponents are the free one's, rows swapped
-        return coef, coef[::-1] * math.log(u), coef[::-1] * math.log1p(-u), lim
-
-    def _feasible_with(self, u: float, rows: tuple | None = None) -> Callable[[float], bool]:
-        """Predicate v -> (u, v) meets both constraints, for u and v in (0, 1).
-
-        The constraints are mirror images, so `power` fixes the level and
-        `inverse_type2` the power.  In log space, as (1-p)^(1-alpha) overflows
-        long before the constraint means anything.  Callers ignore overflow and
-        invalid-value warnings: huge orders overflow, and inf and NaN screen as
-        they compare.  `rows` is `_rows(u)`, where the caller has it."""
-        coef, fixed_x, fixed_y, lim = rows or self._rows(u)
-
-        def feasible(v: float) -> bool:
-            x = fixed_x + coef * math.log(v)
-            y = fixed_y + coef * math.log1p(-v)
-            top = np.maximum(x, y)
-            if (top > lim).any():
-                return False
-            open_ = ~(top + 1.0 <= lim)
-            return bool((np.logaddexp(x[open_], y[open_]) <= lim[open_]).all())
-
-        return feasible
+        coef = np.concatenate((1.0 - alphas, alphas))
+        swapped = np.concatenate((alphas, 1.0 - alphas))
+        return coef, swapped, np.concatenate((log_bounds, log_bounds)) + 1e-12
 
     @cached_property
     def _gaussian_mu(self) -> float:
@@ -326,17 +295,33 @@ class _Flip:
     answer at hi.  The ends of the whole range, `whole`, are taken as given,
     never evaluated: 0 fails, 1 fails, the level u passes (its constraints
     hold with a margin of their 1e-12 slack) and so does the power u.
+
+    The check at v is logaddexp(x, y) <= lim at every row, with x = fixed_x +
+    coef log v and y = fixed_y + coef log(1 - v).  It is screened exactly: the
+    computed logaddexp lies in [max(x, y), fl(max + ln 2)], so a row with
+    max > lim fails and one with fl(max + 1) <= lim holds; only the rest reach logaddexp.
     """
 
     def __init__(self, curve: _MomentBoundCurve, u: float, rising: bool) -> None:
-        rows = curve._rows(u)
-        self.coef, self.fixed_x, self.fixed_y, self.lim = (a.ravel() for a in rows)
-        self.orders = rows[0].shape[1]
-        self.feasible = curve._feasible_with(u, rows)
+        self.coef, swapped, self.lim = curve._stacked
+        self.fixed_x, self.fixed_y = swapped * math.log(u), swapped * math.log1p(-u)
+        self.orders = self.coef.size // 2
         self.rising = rising
         self.lo, self.hi = self.whole = (u, 1.0) if rising else (0.0, u)
         #: (row k, Newton guess for its root in t) to solve next, or None
         self.pick: tuple[int, float] | None = None
+
+    def feasible(self, v: float) -> bool:
+        """Whether (u, v) meets every row, for v in (0, 1).  Callers ignore
+        overflow and invalid-value warnings: huge orders overflow, and inf
+        and NaN screen as they compare."""
+        x = self.fixed_x + self.coef * math.log(v)
+        y = self.fixed_y + self.coef * math.log1p(-v)
+        top = np.maximum(x, y)
+        if (top > self.lim).any():
+            return False
+        open_ = ~(top + 1.0 <= self.lim)
+        return bool((np.logaddexp(x[open_], y[open_]) <= self.lim[open_]).all())
 
     def pick_from(self, v: float) -> None:
         """Pick the row to solve first, by a Newton step from a feasible v

@@ -7,7 +7,8 @@ Each named file (every file of GOLDEN_SPECS in tests/test_acceptance.py
 when none is named) is the output of the ``dpsem`` command that
 GOLDEN_SPECS pins for it, written to tests/goldens/<version>/<name>.
 Earlier versions stay in place; the acceptance suite names the version
-each file is checked against.
+each file is checked against.  A file that exists is frozen: the script
+exits with its name instead of rewriting it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ def write(version: str, names: list[str]) -> None:
     if unknown:
         raise SystemExit(f"not in GOLDEN_SPECS: {', '.join(unknown)}")
     out_dir = GOLDENS / version
+    frozen = [str(out_dir / name) for name in names or GOLDEN_SPECS if (out_dir / name).exists()]
+    if frozen:
+        raise SystemExit(f"frozen golden exists, write a new version instead: {', '.join(frozen)}")
     out_dir.mkdir(exist_ok=True)
     for name in names or GOLDEN_SPECS:
         result = CliRunner().invoke(main, GOLDEN_SPECS[name], catch_exceptions=False)

@@ -1,13 +1,16 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line with the measured values when it succeeds."""
 
+import importlib.util
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from dpsemantics import (
@@ -189,6 +192,25 @@ def test_criterion_4_golden_curves_regenerate_bit_identically():
         frozen = (GOLDENS / GOLDEN_VERSIONS.get(name, "v1") / name).read_text(encoding="utf-8")
         assert result.output == frozen, f"golden drift in {name}"
     print(f"ACCEPTANCE 4 PASS: {len(GOLDEN_SPECS)} golden curves bit-identical")
+
+
+def test_write_golden_never_overwrites_a_frozen_file(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("write_golden", GOLDENS / "write_golden.py")
+    write_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(write_golden)
+    monkeypatch.setattr(write_golden, "GOLDENS", tmp_path)
+    name = "adp-gaussian-rho2.63.csv"
+    (tmp_path / "v1").mkdir()
+    (tmp_path / "v1" / name).write_text("frozen\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match=re.escape(str(tmp_path / "v1" / name))):
+        write_golden.write("v1", [name])
+    with pytest.raises(SystemExit, match=re.escape(name)):
+        write_golden.write("v1", [])
+    assert (tmp_path / "v1" / name).read_text(encoding="utf-8") == "frozen\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["v1", name])
+    # a new version is written, byte for byte the frozen golden
+    write_golden.write("v9", [name])
+    assert (tmp_path / "v9" / name).read_bytes() == (GOLDENS / "v1" / name).read_bytes()
 
 
 def test_zcdp_bound_v2_golden_lies_just_above_v1():

@@ -490,6 +490,17 @@ def test_odometer_rejects_negative():
         odo.register("neg", -0.1)
 
 
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\u2028b", "a\r", "\x0c"])
+def test_odometer_refuses_a_label_that_would_split_its_ledger_line(label):
+    odo = Odometer(1.0)
+    odo.register("kept", 0.25)
+    before = odo.to_ledger_text()
+    with pytest.raises(ValueError, match="tab or a line break"):
+        odo.register(label, 0.25)
+    assert odo.to_ledger_text() == before
+    assert Odometer.from_ledger_text(before).entries == odo.entries
+
+
 def test_odometer_ledger_round_trip():
     odo = Odometer("2.63")
     odo.register("person", "2.56")

@@ -362,6 +362,18 @@ def test_concurrent_registrations_lose_no_spend(runner, tmp_path):
     assert "# spent 0.5, remaining 0" in shown
 
 
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\u2028b"], ids=["tab", "newline", "U+2028"])
+def test_odometer_label_that_would_split_a_ledger_line_exits_2(runner, tmp_path, label):
+    ledger = tmp_path / "budget.ledger"
+    assert invoke(runner, "odometer", "init", "--cap", "1", "--ledger", str(ledger)).exit_code == 0
+    before = ledger.read_bytes()
+    result = runner.invoke(main, ["odometer", "register", label, "0.5", "--ledger", str(ledger)])
+    assert result.exit_code == 2, result.output
+    assert "tab or a line break" in result.stderr
+    assert ledger.read_bytes() == before
+    assert invoke(runner, "odometer", "register", "after", "0.5", "--ledger", str(ledger)).exit_code == 0
+
+
 @pytest.mark.parametrize(
     "body",
     ["bad line\n", "person\t1/0\t1\n", "person\t2\t2\n"],

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from dpsemantics.dgauss import (
     TRUNCATION_SIGMAS,
     DiscreteGaussianSampler,
     EmpiricalRoc,
+    _table,
 )
 
 GRID_LEVELS = np.arange(0.01, 1.00, 0.01)
@@ -60,6 +62,35 @@ def test_pmf_against_series_oracle():
     for k in (1, 2, 5):
         want = math.exp(-k * k / 2.0) * series_oracle(1.0)
         assert math.isclose(dgauss_pmf(k, params), want, rel_tol=1e-12)
+
+
+# sigma^2 from tiny to wide; 7951.5 is 1/rho* of production's smallest rho*
+TABLE_SIGMA2S = (0.05, 1.0, 7951.5, 1e5)
+
+
+@pytest.mark.parametrize("sigma2", TABLE_SIGMA2S)
+def test_table_leaves_out_less_than_1e_30_of_the_mass(sigma2):
+    kmax, _ = _table(sigma2)
+    with mpmath.workdps(50):
+        s2 = mpmath.mpf(sigma2)
+
+        def weights(ks):
+            return mpmath.fsum(mpmath.exp(-mpmath.mpf(k) ** 2 / (2 * s2)) for k in ks)
+
+        inside = 1 + 2 * weights(range(1, kmax + 1))
+        # past 20 sigma the terms are below e^-200 of the total
+        outside = 2 * weights(range(kmax + 1, kmax + int(8 * math.sqrt(sigma2)) + 10))
+        assert outside / (inside + outside) < 1e-30
+
+
+@pytest.mark.parametrize("sigma2", TABLE_SIGMA2S)
+def test_pmf_and_sampler_read_one_table(sigma2):
+    params = DiscreteGaussParams(sigma2)
+    kmax, _ = _table(sigma2)
+    pmf = [dgauss_pmf(k, params) for k in range(-kmax, kmax + 1)]
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-15
+    cdf = DiscreteGaussianSampler(params)._cdf
+    assert np.max(np.abs(np.cumsum(pmf) - cdf)[:-1]) <= 1e-15
 
 
 def test_pmf_rejects_bad_scale():

@@ -32,7 +32,7 @@ from dpsemantics.accountants import (
     fdp_to_epsdelta,
     zcdp_to_delta,
 )
-from dpsemantics.tradeoff import ALPHA_GRID, POWER_CERTIFICATE_WIDTH, _bisect
+from dpsemantics.tradeoff import ALPHA_GRID, POWER_CERTIFICATE_WIDTH, _bisect, _Flip
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -247,8 +247,8 @@ def test_screened_check_equals_logaddexp_at_every_order(curve, u, v, on_the_boun
         want = reference_feasible(curve, u, v)
         assert reference_feasible(curve, v, u) == want
         with np.errstate(over="ignore", invalid="ignore"):
-            assert curve._feasible_with(u)(v) == want
-            assert curve._feasible_with(v)(u) == want
+            assert _Flip(curve, u, True).feasible(v) == want
+            assert _Flip(curve, v, True).feasible(u) == want
 
 
 def census_budgets():
