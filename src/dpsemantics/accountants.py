@@ -158,7 +158,8 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
     sup{d in [0, 1] : h(d) > 0} (0 if empty) for h(d) = T(s d) - d - 1e-15,
     the max over both neighbor directions.  h is linear between T's
     breakpoints d = level / s, so delta is the root of h after its last
-    positive breakpoint.  The reversed pair's vertices are the mirrored ones.
+    positive breakpoint.  Each direction's vertices come from its own rows
+    (`FiniteMechanismPair._np_vertices`).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -58,10 +58,9 @@ class SmallUniversePrior:
         cls,
         record_values: tuple[str, ...],
         conditional: tuple[float, ...],
-        rest_label: str = "rest",
     ) -> "SmallUniversePrior":
-        """Point mass on a single rest-dataset: full attacker certainty."""
-        return cls(((rest_label, 1.0),), record_values, {rest_label: conditional})
+        """Point mass on the one rest-dataset "rest": full attacker certainty."""
+        return cls((("rest", 1.0),), record_values, {"rest": conditional})
 
 
 @dataclass(frozen=True)
@@ -245,34 +244,28 @@ def _normal_bin_mass(lo: float, hi: float, mean: float) -> float:
     return phi(hi - mean) - phi(lo - mean)
 
 
-def wrong_prior_discretized(
-    omega: float = 12.0,
-    prior_target: float = 0.01,
-    grid_lo: float = -10.0,
-    grid_hi: float = 110.0,
-    step: float = 0.1,
-) -> tuple[SmallUniversePrior, FiniteMechanismFamily, str]:
+def wrong_prior_discretized() -> tuple[SmallUniversePrior, FiniteMechanismFamily, str]:
     """Finite-output version of the perceived-breach example.
 
-    Unit-variance noise on a 0/1 count, outputs discretized to a grid.
-    The default observation sits far enough out to make the ratio large
-    while both worlds still assign it representable float mass (the
-    continuous observation 101.3 underflows float64 entirely and is
-    covered by the closed form instead).
+    Unit-variance noise on a 0/1 count, outputs in bins of width 0.1 centered
+    on -10, -9.9, ..., 110, and a prior of 0.01 on count 1.  The observation
+    returned, 12.0, is far enough out to make the ratio large while both worlds
+    still assign it representable float mass (the continuous observation 101.3
+    underflows float64 entirely and is covered by the closed form instead).
     """
-    centers = np.round(np.arange(grid_lo, grid_hi + step / 2, step), 10)
+    centers = np.round(np.arange(-10.0, 110.05, 0.1), 10)
     records = ("target-positive", "target-negative")
     rows = {}
     for record, mean in zip(records, (1.0, 0.0)):
         mass = np.array(
-            [_normal_bin_mass(c - step / 2, c + step / 2, mean) for c in centers]
+            [_normal_bin_mass(c - 0.05, c + 0.05, mean) for c in centers]
         )
         mass /= mass.sum()
         rows[("rest", record)] = tuple(mass)
     outputs = tuple(f"{c:.1f}" for c in centers)
     mech = FiniteMechanismFamily(outputs, rows)
-    prior = SmallUniversePrior.known_rest(records, (prior_target, 1.0 - prior_target))
-    return prior, mech, f"{omega:.1f}"
+    prior = SmallUniversePrior.known_rest(records, (0.01, 0.99))
+    return prior, mech, "12.0"
 
 
 def simulate_ratio_exceedance(

@@ -241,6 +241,9 @@ def main() -> None:
 def curve(kind, mu, rho, eps, grid, fmt, out) -> None:
     """Sample one semantic curve onto a grid and serialize it."""
     param, default_grid, header, point_fn = CURVES[kind]
+    for name, given in (("mu", mu), ("rho", rho), ("eps", eps)):
+        if given is not None and name not in (param, "rho" if param == "mu" else param):
+            raise click.UsageError(f"{kind} does not read --{name}")
     value = _mu_from(mu, rho) if param == "mu" else {"rho": rho, "eps": eps}[param]
     if value is None:
         raise click.BadParameter(f"{kind} needs --{param}")

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .census import AllocationTable, GeoLevel, QueryKind, Scenario
-from .tradeoff import PiecewiseLinearCurve
+from .tradeoff import PiecewiseLinearCurve, _check_level
 
 #: Truncation radius of the table, kmax = ceil(12 sigma): the mass outside
 #: [-kmax, kmax] is below 1e-30 of the total, so the pmf is normalized by it.
@@ -216,8 +216,7 @@ class EmpiricalRoc:
         Rejection happens for small LLR; chords between achievable points
         correspond to randomized thresholds.
         """
-        if not 0.0 <= level <= 1.0:
-            raise ValueError("level must lie in [0, 1]")
+        _check_level(level)
         n = self.n_samples
         pos = level * n
         idx = int(math.floor(pos))
@@ -228,8 +227,7 @@ class EmpiricalRoc:
         base_power = np.searchsorted(self.alt_llr, t, side="left") / n
         next_level = np.searchsorted(self.null_llr, t, side="right") / n
         next_power = np.searchsorted(self.alt_llr, t, side="right") / n
-        if next_level == base_level:
-            return float(base_power)
+        # t is a null sample, so next_level > base_level; rounding can put frac below 0
         frac = (level - base_level) / (next_level - base_level)
         frac = min(1.0, max(0.0, frac))
         return float(base_power + frac * (next_power - base_power))
@@ -245,13 +243,9 @@ class EmpiricalRoc:
         n = self.n_samples
         return math.sqrt(max(power * (1.0 - power), 1.0 / n) / n)
 
-    def curve(self, grid: Sequence[float] | None = None) -> PiecewiseLinearCurve:
-        if grid is None:
-            grid = np.linspace(0.0, 1.0, 201)
-        vertices = [(float(x), self.power_at(float(x))) for x in grid]
-        if vertices[-1] != (1.0, 1.0):
-            vertices.append((1.0, 1.0))
-        return PiecewiseLinearCurve(tuple(vertices))
+    def curve(self) -> PiecewiseLinearCurve:
+        grid = np.linspace(0.0, 1.0, 201)
+        return PiecewiseLinearCurve(tuple((float(x), self.power_at(float(x))) for x in grid))
 
     def manifest(self) -> dict:
         return {

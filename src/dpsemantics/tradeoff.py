@@ -3,15 +3,14 @@
 Each curve maps a significance level in [0, 1] to the maximal power any
 test distinguishing two neighbors can achieve under the stated privacy
 guarantee.  Closed forms cover pure and approximate DP and the Gaussian
-mechanism; RDP and zCDP admit only numeric bounds, found by bisecting
-the power against moment constraints; finite mechanisms get their exact
-Neyman-Pearson curve.
+mechanism; RDP and zCDP admit only numeric bounds from moment
+constraints, found by Newton on the binding order and certified by the
+constraint check; finite mechanisms get their exact Neyman-Pearson curve.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
@@ -35,9 +34,6 @@ POWER_CERTIFICATE_WIDTH = 2.0**-40
 #: before it bisects to adjacent floats: a few dozen ulps.
 _INVERSE_BRACKET_WIDTH = 2.0**-47
 
-#: Largest x for which math.exp(x) is finite.
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
     """Maximal power at a given level under pure eps-DP."""
@@ -51,14 +47,16 @@ def approx_dp_power_bound(eps: float, delta: float, level: float) -> float:
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     _check_level(level)
-    if eps > LOG_FLOAT_MAX:
+    try:
+        raw = min(
+            # e^eps at level 0 gains nothing, even where e^eps = inf and inf * 0 is NaN
+            (math.exp(eps) * level if level else 0.0) + delta,
+            1.0 - math.exp(-eps) * (1.0 - level - delta),
+        )
+    except OverflowError:
         # e^eps overflows, and 1 - e^-eps (1 - level - delta) rounds to 1
         head = 0.0 if level == 0.0 else math.exp(min(0.0, eps + math.log(level)))
         return min(1.0, head + delta)
-    raw = min(
-        math.exp(eps) * level + delta,
-        1.0 - math.exp(-eps) * (1.0 - level - delta),
-    )
     return min(1.0, max(0.0, raw))
 
 
@@ -95,26 +93,23 @@ def _zcdp_curve(rho: float) -> ZcdpNumericBoundCurve:
 class TradeoffCurve:
     """Trade-off curve: significance level -> maximal power.
 
-    `inverse_type2` is the generalized inverse of the type II error
-    1 - power, which the pointwise (eps, delta) conversions need.  Every
-    curve class restates `inverse_type2` in its own body, even where it is
-    this bisection, because the benchmark's traced run (bench/spans.py)
-    wraps that method class by class.
+    `inverse_type2(z)` is the smallest level at which the power reaches
+    1 - z, which the pointwise (eps, delta) conversions need.  Every curve
+    class restates `inverse_type2` in its own body, even where it is this
+    bisection, because the benchmark's traced run (bench/spans.py) wraps
+    that method class by class.
     """
 
     def power(self, level: float) -> float:
         raise NotImplementedError
 
-    def type2(self, level: float) -> float:
-        return 1.0 - self.power(level)
-
     def inverse_type2(self, z: float) -> float:
-        """Generalized inverse inf{y in [0,1] : type2(y) <= z}, by bisection."""
-        if self.type2(0.0) <= z:
+        """Generalized inverse inf{y in [0,1] : 1 - power(y) <= z}, by bisection."""
+        if 1.0 - self.power(0.0) <= z:
             return 0.0
-        if self.type2(1.0) > z:
+        if 1.0 - self.power(1.0) > z:
             return 1.0
-        return _bisect(lambda y: self.type2(y) <= z, 0.0, 1.0)[1]
+        return _bisect(lambda y: 1.0 - self.power(y) <= z, 0.0, 1.0)[1]
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ class _MomentBoundCurve(TradeoffCurve):
             return flip.bracket(POWER_CERTIFICATE_WIDTH)[1]
 
     def inverse_type2(self, z: float) -> float:
-        """Generalized inverse inf{y : type2(y) <= z}, exact to the last float.
+        """Generalized inverse inf{y : 1 - power(y) <= z}, exact to the last float.
 
         That is the smallest level at which power 1 - z is feasible, found
         without calling `power`: feasibility only grows with the level, and
@@ -293,8 +288,10 @@ class _Flip:
     check flips at the first root met going out from the feasible side.
     The bracket (lo, hi) has the check's answer `rising` at lo and the other
     answer at hi.  The ends of the whole range, `whole`, are taken as given,
-    never evaluated: 0 fails, 1 fails, the level u passes (its constraints
-    hold with a margin of their 1e-12 slack) and so does the power u.
+    never evaluated: 0 fails, 1 fails, and the level u and the power u pass
+    while the 1e-12 slack covers the rounding of a log u + (1 - a) log u: at
+    orders up to about 1e4, every zCDP order, but not at a single order 3e4,
+    which fails at (0.5, 0.5); so `power` checks the level itself.
 
     The check at v is logaddexp(x, y) <= lim at every row, with x = fixed_x +
     coef log v and y = fixed_y + coef log(1 - v).  It is screened exactly: the

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsemantics import (
+    ApproxDpBoundCurve,
     BudgetExceededError,
     FiniteMechanismPair,
     GaussianExactCurve,
@@ -114,6 +115,11 @@ def test_fdp_gaussian_production_value():
 def test_fdp_rejects_zero_delta():
     with pytest.raises(ValueError):
         fdp_to_epsdelta(GaussianExactCurve(1.0), 0.0)
+
+
+def test_fdp_is_infinite_below_the_curves_own_delta():
+    # power 0.05 is reached at level 0, so no eps meets delta = 0.05
+    assert fdp_to_epsdelta(ApproxDpBoundCurve(1.0, 0.1), 0.05) == math.inf
 
 
 def test_fdp_rr_curve_approaches_pure_eps():

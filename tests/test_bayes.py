@@ -225,6 +225,9 @@ def test_known_rest_delta_zcdp():
     eps = 5.0
     want = math.exp(-((eps + rho) ** 2) / (4 * rho))
     assert math.isclose(bayes_known_rest_delta(ZcdpProfile(rho), eps), want, rel_tol=1e-12)
+    # rho = 0 releases nothing: no ratio exceeds e^eps for eps > 0
+    assert bayes_known_rest_delta(ZcdpProfile(0.0), 0.5) == 0.0
+    assert bayes_known_rest_delta(ZcdpProfile(0.0), 0.0) == 1.0
 
 
 def test_known_rest_strictly_below_arbitrary_above_rho():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -210,6 +211,26 @@ def test_parser_rejects_broken_invariants(table):
         parse_allocation(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("block = 99/820", "block = 98/820", "housing geographic proportions"),
+        ("[query.us]\ntotal = 0", "[query.us]\ntotal = 1/4097", "person query proportions at us"),
+        ("[base]", "person = 1\n[base]", "key outside any section"),
+        ("[base]", "[base]\noops", "expected key = value"),
+        ("housing = 7/100", "housing_units = 7/100", "exactly person and housing"),
+        ("\nus = 1/205\n", "\n", "six geographic levels"),
+    ],
+    ids=["housing-geo-sum", "query-column-sum", "key-outside-section", "no-equals",
+         "base-keys", "geo-levels"],
+)
+def test_parser_names_what_is_wrong(table, old, new, message):
+    text = emit_allocation(table)
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        parse_allocation(text.replace(old, new))
+
+
 # --- scenario files ---------------------------------------------------------------------------
 
 def test_parse_scenario_file(table):
@@ -232,6 +253,19 @@ block = total, occupancy_status
 def test_parse_scenario_rejects_unknown_query():
     with pytest.raises(AllocationParseError):
         parse_scenario("[scenario]\nname = x\n[selected]\nblock = age_pyramid\n")
+
+
+BAD_SCENARIOS = {
+    "unknown section [extra]": "[scenario]\nname = x\n[extra]\nblock = total\n",
+    "unknown scenario key 'owner'": "[scenario]\nname = x\nowner = me\n",
+    "unknown geographic level 'moon'": "[scenario]\nname = x\n[selected]\nmoon = total\n",
+}
+
+
+@pytest.mark.parametrize("message", BAD_SCENARIOS)
+def test_parse_scenario_names_an_unknown_name(message):
+    with pytest.raises(AllocationParseError, match=re.escape(message)):
+        parse_scenario(BAD_SCENARIOS[message])
 
 
 def test_parse_scenario_requires_name():

@@ -130,6 +130,12 @@ def test_curve_rejects_mu_and_rho_together(runner):
     assert result.exit_code == 2
 
 
+def test_curve_names_an_option_its_kind_does_not_read(runner):
+    result = runner.invoke(main, ["curve", "tradeoff-pure", "--eps", "1", "--rho", "5"])
+    assert result.exit_code == 2
+    assert "tradeoff-pure does not read --rho" in result.stderr
+
+
 BAD_INPUT = [
     "curve pbdp-gaussian --rho -1",
     "curve tradeoff-zcdp --rho 0",
@@ -145,6 +151,9 @@ BAD_INPUT = [
     "convert zcdp-delta --rho nan --eps 1",
     "convert pbdp-eps --rho -1 --delta 0.1",
     "curve tradeoff-pure --eps nan",
+    "curve tradeoff-pure --eps 1 --rho 5",
+    "curve zcdp-bound --rho 1 --mu 3 --eps 2",
+    "curve tradeoff-gaussian --mu 1 --eps 9",
 ]
 
 
@@ -275,6 +284,28 @@ def test_scenario_svg_escapes_its_title(runner, tmp_path):
 def test_scenario_unknown_name_exits_2(runner):
     result = runner.invoke(main, ["scenario", "Q"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[scenario]\nname = x\n[extra]\nblock = total\n", "unknown section [extra]"),
+        ("[scenario]\nname = x\nowner = me\n", "unknown scenario key 'owner'"),
+        ("[scenario]\nname = x\n[selected]\nmoon = total\n", "unknown geographic level 'moon'"),
+    ],
+)
+def test_scenario_file_the_parser_rejects_exits_2(runner, tmp_path, text, message):
+    sc = tmp_path / "bad.scenario"
+    sc.write_text(text)
+    result = runner.invoke(main, ["scenario", str(sc)])
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
+def test_scenario_file_that_is_a_directory_exits_3(runner, tmp_path):
+    result = runner.invoke(main, ["scenario", str(tmp_path)])
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
 
 
 # --- mc ---------------------------------------------------------------------------
@@ -436,6 +467,33 @@ def test_total_rho_invariant_exits_4_under_python_O():
     )
     assert proc.returncode == 4, proc.stderr
     assert "internal invariant violated: total rho" in proc.stderr
+
+
+# --- import footprint ------------------------------------------------------------------------
+
+def test_svg_curve_imports_no_xml_parser_or_network_stack():
+    # each of these costs resident memory on every command; the svg writer
+    # escapes by hand, and nothing fetches
+    code = textwrap.dedent("""
+        import sys
+        from dpsemantics import cli
+        sys.argv = ["dpsem", "curve", "tradeoff-gaussian", "--mu", "1", "--format", "svg"]
+        try:
+            cli.run()
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+        heavy = ("xml.sax", "urllib.request", "http.client", "ssl")
+        print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("<svg")
+    assert proc.stderr == "[]\n"
 
 
 # --- I/O failure -------------------------------------------------------------------------

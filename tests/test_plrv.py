@@ -99,6 +99,10 @@ def test_gaussian_zero_mu_is_degenerate():
     plrv = gaussian_plrv(0.0)
     assert plrv.mean == 0.0 and plrv.variance == 0.0
     assert pure_dp_epsilon(plrv) == 0.0
+    assert approx_dp_delta(plrv, plrv, 1.0) == 0.0
+    # a point mass at the mean: P(L > t) steps from 1 to 0 at t = mean
+    assert GaussianPlrv(1.0, 0.0).tail(0.5) == 1.0
+    assert GaussianPlrv(1.0, 0.0).tail(1.0) == 0.0
 
 
 def test_gaussian_production_shape():

@@ -79,6 +79,8 @@ def test_approx_at_zero_eps_adds_delta():
 def test_approx_bound_huge_eps_does_not_overflow():
     assert approx_dp_power_bound(1000.0, 0.1, 0.5) == 1.0
     assert approx_dp_power_bound(1000.0, 0.1, 0.0) == 0.1
+    # e^inf times level 0 would be NaN; level 0 still reaches only delta
+    assert approx_dp_power_bound(math.inf, 0.1, 0.0) == 0.1
     assert math.isfinite(ApproxDpBoundCurve(1000.0, 0.1).inverse_type2(0.5))
 
 
@@ -181,6 +183,9 @@ def test_rdp_matches_zcdp_on_grid_expansion():
 def test_rdp_zero_gamma_forces_noninformative():
     for level in (0.05, 0.3):
         assert abs(rdp_power_bound([(2.0, 0.0)], level) - level) < 1e-5
+    # at so large an order alpha log u + (1 - alpha) log u does not cancel
+    # exactly, so the level itself fails the check and is the answer
+    assert RdpNumericBoundCurve(((1e5, 0.0),)).power(0.5) == 0.5
 
 
 def test_rdp_bound_membership_and_monotone_in_gamma():
@@ -467,9 +472,17 @@ bisected_curves = st.one_of(
 @given(bisected_curves, st.floats(0.0, 1.0))
 def test_bisected_inverse_is_exact_to_the_last_float(curve, z):
     y = curve.inverse_type2(z)
-    assert curve.type2(y) <= z
+    assert 1.0 - curve.power(y) <= z
     if y > 0.0:
-        assert curve.type2(math.nextafter(y, 0.0)) > z
+        assert 1.0 - curve.power(math.nextafter(y, 0.0)) > z
+
+
+def test_inverses_at_the_ends_of_the_range():
+    # a type II error of 0 or less needs level 1 (or no level: inf of {} is 1),
+    # and one of 1 holds from level 0 on
+    assert PureDpBoundCurve(1.0).inverse_type2(-0.1) == 1.0
+    assert GaussianExactCurve(1.0).inverse_type2(0.0) == 1.0
+    assert GaussianExactCurve(1.0).inverse_type2(1.0) == 0.0
 
 
 @pytest.mark.parametrize("rho", [0.1115, 0.926, 2.63])
@@ -487,11 +500,11 @@ def test_gaussian_curve_self_inverse():
         level = float(level)
         power = curve.power(level)
         # f equals its own generalized inverse ...
-        assert math.isclose(curve.inverse_type2(level), curve.type2(level), abs_tol=1e-9)
+        assert math.isclose(curve.inverse_type2(level), 1.0 - power, abs_tol=1e-9)
         # ... so the curve is symmetric: f(type II error) recovers the level
-        assert math.isclose(curve.type2(1.0 - power), level, abs_tol=1e-9)
+        assert math.isclose(1.0 - curve.power(1.0 - power), level, abs_tol=1e-9)
         # and the generic trade-off inequality holds in both directions
-        assert level <= 1.0 - curve.type2(power) + 1e-12
+        assert level <= curve.power(power) + 1e-12
 
 
 def test_all_curves_monotone_on_grid():
