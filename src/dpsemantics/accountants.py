@@ -79,14 +79,26 @@ def rdp_compose(a: RdpProfile, b: RdpProfile) -> RdpProfile:
 
 
 def renyi_divergence(pair: FiniteMechanismPair, alpha: float) -> float:
-    """alpha-Renyi divergence of the first output distribution from the second."""
-    if alpha <= 1.0:
+    """alpha-Renyi divergence of the first output distribution from the second.
+
+    The log of the moment sum of q1 (q1 / q2)^(alpha - 1) is a log-sum-exp
+    about the largest log-ratio m: the divergence is
+    m + ln(sum of q1 e^((alpha - 1)(ln(q1 / q2) - m))) / (alpha - 1), whose
+    exponents are at most 0.  The sum itself overflows at large orders (from
+    about 700 for randomized response at ln 3)."""
+    if not alpha > 1.0:
         raise ValueError("alpha must be > 1")
     seen = pair.p1 > 0.0
     q1, q2 = pair.p1[seen], pair.p2[seen]
     if not q2.all():
         return math.inf
-    return math.log(float((q1 * (q1 / q2) ** (alpha - 1.0)).sum())) / (alpha - 1.0)
+    ratios = np.log(q1) - np.log(q2)
+    top = float(ratios.max())
+    if alpha == math.inf:  # the largest log-ratio; inf times its zero exponent is NaN
+        return top
+    with np.errstate(over="ignore"):  # an exponent below the float range is e^-inf = 0
+        moment = float((q1 * np.exp((alpha - 1.0) * (ratios - top))).sum())
+    return top + math.log(moment) / (alpha - 1.0)
 
 
 def zcdp_to_delta(rho: float, eps: float) -> float:

@@ -187,8 +187,10 @@ def rr_plrv(eps0: float, differing_on_sensitive_bit: bool) -> DiscretePlrv:
         raise ValueError("eps0 must be a finite nonnegative real")
     if not differing_on_sensitive_bit or eps0 == 0.0:
         return point_mass_zero()
-    p_keep = math.exp(eps0) / (1.0 + math.exp(eps0))
-    return DiscretePlrv(((eps0, p_keep), (-eps0, 1.0 - p_keep)))
+    # both masses from e^-eps0, which neither overflows nor rounds the flip
+    # mass away as 1 - p_keep would: the atom at -eps0 keeps its own digits
+    flip = math.exp(-eps0)
+    return DiscretePlrv(((eps0, 1.0 / (1.0 + flip)), (-eps0, flip / (1.0 + flip))))
 
 
 def gaussian_plrv(mu: float) -> GaussianPlrv:

@@ -201,23 +201,26 @@ class _MomentBoundCurve(TradeoffCurve):
 
     A test at (level, power) is consistent with a divergence bound gamma at
     order alpha iff level^a power^(1-a) + (1-level)^a (1-power)^(1-a) and
-    its mirror image stay below e^{(a-1) gamma}.  Subclasses supply the
-    orders and the log bounds (a-1) gamma as the pair `_constraints`.
+    its mirror image stay below e^L, L = (a-1) gamma.  Subclasses supply the
+    orders and the log bounds L as the pair `_constraints`.
 
     `power` fixes the level and `inverse_type2` the power; a `_Flip` owns the
     rows and the check with that coordinate fixed, finds where the check flips
     by safeguarded Newton on the binding order, in the log-odds of the free
-    coordinate, and certifies the answer with the check itself.
+    coordinate, and certifies the answer with the check itself.  The check
+    decides each constraint in ratio form, to within its own error bound (see
+    `_Flip`), so it is exact where level = power and monotone in the free
+    coordinate far below the certificate's width.
     """
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coef, swapped, lim) over 2 x orders rows, the constraint then its mirror
-        image; `swapped`, coef with its halves swapped, holds the fixed exponents."""
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(coef, swapped, lim, alpha_max) over 2 x orders rows, the constraint then
+        its mirror image; `swapped`, coef with its halves swapped, holds the fixed
+        exponents; lim is L and alpha_max the largest order."""
         alphas, log_bounds = self._constraints
-        coef = np.concatenate((1.0 - alphas, alphas))
-        swapped = np.concatenate((alphas, 1.0 - alphas))
-        return coef, swapped, np.concatenate((log_bounds, log_bounds)) + 1e-12
+        coef, swapped = np.concatenate((1.0 - alphas, alphas)), np.concatenate((alphas, 1.0 - alphas))
+        return coef, swapped, np.concatenate((log_bounds, log_bounds)), float(alphas.max())
 
     @cached_property
     def _gaussian_mu(self) -> float:
@@ -235,22 +238,19 @@ class _MomentBoundCurve(TradeoffCurve):
         rounds to p, at the level where either lies below it), so p lies
         above the supremum of the feasible powers, by at most that much.  The
         search starts from the power of the Gaussian mechanism that meets
-        every constraint, or from the level if the check rejects that.  At
-        level 0 the second constraint carries power^alpha * 0^(1-alpha),
-        infinite for any positive power; level 1 is trivially unconstrained.
+        every constraint, or from the level, which always passes, if the check
+        rejects that.  At level 0 the second constraint carries
+        power^alpha * 0^(1-alpha), infinite for any positive power; level 1 is
+        trivially unconstrained.
         """
         _check_level(level)
-        if level <= 0.0:
-            return 0.0
-        if level >= 1.0:
-            return 1.0
+        if level in (0.0, 1.0):
+            return 0.0 if level == 0.0 else 1.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             flip = _Flip(self, level, rising=True)
             start = phi(self._gaussian_mu + phi_inv(level))
             if level < start < 1.0 and flip.feasible(start):
                 flip.lo = start
-            elif not flip.feasible(level):
-                return level
             flip.pick_from(flip.lo)
             return flip.bracket(POWER_CERTIFICATE_WIDTH)[1]
 
@@ -283,42 +283,82 @@ class _Flip:
     With `rising`, v is the power at level u: the check passes from v = u
     up to the flip and fails above it, up to v = 1.  Otherwise v is the level
     at power u: the check fails from v = 0 up to the flip and passes above.
-    Each order and mirror row k has its own flip, a root of
-    f_k(t) = logaddexp(x_k, y_k) - lim_k in t = log(v / (1 - v)), and the
+    Row k of the first half is the constraint at (a, b) = (u, v), of the
+    mirror half the one at (a, b) = (v, u).  Its value is
+    f_k = ln(P1 + P2) - L with P1 = a e^E1, P2 = (1 - a) e^E2,
+    E1 = (alpha - 1) ln(a / b) and E2 = (alpha - 1) ln((1 - a) / (1 - b)),
+    and the check passes iff every f_k is at most its error bound (`_row`).
+    Each row has its own flip, a root of f_k in t = log(v / (1 - v)), and the
     check flips at the first root met going out from the feasible side.
     The bracket (lo, hi) has the check's answer `rising` at lo and the other
-    answer at hi.  The ends of the whole range, `whole`, are taken as given,
-    never evaluated: 0 fails, 1 fails, and the level u and the power u pass
-    while the 1e-12 slack covers the rounding of a log u + (1 - a) log u: at
-    orders up to about 1e4, every zCDP order, but not at a single order 3e4,
-    which fails at (0.5, 0.5); so `power` checks the level itself.
+    answer at hi.  The ends of the whole range are taken as given, never
+    evaluated: 0 fails, 1 fails, and the level u and the power u pass,
+    as every E is exactly 0 there and L >= 0.
 
-    The check at v is logaddexp(x, y) <= lim at every row, with x = fixed_x +
-    coef log v and y = fixed_y + coef log(1 - v).  It is screened exactly: the
-    computed logaddexp lies in [max(x, y), fl(max + ln 2)], so a row with
-    max > lim fails and one with fl(max + 1) <= lim holds; only the rest reach logaddexp.
+    The check at v screens every row in log space first: logaddexp(x, y)
+    with x = fixed_x + coef log v and y = fixed_y + coef log(1 - v), which
+    lies in [max(x, y), max + ln 2], against L.  Only the rows whose log
+    form lies within `band` of L, which bounds the log form's error plus
+    twice the rows' own error bounds, are decided by `_row`; the others
+    answer as `_row` would.
     """
 
     def __init__(self, curve: _MomentBoundCurve, u: float, rising: bool) -> None:
-        self.coef, swapped, self.lim = curve._stacked
-        self.fixed_x, self.fixed_y = swapped * math.log(u), swapped * math.log1p(-u)
-        self.orders = self.coef.size // 2
-        self.rising = rising
-        self.lo, self.hi = self.whole = (u, 1.0) if rising else (0.0, u)
+        self.coef, swapped, self.lim, self.alpha_max = curve._stacked
+        self.u, lu, l1u = u, math.log(u), math.log1p(-u)
+        self.fixed_x, self.fixed_y, self.log_u = swapped * lu, swapped * l1u, lu + l1u
+        self.orders, self.rising = self.coef.size // 2, rising
+        self.lo, self.hi = (u, 1.0) if rising else (0.0, u)
         #: (row k, Newton guess for its root in t) to solve next, or None
         self.pick: tuple[int, float] | None = None
 
     def feasible(self, v: float) -> bool:
         """Whether (u, v) meets every row, for v in (0, 1).  Callers ignore
         overflow and invalid-value warnings: huge orders overflow, and inf
-        and NaN screen as they compare."""
-        x = self.fixed_x + self.coef * math.log(v)
-        y = self.fixed_y + self.coef * math.log1p(-v)
-        top = np.maximum(x, y)
-        if (top > self.lim).any():
+        and NaN screen as they compare (NaN fails)."""
+        lv, l1v = math.log(v), math.log1p(-v)
+        x = self.fixed_x + self.coef * lv
+        y = self.fixed_y + self.coef * l1v
+        band = _BAND * (1.0 - self.alpha_max * (self.log_u + lv + l1v))
+        top = np.maximum(x, y) - self.lim
+        if not top.max() <= band:
             return False
-        open_ = ~(top + 1.0 <= self.lim)
-        return bool((np.logaddexp(x[open_], y[open_]) <= self.lim[open_]).all())
+        open_ = (top > -_LN2 - band).nonzero()[0]
+        over = np.logaddexp(x.take(open_), y.take(open_)) - self.lim.take(open_)
+        worst = over.max(initial=-math.inf)
+        if worst < -band or worst > band:
+            return worst < -band
+        return all(self._row(k, v, *self._ratios(v))[0] <= 0.0 for k in open_[over >= -band])
+
+    def _ratios(self, v: float) -> tuple[float, float]:
+        """ln(u / v) and ln((1 - u) / (1 - v)), each to a few ulps."""
+        return _log_ratio(self.u, v, self.u - v), _log_ratio(1.0 - self.u, 1.0 - v, v - self.u)
+
+    def _row(self, k: int, v: float, d1: float, d2: float) -> tuple[float, float]:
+        """(f_k - tol, P1 / (P1 + P2)) at v, tol a bound on the error of f_k.
+
+        d1 and d2 are `_ratios(v)`.  While E1, E2 <= 700, ln(P1 + P2) is
+        log1p(S) with S = a expm1(E1) + (1 - a) expm1(E2), which is exact at
+        a = b and does not cancel as alpha nears 1; to first order its error
+        is at most 11 eps (T1 (1 + |E1|) + T2 (1 + |E2|)) / (1 + S)
+        + 3 eps |ln(1 + S)|, T1 and T2 the two terms' magnitudes and
+        eps = 2^-53, if each libm call errs by at most 1 ulp, plus a few
+        2^-1075 where a result underflows.  Above, it is the logaddexp of
+        p = ln a + E1 and q = ln(1 - a) + E2, with error at most
+        16 eps (1 + |E1| + |E2| + |p| + |q| + |ln(P1 + P2)|).  tol is _ETA
+        times the bracketed sums, twice these bounds; the first sum counts
+        underflow as 2^-1022, which adds 2^-1070 = 32 x 2^-1075 to tol."""
+        am1 = -float(self.coef[k % self.orders])
+        a, e1, e2 = (self.u, am1 * d1, am1 * d2) if k < self.orders else (v, -am1 * d1, -am1 * d2)
+        if max(e1, e2) <= 700.0:  # expm1 cannot overflow
+            t1, t2 = a * math.expm1(e1), (1.0 - a) * math.expm1(e2)
+            g, terms = math.log1p(t1 + t2), abs(t1) * (1.0 + abs(e1)) + abs(t2) * (1.0 + abs(e2))
+            err = terms / (1.0 + t1 + t2) + abs(g) + 2.0**-1022
+        else:
+            p, q = math.log(a) + e1, math.log1p(-a) + e2
+            g = max(p, q) + math.log1p(math.exp(-abs(p - q)))
+            err = 1.0 + abs(e1) + abs(e2) + abs(p) + abs(q) + abs(g)
+        return g - float(self.lim[k]) - _ETA * err, math.exp(math.log(a) + e1 - g)
 
     def pick_from(self, v: float) -> None:
         """Pick the row to solve first, by a Newton step from a feasible v
@@ -331,8 +371,9 @@ class _Flip:
         if there is none.  With `only_failing`, v is an end of the bracket,
         and the pick is among the rows that fail there.
 
-        The step is approximate, as only the choice rests on it: e^-|x-y| is
-        floored at e^-40, which can only raise f, by at most 5e-18."""
+        The step is approximate, as only the choice rests on it: f is taken in
+        log form, and e^-|x-y| is floored at e^-40, which can only raise f, by
+        at most 5e-18."""
         lv, l1v = math.log(v), math.log1p(-v)
         coef = self.coef[rows]
         x = self.fixed_x[rows] + coef * lv
@@ -356,26 +397,21 @@ class _Flip:
         return range(self.coef.size)[rows][k], float(t[k])
 
     def _root(self, k: int, t: float) -> float:
-        """Root of f_k inside the bracket, by Newton in t from the guess t,
-        falling back to bisection (or, toward an open end, doubling) when a
-        step leaves what is known of the root."""
-        c, fx, fy, lim = (float(a[k]) for a in (self.coef, self.fixed_x, self.fixed_y, self.lim))
-        t_pass, t_fail = _logit(self.lo), _logit(self.hi)
-        if not self.rising:
-            t_pass, t_fail = t_fail, t_pass
+        """Root of f_k - tol inside the bracket, by Newton in t from the guess
+        t, falling back to bisection (or, toward an open end, doubling) when
+        a step leaves what is known of the root."""
+        c, ends = float(self.coef[k]), (_logit(self.lo), _logit(self.hi))
+        t_pass, t_fail = ends if self.rising else ends[::-1]
         for _ in range(_NEWTON_STEPS):
-            lv = -math.log1p(math.exp(-t)) if t >= 0.0 else t - math.log1p(math.exp(t))
-            l1v = lv - t
-            x, y = fx + c * lv, fy + c * l1v
-            cv = max(x, y) + math.log1p(math.exp(-abs(x - y)))
-            f = cv - lim
-            if f > 0.0:
-                t_fail = t
-            else:
-                t_pass = t
-            slope = c * (math.exp(x - cv + l1v) - math.exp(y - cv + lv))
+            # the floats of (0, 1) nearest the ends stand for the ends
+            v = min(max(_expit(t), 5e-324), 1.0 - 2.0**-53)
+            f, w = self._row(k, v, *self._ratios(v))
+            t_pass, t_fail = (t_pass, t) if f > 0.0 else (t, t_fail)
+            slope = c * ((1.0 - v) * w - v * (1.0 - w))
             nxt = t - f / slope if slope != 0.0 else math.nan
-            if abs(nxt - t) <= 1e-15 * max(1.0, abs(t)):
+            # a step below 1e-15 of t, or one that moves v by a few ulps, where
+            # v's rounding makes f jump by more than the step would fix
+            if abs(nxt - t) <= max(1e-15 * max(1.0, abs(t)), 2.0**-50 / (1.0 - v)):
                 return nxt
             if not min(t_pass, t_fail) < nxt < max(t_pass, t_fail):
                 if math.isinf(t_fail):
@@ -391,8 +427,7 @@ class _Flip:
         flip is often only near it: the rows of the same mirror side within
         _NEIGHBORS orders predict their roots from the first root, and the
         nearest of them is solved instead if it comes first."""
-        k, t = self.pick
-        t = self._root(k, t)
+        k, t = self.pick[0], self._root(*self.pick)
         v = _expit(t)
         if 0.0 < v < 1.0:
             side = k - k % self.orders
@@ -414,14 +449,11 @@ class _Flip:
         lowers hi or raises lo.  Without a pick the flip is within rounding
         of the end that moved last, and the next window lies just inside it;
         if that fails too, or after _NEWTON_ROUNDS rounds, at the midpoint.
-        Orders close to 1 make the check ragged, by about 1e-12 in v: where a
-        point below lo answers as hi does, lo falls back to the range's end.
         """
         # without a row to solve, the window lies just inside the end that
         # moved last (for a power without any, the flip lies at 1), once;
         # then at the bracket's midpoint
-        nudge = self.hi if self.rising else math.nan
-        end = self.whole[0]
+        nudge, end = (self.hi, self.u) if self.rising else (math.nan, 0.0)
         for rounds in range(_CERTIFY_STEPS):
             lo, hi = self.lo, self.hi
             nudged = self.pick is None or rounds >= _NEWTON_ROUNDS
@@ -438,8 +470,6 @@ class _Flip:
             if a == b:  # b (1 - width) rounds to b among subnormals
                 a = max(math.nextafter(b, 0.0), end)
             if a not in (lo, end) and self.feasible(a) != self.rising:
-                if a < lo:
-                    self.lo = end
                 self.hi = a
                 nudge = math.nan if nudged else a
                 self.pick = self._pick(a, slice(None), only_failing=self.rising)
@@ -464,20 +494,30 @@ _CERTIFY_STEPS = 1200
 _STRIDE = 8
 _NEIGHBORS = 64
 
+#: A row's error bound is _ETA = 32 eps times the sums in `_Flip._row`, twice
+#: what rounding can reach.  The screen's band is
+#: _BAND (1 + alpha_max |ln u + ln(1 - u) + ln v + ln(1 - v)|): near L the
+#: log form errs by at most 5 eps times the second factor, and twice a row's
+#: bound is at most 10 _ETA = 320 eps times it, so 512 eps covers both.
+_ETA = 2.0**-48
+_BAND = 2.0**-44
+_LN2 = math.log(2.0)
+
+
+def _log_ratio(p: float, q: float, diff: float) -> float:
+    """ln(p / q) from p, q > 0 and diff = p - q, to a few ulps: log1p of the
+    relative difference, which does not cancel where p is near q."""
+    r = math.log1p(diff / q) if diff >= 0.0 else -math.log1p(-diff / p)
+    return math.log(p) - math.log(q) if math.isinf(r) else r
+
 
 def _logit(v: float) -> float:
-    if v <= 0.0:
-        return -math.inf
-    if v >= 1.0:
-        return math.inf
-    return math.log(v) - math.log1p(-v)
+    return -math.inf if v <= 0.0 else math.inf if v >= 1.0 else math.log(v) - math.log1p(-v)
 
 
 def _expit(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    e = math.exp(-abs(t))
+    return 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -525,10 +565,7 @@ def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float,
     [lo, hi]; stops once its midpoint rounds onto an end, so that lo and hi
     are adjacent floats.  Returns the final (lo, hi).
     """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if pred(mid):
             hi = mid
         else:

@@ -180,8 +180,9 @@ GOLDEN_SPECS = {
 #: The version each file is checked against, where it is not v1; write a new
 #: version with tests/goldens/write_golden.py.  v2 of the zCDP bound is the
 #: failing end of a 2^-40 certificate, where v1 was the passing end of a
-#: 1e-6 bisection bracket.
-GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v2"}
+#: 1e-6 bisection bracket; v3 certifies it with the ratio-form check, whose
+#: slack is its own error bound instead of a fixed 1e-12 in log space.
+GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v3"}
 
 
 def test_criterion_4_golden_curves_regenerate_bit_identically():
@@ -220,6 +221,20 @@ def test_zcdp_bound_v2_golden_lies_just_above_v1():
     assert np.array_equal(v1[:, 0], v2[:, 0])
     assert np.all(v2[:, 1] >= v1[:, 1] - 1e-13)
     assert np.all(v2[:, 1] <= v1[:, 1] + 1e-6)
+
+
+def test_zcdp_bound_v3_golden_lies_just_below_v2():
+    # dropping the 1e-12 log-space slack lowers the bound where the orders near 1
+    # bind, by less than 1e-7; where a large order binds the log form's own error
+    # bound is the wider one, and the bound stays within v2's certificate (2^-40)
+    name = "tradeoff-zcdp-rho2.63.csv"
+    v2, v3 = (np.loadtxt(GOLDENS / v / name, delimiter=",", skiprows=1) for v in ("v2", "v3"))
+    assert np.array_equal(v2[:, 0], v3[:, 0])
+    assert np.all(v3[:, 1] <= v2[:, 1] * (1.0 + 2.0**-40))
+    assert np.all(v3[:, 1] >= v2[:, 1] - 1e-7)
+    # and above the power of the Gaussian mechanism that meets 2.63-zCDP
+    mu = math.sqrt(2.0 * 2.63)
+    assert all(power >= gaussian_exact_power(mu, level) for level, power in v3.tolist())
 
 
 def test_mc_golden_regenerates_bit_identically(tmp_path):

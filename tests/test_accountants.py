@@ -460,6 +460,23 @@ def test_renyi_divergence_values():
     assert math.isclose(renyi_divergence(pair, alpha), want, rel_tol=1e-12)
     zero_pair = FiniteMechanismPair(("a", "b"), (0.5, 0.5), (1.0, 0.0))
     assert renyi_divergence(zero_pair, 2.0) == math.inf
+    assert renyi_divergence(zero_pair, 1e4) == math.inf
+
+
+@pytest.mark.parametrize(
+    "alpha, want",
+    # 50-digit mpmath values; the moment sum itself overflows from order 700 on
+    [(2.0, 0.84729786038720361), (700.0, 1.0982007263326994), (1e4, 1.0985835175837561)],
+)
+def test_renyi_divergence_of_randomized_response_at_large_orders(alpha, want):
+    pair = FiniteMechanismPair(("1", "0"), (0.75, 0.25), (0.25, 0.75))
+    assert math.isclose(renyi_divergence(pair, alpha), want, rel_tol=1e-14)
+    # and it rises to ln 3, the pure-DP epsilon, without overflowing on the way
+    assert renyi_divergence(pair, 100.0) < renyi_divergence(pair, 1e3) < renyi_divergence(pair, 1e4) < math.log(3.0)
+    assert renyi_divergence(pair, math.inf) == renyi_divergence(pair, 1e308)
+    assert math.isclose(renyi_divergence(pair, 1e308), math.log(3.0), rel_tol=1e-15)
+    with pytest.raises(ValueError):
+        renyi_divergence(pair, math.nan)
 
 
 # --- odometer --------------------------------------------------------------------------

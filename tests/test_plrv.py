@@ -47,6 +47,16 @@ def test_rr_differing_bit_at_ln3():
     assert plrv.infinity_mass == 0.0
 
 
+def test_rr_masses_keep_their_digits_at_every_eps():
+    # the flip mass is computed, not left over from 1 - p_keep (0.2499999999999999)
+    assert dict(rr_plrv(LN3, True).atoms.tolist()) == {-LN3: 0.25, LN3: 0.75}
+    # e^eps0 overflows from eps0 = 709.78 on; e^-eps0 does not
+    keep, flip = rr_plrv(710.0, True).atoms[::-1].tolist()
+    assert keep == [710.0, 1.0] and flip[0] == -710.0
+    assert math.isclose(flip[1], float(mpmath.exp(-710)), rel_tol=1e-13)
+    assert rr_plrv(1e3, True).atoms.tolist() == [[1e3, 1.0]]
+
+
 def test_rr_same_bit_is_point_mass():
     assert rr_plrv(2.5, False) == point_mass_zero()
 

@@ -183,9 +183,9 @@ def test_rdp_matches_zcdp_on_grid_expansion():
 def test_rdp_zero_gamma_forces_noninformative():
     for level in (0.05, 0.3):
         assert abs(rdp_power_bound([(2.0, 0.0)], level) - level) < 1e-5
-    # at so large an order alpha log u + (1 - alpha) log u does not cancel
-    # exactly, so the level itself fails the check and is the answer
-    assert RdpNumericBoundCurve(((1e5, 0.0),)).power(0.5) == 0.5
+    # even at so large an order the level itself passes the check exactly (every
+    # term is 0 there), so the bound lies within its certificate above the level
+    assert 0.5 < RdpNumericBoundCurve(((1e5, 0.0),)).power(0.5) <= 0.5 * (1.0 + POWER_CERTIFICATE_WIDTH)
 
 
 def test_rdp_bound_membership_and_monotone_in_gamma():
@@ -196,32 +196,76 @@ def test_rdp_bound_membership_and_monotone_in_gamma():
     assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
 
-# --- exact screen of the moment constraints --------------------------------------
+# --- the moment check against the exact constraints --------------------------------
+
+#: The check's error-bound factor (`tradeoff._ETA`, 2^-48), restated: where the
+#: check passes, each constraint holds exactly within twice its row's bound.
+ETA = 2.0**-48
 
 
-def reference_feasible(curve, level, power):
-    """Both moment constraints at every order, each through np.logaddexp: the
-    check as it stood before the screen."""
+def exact_row(level, power, alpha, log_bound):
+    """(g - L, tol) of one constraint at (a, b) = (level, power), at 50 digits:
+    g = ln(a^alpha b^(1-alpha) + (1-a)^alpha (1-b)^(1-alpha)), and tol the
+    error bound the check states for it (see `tradeoff._Flip._row`).  g is
+    log1p of a (a/b)^(alpha-1) - a + (1-a) ((1-a)/(1-b))^(alpha-1) - (1-a),
+    each term by expm1, and 1 - a enters the exponents only through log1p(-a):
+    1 plus much less than 1e-50 (the level 5e-324 at the power 1e-300) rounds
+    to 1 at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, am1 = mpmath.mpf(level), mpmath.mpf(power), mpmath.mpf(alpha) - 1
+        e1, e2 = am1 * mpmath.log(a / b), am1 * (mpmath.log1p(-a) - mpmath.log1p(-b))
+        t1, t2 = a * mpmath.expm1(e1), (1 - a) * mpmath.expm1(e2)
+        g = mpmath.log1p(t1 + t2)
+        if max(e1, e2) <= 700:
+            err = (abs(t1) * (1 + abs(e1)) + abs(t2) * (1 + abs(e2))) / (1 + t1 + t2) + abs(g) + 2.0**-1022
+        else:
+            err = 1 + abs(e1) + abs(e2) + abs(mpmath.log(a) + e1) + abs(mpmath.log1p(-a) + e2) + abs(g)
+        return g - mpmath.mpf(log_bound), ETA * err
+
+
+def exact_feasible(curve, level, power, slack=0.0):
+    """Whether (level, power) meets both moment constraints at every order
+    exactly (slack 0), or each within `slack` times its row's stated bound.
+
+    A float pre-screen in log form decides the rows farther than
+    1e-11 (1 + alpha |ln l + ln(1-l) + ln p + ln(1-p)|) from their bound, a
+    margin many thousand times its rounding error; 50-digit mpmath decides
+    the rest, and every row the floats cannot place (inf or NaN)."""
     if power >= 1.0:
         return level >= 1.0
     alphas, log_bounds = curve._constraints
-    ll = math.log(level) if level > 0.0 else -math.inf
-    l1l = math.log1p(-level) if level < 1.0 else -math.inf
-    lp = math.log(power) if power > 0.0 else -math.inf
-    l1p = math.log1p(-power)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c1 = np.logaddexp(alphas * ll + (1.0 - alphas) * lp, alphas * l1l + (1.0 - alphas) * l1p)
-        c2 = np.logaddexp(alphas * lp + (1.0 - alphas) * ll, alphas * l1p + (1.0 - alphas) * l1l)
-    slack = 1e-12
-    return bool(np.all(c1 <= log_bounds + slack) and np.all(c2 <= log_bounds + slack))
+    logs = np.array([math.log(level), math.log1p(-level), math.log(power), math.log1p(-power)])
+    margin = 1e-11 * (1.0 + alphas * -logs.sum())
+    rows = []
+    for a, b, (la, l1a, lb, l1b) in ((level, power, logs), (power, level, logs[[2, 3, 0, 1]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            over = np.logaddexp(alphas * la + (1 - alphas) * lb, alphas * l1a + (1 - alphas) * l1b) - log_bounds
+        if (over > margin).any():
+            return False
+        rows += [(a, b, k) for k in np.flatnonzero(~(over < -margin))]
+    return all(
+        f <= slack * tol
+        for f, tol in (exact_row(a, b, float(alphas[k]), float(log_bounds[k])) for a, b, k in rows)
+    )
 
 
-def reference_inverse_type2(curve, z):
-    if z >= 1.0:
-        return 0.0
-    if z < 0.0:
-        return 1.0
-    return _bisect(lambda y: reference_feasible(curve, y, 1.0 - z), 0.0, 1.0 - z)[1]
+def moment_check(curve, u, rising):
+    """The production check with u fixed: along the power if rising, else
+    along the level."""
+    flip = _Flip(curve, u, rising)
+
+    def feasible(v):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return flip.feasible(v)
+
+    return feasible
+
+
+def unscreened_check(curve, u, v):
+    """Every row of the check decided by `_Flip._row`, with no screen."""
+    flip = _Flip(curve, u, True)
+    d1, d2 = flip._ratios(v)
+    return all(flip._row(k, v, d1, d2)[0] <= 0.0 for k in range(flip.coef.size))
 
 
 open_unit = st.one_of(
@@ -240,20 +284,21 @@ moment_curves = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(moment_curves, open_unit, open_unit, st.booleans())
-def test_screened_check_equals_logaddexp_at_every_order(curve, u, v, on_the_bound):
+def test_screened_check_equals_its_rows_and_brackets_the_exact_constraints(curve, u, v, on_the_bound):
     if on_the_bound:
         # the largest feasible power, and the one just above: where the orders near
-        # the bound decide and the screen leaves them to logaddexp
+        # the bound decide and the screen leaves them to the rows' ratio form
         v = curve.power(u)
         vs = [w for w in (v, math.nextafter(v, 0.0), v * (1.0 - POWER_CERTIFICATE_WIDTH)) if 0.0 < w < 1.0]
     else:
         vs = [v]
     for v in vs:
-        want = reference_feasible(curve, u, v)
-        assert reference_feasible(curve, v, u) == want
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _Flip(curve, u, True).feasible(v) == want
-            assert _Flip(curve, v, True).feasible(u) == want
+        got = moment_check(curve, u, True)(v)
+        assert moment_check(curve, v, True)(u) == got
+        assert unscreened_check(curve, u, v) == got
+        # the sound side: the check passes every exactly feasible point, and
+        # where it passes the constraints hold within twice its stated bound
+        assert exact_feasible(curve, u, v, slack=2.0) if got else not exact_feasible(curve, u, v)
 
 
 def census_budgets():
@@ -265,35 +310,46 @@ def census_budgets():
 
 
 def assert_power_certified(curve, level):
-    """The power bound p fails the unscreened check at p and passes it at
-    p (1 - 2^-40), or at the float below p where that rounds to p, or at the
-    level where either lies below it: p lies above the supremum of the
-    feasible powers, by at most that much.  Levels 0 and 1 and a failing
-    level keep their fixed answers."""
+    """The power bound p fails the exact constraints at p and meets them
+    within the check's stated slack at p (1 - 2^-40), or at the float below
+    p where that rounds to p, or at the level where either lies below it:
+    p lies above the supremum of the feasible powers, by at most that much.
+    Levels 0 and 1 keep their fixed answers."""
     p = curve.power(level)
     if level in (0.0, 1.0):
         assert p == level
-    elif p == level:
-        assert not reference_feasible(curve, level, level)
     else:
         assert level < p <= 1.0
-        assert not reference_feasible(curve, level, p)
+        assert not exact_feasible(curve, level, p)
         below = max(level, min(p * (1.0 - POWER_CERTIFICATE_WIDTH), math.nextafter(p, 0.0)))
-        assert reference_feasible(curve, level, below)
+        assert exact_feasible(curve, level, below, slack=2.0)
 
 
 def assert_inverse_exact(curve, z):
     """inverse_type2(z) is the level y at which the check with power 1 - z
-    flips, to adjacent floats: it passes at y and fails just below."""
+    flips, to adjacent floats: it passes at y and fails just below, where the
+    exact constraints fail too."""
     y = curve.inverse_type2(z)
     if z >= 1.0:
         assert y == 0.0
     elif 1.0 - z >= 1.0:
         assert y == 1.0
     else:
-        assert 0.0 < y <= 1.0 - z
-        assert reference_feasible(curve, y, 1.0 - z)
-        assert not reference_feasible(curve, math.nextafter(y, 0.0), 1.0 - z)
+        w = 1.0 - z
+        assert 0.0 < y <= w
+        check = moment_check(curve, w, False)
+        assert check(y)
+        assert exact_feasible(curve, y, w, slack=2.0)
+        below = math.nextafter(y, 0.0)
+        if below > 0.0:
+            assert not check(below)
+            assert not exact_feasible(curve, below, w)
+
+
+def whole_range_inverse(curve, z):
+    """The inverse by bisection of the check over the whole range of levels."""
+    w = 1.0 - z
+    return _bisect(moment_check(curve, w, False), 0.0, w)[1]
 
 
 def test_zcdp_bound_is_certified_by_the_unscreened_check():
@@ -305,18 +361,61 @@ def test_zcdp_bound_is_certified_by_the_unscreened_check():
         for delta in (0.1, 0.01, 1e-6, 1e-12):
             assert_inverse_exact(curve, 1.0 - delta)
             # the same adjacent floats as a bisection of the whole range
-            y = reference_inverse_type2(curve, 1.0 - delta)
+            y = whole_range_inverse(curve, 1.0 - delta)
             assert fdp_to_epsdelta(curve, delta) == math.log(delta / y)
 
 
 @settings(max_examples=200, deadline=None)
 @given(moment_curves, open_unit)
-@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # orders near 1 make the check ragged at 1e-12
+@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # orders near 1 made the log form ragged at 1e-12
 @example(ZcdpNumericBoundCurve(1e308), 0.5)  # every power below 1 is feasible
 @example(RdpNumericBoundCurve(((2.0, 0.0),)), 0.3)  # gamma 0: the flip sits at the level
 def test_moment_bounds_are_certified_by_the_unscreened_check(curve, u):
     assert_power_certified(curve, u)
     assert_inverse_exact(curve, u)
+
+
+def test_check_flips_once_where_orders_near_1_made_it_ragged():
+    # rho 0.1115 at level 0.34: the log form's rows at alpha - 1 = 1e-4 sum to
+    # about 1e-5 from logs of size 1, and its answer changed 29 times across
+    # these 121 powers and formed 76 (passes at v, fails at v (1 - 2^-41))
+    # pairs across the 601; the ratio form flips once, at the power bound
+    curve = ZcdpNumericBoundCurve(0.1115)
+    check = moment_check(curve, 0.34, True)
+    for center in (0.5712891911300998, curve.power(0.34)):
+        answers = [check(center + k * 2e-14) for k in range(-60, 61)]
+        assert sum(a != b for a, b in zip(answers, answers[1:])) <= 1
+        vs = [center + k * 1e-15 for k in range(-300, 301)]
+        assert not any(check(v) and not check(v * (1.0 - 2.0**-41)) for v in vs)
+
+
+@pytest.mark.parametrize("order, z", [(3e4, 0.5), (1e6, 0.7)])
+def test_inverse_at_a_huge_order_is_the_whole_range_bisection(order, z):
+    # gamma 0 admits only level = power, and the ratio form is exact there:
+    # the log form's a log u + (1 - a) log u did not cancel at such orders,
+    # so the inverse stopped short of the bisection (0.49999999999070094)
+    curve = RdpNumericBoundCurve(((order, 0.0),))
+    y = curve.inverse_type2(z)
+    assert y == whole_range_inverse(curve, z) == 1.0 - z
+    assert_inverse_exact(curve, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moment_curves, open_unit)
+@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # the log form had 76 such pairs here
+def test_check_is_monotone_at_the_certificates_scale_near_each_flip(curve, u):
+    # on the feasible side of each flip, the check never gives the feasible
+    # answer at v and the other at v (1 - 2^-41), which `bracket` relies on
+    w = 1.0 - (1.0 - u)
+    flips = [(True, curve.power(u))] + ([(False, curve.inverse_type2(1.0 - u))] if w > 0.0 else [])
+    for rising, flip in flips:
+        check = moment_check(curve, u if rising else w, rising)
+        for j in range(-64, 65):
+            v = flip * (1.0 + j * 2.0**-46)
+            lower = v * (1.0 - 2.0**-41)
+            if not (u <= lower and v < 1.0 if rising else 0.0 < lower and v <= w):
+                continue
+            assert not (check(lower) != rising and check(v) == rising)
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
