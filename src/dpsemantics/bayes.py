@@ -198,6 +198,8 @@ def bayes_known_rest_delta(profile: ZcdpProfile | RdpProfile, eps: float) -> flo
     optimizes alpha = (eps+rho)/(2 rho), valid above rho, giving
     e^{-(eps+rho)^2/(4 rho)}.
     """
+    if math.isnan(eps):  # both branches would read it as the vacuous delta 1
+        raise ValueError("eps must not be NaN")
     if isinstance(profile, RdpProfile):
         best = 1.0
         for alpha, gamma in profile.points:

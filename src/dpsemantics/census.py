@@ -9,7 +9,8 @@ asks for a float.
 
 Scenario selections model fine-grained attacker concerns: only the
 queries whose answers a given neighbor change can touch contribute
-their rho.
+their rho.  Which attributes a query crosses is read from its name:
+`votingage_hispanic_cenrace` crosses VOTINGAGE, HISPANIC and CENRACE.
 """
 
 from __future__ import annotations
@@ -47,9 +48,14 @@ class QueryKind(Enum):
     HHGQ_VOTINGAGE_HISPANIC_CENRACE = "hhgq_votingage_hispanic_cenrace"
     OCCUPANCY_STATUS = "occupancy_status"
 
-    @property
-    def attributes(self) -> frozenset[str]:
-        return _QUERY_ATTRIBUTES[self]
+    #: The attributes the query crosses, read from its name as its upper-cased
+    #: words; the total and the housing query cross none.
+    attributes: frozenset[str]
+
+    def __init__(self, value: str) -> None:
+        self.attributes = frozenset(
+            () if value in ("total", "occupancy_status") else value.upper().split("_")
+        )
 
     @property
     def is_housing(self) -> bool:
@@ -60,34 +66,12 @@ PERSON_QUERIES: tuple[QueryKind, ...] = tuple(
     q for q in QueryKind if not q.is_housing
 )
 
-_QUERY_ATTRIBUTES: dict[QueryKind, frozenset[str]] = {
-    QueryKind.TOTAL: frozenset(),
-    QueryKind.CENRACE: frozenset({"CENRACE"}),
-    QueryKind.HISPANIC: frozenset({"HISPANIC"}),
-    QueryKind.VOTINGAGE: frozenset({"VOTINGAGE"}),
-    QueryKind.HHINSTLEVELS: frozenset({"HHINSTLEVELS"}),
-    QueryKind.HHGQ: frozenset({"HHGQ"}),
-    QueryKind.HISPANIC_CENRACE: frozenset({"HISPANIC", "CENRACE"}),
-    QueryKind.VOTINGAGE_CENRACE: frozenset({"VOTINGAGE", "CENRACE"}),
-    QueryKind.VOTINGAGE_HISPANIC: frozenset({"VOTINGAGE", "HISPANIC"}),
-    QueryKind.VOTINGAGE_HISPANIC_CENRACE: frozenset(
-        {"VOTINGAGE", "HISPANIC", "CENRACE"}
-    ),
-    QueryKind.HHGQ_VOTINGAGE_HISPANIC_CENRACE: frozenset(
-        {"HHGQ", "VOTINGAGE", "HISPANIC", "CENRACE"}
-    ),
-    QueryKind.OCCUPANCY_STATUS: frozenset(),
-}
-
 #: The two finest person queries are excluded from attribute-driven
 #: selections at the national level; this calibration reproduces the
 #: published per-scenario totals (see builtin_scenarios) and is the only
 #: reading of the prose that does.
 _NATIONAL_EXCLUDED: frozenset[QueryKind] = frozenset(
-    {
-        QueryKind.VOTINGAGE_HISPANIC_CENRACE,
-        QueryKind.HHGQ_VOTINGAGE_HISPANIC_CENRACE,
-    }
+    {QueryKind.VOTINGAGE_HISPANIC_CENRACE, QueryKind.HHGQ_VOTINGAGE_HISPANIC_CENRACE}
 )
 
 
@@ -157,13 +141,13 @@ def scenario_rho(table: AllocationTable, scenario: Scenario) -> Fraction:
     )
 
 
-def _all_queries_at(levels: Iterable[GeoLevel]) -> set[tuple[QueryKind, GeoLevel]]:
-    return {(q, level) for level in levels for q in QueryKind}
+def _all_queries_at(*levels: GeoLevel) -> frozenset[tuple[QueryKind, GeoLevel]]:
+    return frozenset((q, level) for level in levels for q in QueryKind)
 
 
 def _involving(
     attributes: set[str], levels: Iterable[GeoLevel]
-) -> set[tuple[QueryKind, GeoLevel]]:
+) -> frozenset[tuple[QueryKind, GeoLevel]]:
     """Person queries touching any of the attributes, at the given levels,
     minus the national-level exclusions (see _NATIONAL_EXCLUDED)."""
     out = set()
@@ -174,17 +158,11 @@ def _involving(
             if level is GeoLevel.US and q in _NATIONAL_EXCLUDED:
                 continue
             out.add((q, level))
-    return out
+    return frozenset(out)
 
 
-_ABOVE_BLOCK = (
-    GeoLevel.US,
-    GeoLevel.STATE,
-    GeoLevel.COUNTY,
-    GeoLevel.TRACT,
-    GeoLevel.CUSTOM_BLOCK_GROUP,
-)
-_ABOVE_CBG = (GeoLevel.US, GeoLevel.STATE, GeoLevel.COUNTY, GeoLevel.TRACT)
+_ABOVE_BLOCK = tuple(GeoLevel)[:-1]
+_ABOVE_CBG = tuple(GeoLevel)[:-2]
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -192,63 +170,54 @@ def builtin_scenarios() -> list[Scenario]:
     race = {"CENRACE"}
     ethnicity = {"HISPANIC"}
     voting = {"VOTINGAGE"}
+    block = _all_queries_at(GeoLevel.BLOCK)
+    block_in_tract = _all_queries_at(GeoLevel.BLOCK, GeoLevel.CUSTOM_BLOCK_GROUP)
     return [
         Scenario(
             "A",
-            frozenset(_all_queries_at([GeoLevel.BLOCK])),
+            block,
             "block within custom block group: block-level queries only",
             expected_rho=0.1115,
         ),
         Scenario(
             "B",
-            frozenset(_all_queries_at([GeoLevel.BLOCK, GeoLevel.CUSTOM_BLOCK_GROUP])),
+            block_in_tract,
             "block within tract: block and custom-block-group queries",
             expected_rho=0.926,
         ),
         Scenario(
             "C",
-            frozenset(_involving(race, GeoLevel)),
+            _involving(race, GeoLevel),
             "race inference: race-involving queries at every level",
             expected_rho=0.952,
         ),
         Scenario(
             "D",
-            frozenset(_involving(ethnicity, GeoLevel)),
+            _involving(ethnicity, GeoLevel),
             "ethnicity inference: ethnicity-involving queries at every level",
             expected_rho=0.945,
         ),
         Scenario(
             "E",
-            frozenset(
-                _all_queries_at([GeoLevel.BLOCK, GeoLevel.CUSTOM_BLOCK_GROUP])
-                | _involving(race, _ABOVE_CBG)
-            ),
+            block_in_tract | _involving(race, _ABOVE_CBG),
             "race plus block within tract",
             expected_rho=1.32,
         ),
         Scenario(
             "F",
-            frozenset(
-                _all_queries_at([GeoLevel.BLOCK]) | _involving(voting, _ABOVE_BLOCK)
-            ),
+            block | _involving(voting, _ABOVE_BLOCK),
             "voting age plus block within block group",
             expected_rho=0.555,
         ),
         Scenario(
             "G",
-            frozenset(
-                _all_queries_at([GeoLevel.BLOCK])
-                | _involving(voting | race, _ABOVE_BLOCK)
-            ),
+            block | _involving(voting | race, _ABOVE_BLOCK),
             "voting age and race plus block within block group",
             expected_rho=0.969,
         ),
         Scenario(
             "H",
-            frozenset(
-                _all_queries_at([GeoLevel.BLOCK])
-                | _involving(voting | ethnicity, _ABOVE_BLOCK)
-            ),
+            block | _involving(voting | ethnicity, _ABOVE_BLOCK),
             "voting age and ethnicity plus block within block group",
             expected_rho=0.968,
         ),
@@ -265,8 +234,22 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # allocation file format
 
-_GEO_KEYS = {level.value: level for level in GeoLevel}
-_PERSON_QUERY_KEYS = {q.value: q for q in PERSON_QUERIES}
+_LEVEL_KEYS = (
+    tuple(level.value for level in GeoLevel),
+    "exactly the six geographic levels",
+)
+_QUERY_KEYS = (
+    tuple(q.value for q in PERSON_QUERIES),
+    "exactly the eleven person queries",
+)
+#: The allocation file, section by section in file order: the section's
+#: keys in file order, and the phrase its error message names them by.
+_LAYOUT: dict[str, tuple[tuple[str, ...], str]] = {
+    "base": (("person", "housing"), "exactly person and housing"),
+    "geo.person": _LEVEL_KEYS,
+    "geo.housing": _LEVEL_KEYS,
+    **{f"query.{level.value}": _QUERY_KEYS for level in GeoLevel},
+}
 
 
 def _parse_fraction(text: str, where: str) -> Fraction:
@@ -314,68 +297,54 @@ def parse_allocation(text: str) -> AllocationTable:
         name: {k: _parse_fraction(v, f"[{name}] {k}") for k, v in entries.items()}
         for name, entries in _read_sections(text).items()
     }
-
-    expected = {"base", "geo.person", "geo.housing"} | {
-        f"query.{level.value}" for level in GeoLevel
-    }
-    unknown = set(sections) - expected
+    unknown = set(sections) - set(_LAYOUT)
     if unknown:
         raise AllocationParseError(f"unknown sections: {sorted(unknown)}")
-    missing = expected - set(sections)
+    missing = set(_LAYOUT) - set(sections)
     if missing:
         raise AllocationParseError(f"missing sections: {sorted(missing)}")
+    for name, (keys, phrase) in _LAYOUT.items():
+        if set(sections[name]) != set(keys):
+            raise AllocationParseError(f"[{name}] must define {phrase}")
 
-    base = sections["base"]
-    if set(base) != {"person", "housing"}:
-        raise AllocationParseError("[base] must define exactly person and housing")
-
-    def read_geo(section: str) -> dict[GeoLevel, Fraction]:
-        entries = sections[section]
-        if set(entries) != set(_GEO_KEYS):
-            raise AllocationParseError(
-                f"[{section}] must define exactly the six geographic levels"
-            )
-        return {_GEO_KEYS[k]: v for k, v in entries.items()}
+    def geo(name: str) -> dict[GeoLevel, Fraction]:
+        return {level: sections[name][level.value] for level in GeoLevel}
 
     query_person: dict[tuple[QueryKind, GeoLevel], Fraction] = {}
     for level in GeoLevel:
-        section = f"query.{level.value}"
-        entries = sections[section]
-        if set(entries) != set(_PERSON_QUERY_KEYS):
-            raise AllocationParseError(
-                f"[{section}] must define exactly the eleven person queries"
-            )
-        for key, value in entries.items():
-            query_person[(_PERSON_QUERY_KEYS[key], level)] = value
-
+        entries = sections[f"query.{level.value}"]
+        for q in PERSON_QUERIES:
+            query_person[(q, level)] = entries[q.value]
     table = AllocationTable(
-        base_person=base["person"],
-        base_housing=base["housing"],
-        geo_person=read_geo("geo.person"),
-        geo_housing=read_geo("geo.housing"),
+        base_person=sections["base"]["person"],
+        base_housing=sections["base"]["housing"],
+        geo_person=geo("geo.person"),
+        geo_housing=geo("geo.housing"),
         query_person=query_person,
     )
     table.validate()
     return table
 
 
+def _section_entries(table: AllocationTable) -> dict[str, dict[str, Fraction]]:
+    """Each section's entries, keyed as the file keys them."""
+    entries = {
+        "base": {"person": table.base_person, "housing": table.base_housing},
+        "geo.person": {level.value: v for level, v in table.geo_person.items()},
+        "geo.housing": {level.value: v for level, v in table.geo_housing.items()},
+    }
+    for (q, level), v in table.query_person.items():
+        entries.setdefault(f"query.{level.value}", {})[q.value] = v
+    return entries
+
+
 def emit_allocation(table: AllocationTable) -> str:
     """Serialize a table in the same format parse_allocation reads."""
-    lines = ["[base]", f"person = {table.base_person}", f"housing = {table.base_housing}"]
-    for section, mapping in (
-        ("geo.person", table.geo_person),
-        ("geo.housing", table.geo_housing),
-    ):
-        lines.append("")
-        lines.append(f"[{section}]")
-        for level in GeoLevel:
-            lines.append(f"{level.value} = {mapping[level]}")
-    for level in GeoLevel:
-        lines.append("")
-        lines.append(f"[query.{level.value}]")
-        for q in PERSON_QUERIES:
-            lines.append(f"{q.value} = {table.query_person[(q, level)]}")
-    return "\n".join(lines) + "\n"
+    entries = _section_entries(table)
+    return "\n\n".join(
+        "\n".join([f"[{name}]", *(f"{k} = {entries[name][k]}" for k in keys)])
+        for name, (keys, _) in _LAYOUT.items()
+    ) + "\n"
 
 
 def production_table() -> AllocationTable:
@@ -410,8 +379,10 @@ def parse_scenario(text: str) -> Scenario:
     name = header.get("name", "")
     selected: set[tuple[QueryKind, GeoLevel]] = set()
     for key, value in sections.get("selected", {}).items():
-        if key not in _GEO_KEYS:
-            raise AllocationParseError(f"unknown geographic level {key!r}")
+        try:
+            level = GeoLevel(key)
+        except ValueError as exc:
+            raise AllocationParseError(f"unknown geographic level {key!r}") from exc
         for qname in value.split(","):
             qname = qname.strip()
             if not qname:
@@ -420,7 +391,7 @@ def parse_scenario(text: str) -> Scenario:
                 query = QueryKind(qname)
             except ValueError as exc:
                 raise AllocationParseError(f"unknown query {qname!r}") from exc
-            selected.add((query, _GEO_KEYS[key]))
+            selected.add((query, level))
     if not name:
         raise AllocationParseError("scenario needs a name")
     return Scenario(name, frozenset(selected), header.get("narrative", ""))

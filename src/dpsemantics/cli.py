@@ -387,6 +387,12 @@ def _write_ledger(path: str, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # the rename survives a crash only once the directory is on disk
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc}", err=True)
         sys.exit(3)

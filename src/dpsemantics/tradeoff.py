@@ -547,8 +547,9 @@ class RdpNumericBoundCurve(_MomentBoundCurve):
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("at least one (alpha, gamma) point required")
-        if not all(a > 1.0 and g >= 0.0 for a, g in self.points):
-            raise ValueError("RDP points need alpha > 1 and gamma >= 0")
+        # an infinite order is pure DP, which the order-alpha rows cannot state
+        if not all(1.0 < a < math.inf and g >= 0.0 for a, g in self.points):
+            raise ValueError("RDP points need a finite alpha > 1 and gamma >= 0")
 
     @cached_property
     def _constraints(self) -> tuple[np.ndarray, np.ndarray]:

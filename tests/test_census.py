@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from dpsemantics.census import (
     emit_allocation,
     parse_scenario,
 )
+from dpsemantics.cli import main
 
 EXPECTED_SCENARIO_RHO = {
     "A": 0.1115,
@@ -93,6 +96,36 @@ def test_builtin_scenario_rhos_match_published_values(table):
         got = float(scenario_rho(table, scenario))
         assert abs(got - EXPECTED_SCENARIO_RHO[scenario.name]) < 5e-3, scenario.name
         assert scenario.expected_rho == EXPECTED_SCENARIO_RHO[scenario.name]
+
+
+#: Each builtin scenario's exact rho, and the sha256 of its sorted selection,
+#: one "query@level" line per pair.
+PINNED_SCENARIOS = {
+    "A": (Fraction(37477407, 336118000),
+          "fce5a709825b5c7c37c8f23743b365a8a1a1b57306195fff716877e5db9331f6"),
+    "B": (Fraction(778077811, 840295000),
+          "630bc93fcb63150f98bb8d933a20df8e6ae5047b5d7c87a9596169a78f3f477a"),
+    "C": (Fraction(3361412169486912, 3529616082688675),
+          "47b4ee8df0d6530ed20579f371a50ec04420c68974acb95b33c958484b8a47a5"),
+    "D": (Fraction(28005764898688, 29660639350325),
+          "b365d7a09a78a2e256ae28087bc3f634a9139edfb12950c6f7d7b8bf224ebb00"),
+    "E": (Fraction(9325676486621017, 7060954349365000),
+          "06fd0f1013d3c688ea3826abdbf3d3e9e38ae3506b43766550e7298a0f127989"),
+    "F": (Fraction(6409642115658706711, 11577140751218854000),
+          "fba4f48404cbedb7fbc9dacd4f9531ffcd494343eb58aef7ff9ef65b284b52e9"),
+    "G": (Fraction(1601889794744476273, 1653877250174122000),
+          "4e8503314b3788a3955db7f7f83b13e2b47d7b514a92903c380ab32beff25676"),
+    "H": (Fraction(11204823687927429911, 11577140751218854000),
+          "3b60c35089a7d083a6337449fdcf7e65deab68c04212c69e43060a4733d54659"),
+}
+
+
+def test_builtin_scenarios_are_pinned_exactly(table):
+    for scenario in builtin_scenarios():
+        rho, digest = PINNED_SCENARIOS[scenario.name]
+        assert scenario_rho(table, scenario) == rho, scenario.name
+        pairs = sorted(f"{q.value}@{level.value}" for q, level in scenario.selected)
+        assert hashlib.sha256("\n".join(pairs).encode()).hexdigest() == digest, scenario.name
 
 
 def test_builtin_scenario_lookup():
@@ -170,6 +203,14 @@ def test_emit_parse_round_trip(table):
     text = emit_allocation(table)
     again = parse_allocation(text)
     assert again == table
+
+
+def test_allocation_command_output_is_pinned():
+    result = CliRunner().invoke(main, ["allocation"], catch_exceptions=False)
+    assert len(result.stdout_bytes) == 2016
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "57df3de75791443a4f063da83b603b4104170f24dfe2c181a68f13931de2e923"
+    )
 
 
 def test_parser_rejects_unknown_key(table):

@@ -419,6 +419,43 @@ def test_malformed_ledger_exits_2(runner, tmp_path, body):
         assert "malformed ledger" in result.stderr
 
 
+LEDGER_WRITES = {"init": ["init", "--cap", "1"], "register": ["register", "x", "0.5"]}
+
+
+@pytest.mark.parametrize("argv", LEDGER_WRITES.values(), ids=LEDGER_WRITES.keys())
+def test_ledger_write_syncs_its_directory(runner, tmp_path, monkeypatch, argv):
+    # without the directory sync a crash can lose the rename, and with it an
+    # acknowledged spend
+    ledger = tmp_path / "budget.ledger"
+    ledger.write_text("# cap\t1\n")
+    synced_modes = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced_modes.append(os.fstat(fd).st_mode)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    assert invoke(runner, "odometer", *argv, "--ledger", str(ledger)).exit_code == 0
+    assert any(stat.S_ISDIR(mode) for mode in synced_modes)
+    assert any(stat.S_ISREG(mode) for mode in synced_modes)
+
+
+def test_ledger_directory_sync_failure_exits_3(runner, tmp_path, monkeypatch):
+    real_fsync = os.fsync
+
+    def failing_on_directories(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "directory sync failed")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_on_directories)
+    ledger = tmp_path / "budget.ledger"
+    result = runner.invoke(main, ["odometer", "init", "--cap", "1", "--ledger", str(ledger)])
+    assert result.exit_code == 3
+    assert "cannot write" in result.stderr
+
+
 # --- convert ---------------------------------------------------------------------------
 
 def test_convert_commands(runner):

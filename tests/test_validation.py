@@ -14,6 +14,7 @@ from dpsemantics import (
     adp_gaussian_curve,
     approx_dp_delta,
     approx_dp_power_bound,
+    bayes_known_rest_delta,
     exact_posteriors,
     fdp_to_epsdelta,
     gaussian_exact_power,
@@ -24,10 +25,20 @@ from dpsemantics import (
     rdp_to_delta,
     rdp_power_bound,
     rr_plrv,
+    sampling_plrv,
     zcdp_power_bound,
     zcdp_to_delta,
 )
-from dpsemantics.bayes import BayesVerdict, FiniteMechanismFamily, SmallUniversePrior
+from dpsemantics import svg
+from dpsemantics.bayes import (
+    BayesVerdict,
+    FiniteMechanismFamily,
+    SmallUniversePrior,
+    simulate_ratio_exceedance,
+    wrong_prior_ratio_closed_form,
+)
+from dpsemantics.dgauss import AffectedQuerySet
+from dpsemantics.plrv import RepresentationMismatchError
 from dpsemantics.tradeoff import (
     GaussianExactCurve,
     PiecewiseLinearCurve,
@@ -137,9 +148,66 @@ def test_moment_bound_curves_reject_bad_parameters_at_construction():
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             ZcdpNumericBoundCurve(rho)
-    for points in ((), ((1.0, 0.5),), ((2.0, -0.5),)):
+    for points in ((), ((1.0, 0.5),), ((2.0, -0.5),), ((math.inf, 1.0),)):
         with pytest.raises(ValueError):
             RdpNumericBoundCurve(points)
+    # an infinite order once gave power 0.5000000000004547 at level 0.5, below the
+    # pure-DP(1) bound 0.816 that order 1e300 gives: the unsound side
+    with pytest.raises(ValueError):
+        rdp_power_bound([(2.0, 0.5), (math.inf, 1.0)], 0.5)
+
+
+TWO_RESTS = SmallUniversePrior(
+    (("r1", 0.5), ("r2", 0.5)), ("a",), {"r1": (1.0,), "r2": (1.0,)}
+)
+BAD_ARGUMENTS = {
+    "prior target 0": (
+        ValueError, "prior_target", lambda: wrong_prior_ratio_closed_form(prior_target=0.0)
+    ),
+    "prior target 1": (
+        ValueError, "prior_target", lambda: wrong_prior_ratio_closed_form(prior_target=1.0)
+    ),
+    "simulation prior not known-rest": (
+        ValueError,
+        "known-rest",
+        lambda: simulate_ratio_exceedance(
+            TWO_RESTS,
+            FiniteMechanismFamily(("x",), {("r1", "a"): (1.0,), ("r2", "a"): (1.0,)}),
+            1.0, 10, 0,
+        ),
+    ),
+    "affected rho_star 0": (
+        ValueError, "rho_star", lambda: AffectedQuerySet(((0.5, 2), (0.0, 2)))
+    ),
+    "affected no cell": (ValueError, "cell", lambda: AffectedQuerySet(((0.5, 0),))),
+    "gaussian plrv negative mu": (ValueError, "mu", lambda: gaussian_plrv(-1.0)),
+    "gaussian plrv infinite mu": (ValueError, "mu", lambda: gaussian_plrv(math.inf)),
+    "sampling plrv n 0": (ValueError, "n must", lambda: sampling_plrv(0, 0)),
+    "approx_dp_delta mixed": (
+        RepresentationMismatchError,
+        "representation",
+        lambda: approx_dp_delta(rr_plrv(1.0, True), gaussian_plrv(1.0), 0.5),
+    ),
+    "line chart nothing finite": (
+        ValueError,
+        "finite",
+        lambda: svg.line_chart([(NAN, 0.5), (0.5, math.inf)], "t", "x", "y"),
+    ),
+    "approx_dp_power_bound delta above 1": (
+        ValueError, "delta", lambda: approx_dp_power_bound(1.0, 1.5, 0.5)
+    ),
+    "approx_dp_power_bound negative delta": (
+        ValueError, "delta", lambda: approx_dp_power_bound(1.0, -0.1, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "error, message, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys()
+)
+def test_bad_arguments_name_what_is_wrong(error, message, call):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_piecewise_linear_curve_validation():
@@ -184,6 +252,10 @@ NAN_EPS = {
     "approx_dp_power_bound": lambda: approx_dp_power_bound(NAN, 0.1, 0.5),
     "pure_dp_power_bound": lambda: pure_dp_power_bound(NAN, 0.5),
     "adp_gaussian_curve": lambda: adp_gaussian_curve(1.0).delta(NAN),
+    "bayes_known_rest_delta zcdp": lambda: bayes_known_rest_delta(ZcdpProfile(1.0), NAN),
+    "bayes_known_rest_delta rdp": lambda: bayes_known_rest_delta(
+        RdpProfile(((2.0, 1.0),)), NAN
+    ),
 }
 
 
