@@ -46,7 +46,6 @@ from .dgauss import (
     DiscreteGaussParams,
     affected_queries_from_table,
     dgauss_pmf,
-    llr_statistic,
     mc_roc,
 )
 from .plrv import (

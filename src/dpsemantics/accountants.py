@@ -103,7 +103,7 @@ def renyi_divergence(pair: FiniteMechanismPair, alpha: float) -> float:
 
 def zcdp_to_delta(rho: float, eps: float) -> float:
     """Tail bound e^{-(eps-rho)^2/(4 rho)} on the pointwise delta; 1 below rho."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if math.isnan(eps):
         raise ValueError("eps must not be NaN")

@@ -101,14 +101,6 @@ class BayesVerdict:
     counterfactual_posterior: tuple[float, ...]
     ratio: tuple[float, ...]
 
-    def report(self, record_values: tuple[str, ...]) -> str:
-        lines = ["record: actual / counterfactual -> ratio"]
-        for r, a, c, q in zip(
-            record_values, self.actual_posterior, self.counterfactual_posterior, self.ratio
-        ):
-            lines.append(f"{r}: {a:.6g} / {c:.6g} -> {q:.6g}")
-        return "\n".join(lines)
-
 
 def _joint(
     prior: SmallUniversePrior, mech: FiniteMechanismFamily
@@ -232,6 +224,8 @@ def wrong_prior_ratio_closed_form(
     """
     if not 0.0 < prior_target < 1.0:
         raise ValueError("prior_target must lie strictly between 0 and 1")
+    if math.isnan(omega):
+        raise ValueError("omega must not be NaN")
     # posterior odds against: (1-p)/p * exp(-omega + 1/2)
     log_odds = math.log((1.0 - prior_target) / prior_target) - omega + 0.5
     actual = 1.0 / (1.0 + math.exp(log_odds)) if log_odds < 700 else math.exp(-log_odds)

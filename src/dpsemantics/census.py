@@ -15,7 +15,7 @@ their rho.  Which attributes a query crosses is read from its name:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
@@ -68,7 +68,7 @@ PERSON_QUERIES: tuple[QueryKind, ...] = tuple(
 
 #: The two finest person queries are excluded from attribute-driven
 #: selections at the national level; this calibration reproduces the
-#: published per-scenario totals (see builtin_scenarios) and is the only
+#: published per-scenario totals (see tests/published.py) and is the only
 #: reading of the prose that does.
 _NATIONAL_EXCLUDED: frozenset[QueryKind] = frozenset(
     {QueryKind.VOTINGAGE_HISPANIC_CENRACE, QueryKind.HHGQ_VOTINGAGE_HISPANIC_CENRACE}
@@ -120,7 +120,6 @@ class Scenario:
     name: str
     selected: frozenset[tuple[QueryKind, GeoLevel]]
     narrative: str = ""
-    expected_rho: float | None = field(default=None, compare=False)
 
 
 def total_rho(table: AllocationTable) -> Fraction:
@@ -177,49 +176,41 @@ def builtin_scenarios() -> list[Scenario]:
             "A",
             block,
             "block within custom block group: block-level queries only",
-            expected_rho=0.1115,
         ),
         Scenario(
             "B",
             block_in_tract,
             "block within tract: block and custom-block-group queries",
-            expected_rho=0.926,
         ),
         Scenario(
             "C",
             _involving(race, GeoLevel),
             "race inference: race-involving queries at every level",
-            expected_rho=0.952,
         ),
         Scenario(
             "D",
             _involving(ethnicity, GeoLevel),
             "ethnicity inference: ethnicity-involving queries at every level",
-            expected_rho=0.945,
         ),
         Scenario(
             "E",
             block_in_tract | _involving(race, _ABOVE_CBG),
             "race plus block within tract",
-            expected_rho=1.32,
         ),
         Scenario(
             "F",
             block | _involving(voting, _ABOVE_BLOCK),
             "voting age plus block within block group",
-            expected_rho=0.555,
         ),
         Scenario(
             "G",
             block | _involving(voting | race, _ABOVE_BLOCK),
             "voting age and race plus block within block group",
-            expected_rho=0.969,
         ),
         Scenario(
             "H",
             block | _involving(voting | ethnicity, _ABOVE_BLOCK),
             "voting age and ethnicity plus block within block group",
-            expected_rho=0.968,
         ),
     ]
 

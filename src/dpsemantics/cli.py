@@ -349,7 +349,8 @@ def mc(allocation, n_samples, seed, grid, out) -> None:
 @main.command()
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def allocation(out) -> None:
-    """Emit the production allocation table for editing."""
+    """Emit the production allocation table: an audit copy that
+    census.parse_allocation reads back."""
     _write_text(out, census.emit_allocation(census.production_table()))
 
 

@@ -22,12 +22,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .census import AllocationTable, GeoLevel, QueryKind, Scenario
-from .tradeoff import PiecewiseLinearCurve, _check_level
+from .tradeoff import _check_level
 
 #: Truncation radius of the table, kmax = ceil(12 sigma): the mass outside
 #: [-kmax, kmax] is below 1e-30 of the total, so the pmf is normalized by it.
@@ -137,23 +136,21 @@ class DiscreteGaussianSampler:
 class AffectedQuerySet:
     """The released queries whose answers a neighbor change can move.
 
-    Each entry is (rho_star, number of +-1 cells).  For the canonical
-    worst-case pair every query contributes two cells, one +1 and one -1:
-    a demographic change moves two cells of one histogram, a location
-    change moves one cell in each of two geounits.
+    Each entry is (rho_star, number of +-1 cells): a finite positive real
+    and an int of at least 1.  For the canonical worst-case pair every
+    query contributes two cells, one +1 and one -1: a demographic change
+    moves two cells of one histogram, a location change moves one cell in
+    each of two geounits.
     """
 
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
         for rho_star, cells in self.entries:
-            if rho_star <= 0:
-                raise ValueError("rho_star entries must be positive")
-            if cells < 1:
-                raise ValueError("each entry needs at least one changed cell")
-
-    def total_rho(self) -> float:
-        return sum(rho_star for rho_star, _ in self.entries)
+            if not (rho_star > 0 and math.isfinite(rho_star)):
+                raise ValueError("rho_star entries must be finite and positive")
+            if not isinstance(cells, int) or cells < 1:
+                raise ValueError("each entry's cell count must be an int, at least 1")
 
 
 def affected_queries_from_table(
@@ -173,31 +170,6 @@ def affected_queries_from_table(
         if rho_star > 0.0:
             entries.append((rho_star, 2))
     return AffectedQuerySet(tuple(entries))
-
-
-def llr_statistic(
-    observations: Sequence[int], queries: AffectedQuerySet
-) -> float:
-    """Log-likelihood ratio of one release, observations relative to the
-    null answers: sum of log pmf(obs) - log pmf(obs - shift) per cell.
-
-    The cells of each entry take shifts +1, -1, +1, ... in turn.
-    """
-    cells = [
-        (rho_star, 1 - 2 * (i % 2))
-        for rho_star, n_cells in queries.entries
-        for i in range(n_cells)
-    ]
-    if len(observations) != len(cells):
-        raise ValueError(
-            f"expected {len(cells)} observations, got {len(observations)}"
-        )
-    total = 0.0
-    for obs, (rho_star, shift) in zip(observations, cells):
-        sigma2 = 1.0 / rho_star
-        # log pmf(k) - log pmf(k - s) = (s^2 - 2 k s) / (2 sigma^2)
-        total += (shift * shift - 2.0 * obs * shift) / (2.0 * sigma2)
-    return total
 
 
 @dataclass(frozen=True)
@@ -242,10 +214,6 @@ class EmpiricalRoc:
         """`standard_error` of the level whose `power_at` is `power`."""
         n = self.n_samples
         return math.sqrt(max(power * (1.0 - power), 1.0 / n) / n)
-
-    def curve(self) -> PiecewiseLinearCurve:
-        grid = np.linspace(0.0, 1.0, 201)
-        return PiecewiseLinearCurve(tuple((float(x), self.power_at(float(x))) for x in grid))
 
     def manifest(self) -> dict:
         return {

@@ -206,10 +206,10 @@ def sampling_plrv(n: int, m: int) -> DiscretePlrv:
     Seeing the target's record identifies the input perfectly, hence the
     m/n mass at infinity; any other sample reveals nothing.
     """
-    if n <= 0:
+    if not isinstance(n, int) or n <= 0:
         raise ValueError("n must be a positive integer")
-    if not 0 <= m <= n:
-        raise ValueError("m must lie in [0, n]")
+    if not isinstance(m, int) or not 0 <= m <= n:
+        raise ValueError("m must be an integer in [0, n]")
     return DiscretePlrv(((0.0, (n - m) / n),), infinity_mass=m / n)
 
 

@@ -48,10 +48,22 @@ from dpsemantics.bayes import (
 )
 from dpsemantics.cli import main as cli_main
 from dpsemantics.accountants import renyi_divergence
+from published import (
+    BLOCK_ZCDP_BOUND,
+    BLOCK_ZCDP_BOUND_TOL,
+    LEVELS,
+    PRODUCTION_GAUSSIAN,
+    PRODUCTION_GAUSSIAN_TOL,
+    PRODUCTION_ZCDP_BOUND,
+    PRODUCTION_ZCDP_BOUND_TOL,
+    SCENARIO_POWER_TOL,
+    SCENARIO_POWERS,
+    SCENARIO_RHO,
+    SCENARIO_RHO_TOL,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 GOLDEN_DIR = GOLDENS / "v1"
-LEVELS = (0.01, 0.05, 0.10)
 
 
 # --- criterion 1: pure-DP power table ------------------------------------------------
@@ -100,18 +112,18 @@ def test_criterion_1_power_table_reproduction():
 def test_criterion_2_production_powers(mc_production_timed):
     mu = math.sqrt(5.26)
     gauss = [gaussian_exact_power(mu, lv) for lv in LEVELS]
-    for got, want in zip(gauss, (0.49, 0.74, 0.84)):
-        assert abs(got - want) <= 0.005
+    for got, want in zip(gauss, PRODUCTION_GAUSSIAN):
+        assert abs(got - want) <= PRODUCTION_GAUSSIAN_TOL
     zcdp = [zcdp_power_bound(2.63, lv) for lv in LEVELS]
-    for got, want in zip(zcdp, (0.70, 0.95, 0.96)):
-        assert abs(got - want) <= 0.01
+    for got, want in zip(zcdp, PRODUCTION_ZCDP_BOUND):
+        assert abs(got - want) <= PRODUCTION_ZCDP_BOUND_TOL
     roc, seconds = mc_production_timed
     assert seconds < 300.0
     emp = []
-    for lv, want in zip(LEVELS, (0.49, 0.74, 0.84)):
+    for lv, want in zip(LEVELS, PRODUCTION_GAUSSIAN):
         p = roc.power_at(lv)
         emp.append(p)
-        assert abs(p - want) <= 0.005 + 3 * roc.standard_error(lv)
+        assert abs(p - want) <= PRODUCTION_GAUSSIAN_TOL + 3 * roc.standard_error(lv)
     print(
         "ACCEPTANCE 2 PASS: gaussian "
         + "/".join(f"{v:.3f}" for v in gauss)
@@ -125,22 +137,6 @@ def test_criterion_2_production_powers(mc_production_timed):
 
 # --- criterion 3: scenario suite ------------------------------------------------------
 
-PUBLISHED_SCENARIO_RHO = {
-    "A": 0.1115, "B": 0.926, "C": 0.952, "D": 0.945,
-    "E": 1.32, "F": 0.555, "G": 0.969, "H": 0.968,
-}
-
-PUBLISHED_SCENARIO_POWERS = {
-    "A": (0.03, 0.12, 0.21),
-    "B": (0.17, 0.39, 0.53),
-    "C": (0.17, 0.40, 0.54),
-    "D": (0.17, 0.39, 0.54),
-    "E": (0.24, 0.49, 0.63),
-    "F": (0.10, 0.28, 0.41),
-}
-
-PUBLISHED_BLOCK_ZCDP_BOUND = (0.04, 0.14, 0.24)
-
 
 def test_criterion_3_scenario_suite(production_table, mc_scenario_a):
     assert total_rho(production_table) == Fraction(263, 100)
@@ -148,20 +144,20 @@ def test_criterion_3_scenario_suite(production_table, mc_scenario_a):
     for scenario in builtin_scenarios():
         rho = float(scenario_rho(production_table, scenario))
         rhos[scenario.name] = rho
-        assert abs(rho - PUBLISHED_SCENARIO_RHO[scenario.name]) < 5e-3, scenario.name
-    for name, powers in PUBLISHED_SCENARIO_POWERS.items():
+        assert abs(rho - SCENARIO_RHO[scenario.name]) < SCENARIO_RHO_TOL, scenario.name
+    for name, powers in SCENARIO_POWERS.items():
         for lv, want in zip(LEVELS, powers):
             power = gaussian_exact_power(math.sqrt(2 * rhos[name]), lv)
-            assert abs(power - want) <= 0.01, (name, lv)
-    for lv, want in zip(LEVELS, PUBLISHED_BLOCK_ZCDP_BOUND):
-        assert abs(zcdp_power_bound(rhos["A"], lv) - want) <= 0.01
+            assert abs(power - want) <= SCENARIO_POWER_TOL, (name, lv)
+    for lv, want in zip(LEVELS, BLOCK_ZCDP_BOUND):
+        assert abs(zcdp_power_bound(rhos["A"], lv) - want) <= BLOCK_ZCDP_BOUND_TOL
     # the block-level monte carlo column
-    for lv, want in zip(LEVELS, PUBLISHED_SCENARIO_POWERS["A"]):
-        assert abs(mc_scenario_a.power_at(lv) - want) <= 0.01
+    for lv, want in zip(LEVELS, SCENARIO_POWERS["A"]):
+        assert abs(mc_scenario_a.power_at(lv) - want) <= SCENARIO_POWER_TOL
     print(
-        "ACCEPTANCE 3 PASS: all eight scenario budgets within 5e-3 "
+        f"ACCEPTANCE 3 PASS: all eight scenario budgets within {SCENARIO_RHO_TOL} "
         f"({', '.join(f'{k}={v:.4f}' for k, v in rhos.items())}); "
-        "published powers within 0.01; total budget exactly 263/100"
+        f"published powers within {SCENARIO_POWER_TOL}; total budget exactly 263/100"
     )
 
 

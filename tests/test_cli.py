@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from dpsemantics import gaussian_pbdp_epsilon, zcdp_to_delta
 from dpsemantics.census import parse_allocation
 from dpsemantics.cli import CURVES, main
+from published import SCENARIO_POWER_TOL, SCENARIO_POWERS, SCENARIO_RHO, SCENARIO_RHO_TOL
 
 
 @pytest.fixture()
@@ -236,11 +237,11 @@ def test_scenario_builtin_b(runner):
     result = invoke(runner, "scenario", "B")
     assert result.exit_code == 0
     rho = float(re.search(r"rho = ([0-9.]+)", result.output).group(1))
-    assert abs(rho - 0.926) < 5e-3
+    assert abs(rho - SCENARIO_RHO["B"]) < SCENARIO_RHO_TOL
     powers = [float(m) for m in re.findall(r"power at level 0\.\d+: ([0-9.]+)", result.output)]
     assert len(powers) == 3
-    for got, want in zip(powers, (0.17, 0.39, 0.53)):
-        assert abs(got - want) <= 0.01
+    for got, want in zip(powers, SCENARIO_POWERS["B"]):
+        assert abs(got - want) <= SCENARIO_POWER_TOL
 
 
 def test_scenario_builtin_f(runner):

@@ -33,3 +33,26 @@ def test_every_third_party_import_is_declared():
     third_party = imported_top_level_modules(sources) - set(sys.stdlib_module_names) - local
     assert "mpmath" in third_party
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+def test_every_library_module_uses_what_it_imports():
+    # the package's __init__ imports to re-export; a line marked
+    # "# noqa: F401" keeps an import on purpose
+    unused = []
+    for path in sorted((ROOT / "src" / "dpsemantics").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
+    assert not unused, f"imported but unused: {unused}"

@@ -33,6 +33,18 @@ from dpsemantics.accountants import (
     zcdp_to_delta,
 )
 from dpsemantics.tradeoff import ALPHA_GRID, POWER_CERTIFICATE_WIDTH, _bisect, _Flip
+from published import (
+    BLOCK_ZCDP_BOUND,
+    BLOCK_ZCDP_BOUND_TOL,
+    LEVELS,
+    PRODUCTION_GAUSSIAN,
+    PRODUCTION_GAUSSIAN_TOL,
+    PRODUCTION_ZCDP_BOUND,
+    PRODUCTION_ZCDP_BOUND_TOL,
+    SCENARIO_POWER_TOL,
+    SCENARIO_POWERS,
+    SCENARIO_RHO,
+)
 
 # pure-DP reference grid: third-decimal values of min(e^eps * l, 1 - e^-eps (1-l));
 # two cells are commonly printed as 0.820 and 0.550 but evaluate to 0.082 and
@@ -118,16 +130,15 @@ def test_zcdp_moment_bound_below_every_point_of_its_delta_curve(rho):
         bound = zcdp_power_bound(rho, level)
         for eps in eps_grid:
             assert bound <= approx_dp_power_bound(eps, zcdp_to_delta(rho, eps), level)
-    assert zcdp_power_bound(2.63, 0.05) <= 0.95
+    assert zcdp_power_bound(2.63, LEVELS[1]) <= PRODUCTION_ZCDP_BOUND[1]
 
 
 # --- gaussian exact -------------------------------------------------------------
 
 def test_gaussian_exact_production_values():
     mu = math.sqrt(5.26)
-    assert abs(gaussian_exact_power(mu, 0.01) - 0.49) <= 0.005
-    assert abs(gaussian_exact_power(mu, 0.05) - 0.74) <= 0.005
-    assert abs(gaussian_exact_power(mu, 0.10) - 0.84) <= 0.005
+    for level, want in zip(LEVELS, PRODUCTION_GAUSSIAN):
+        assert abs(gaussian_exact_power(mu, level) - want) <= PRODUCTION_GAUSSIAN_TOL
 
 
 def test_gaussian_exact_zero_mu_diagonal():
@@ -136,7 +147,8 @@ def test_gaussian_exact_zero_mu_diagonal():
 
 
 def test_gaussian_exact_block_scenario_value():
-    assert abs(gaussian_exact_power(math.sqrt(2 * 0.1115), 0.05) - 0.12) <= 0.01
+    power = gaussian_exact_power(math.sqrt(2 * SCENARIO_RHO["A"]), LEVELS[1])
+    assert abs(power - SCENARIO_POWERS["A"][1]) <= SCENARIO_POWER_TOL
 
 
 @pytest.mark.parametrize("mu, level", [(10.0, 1e-20), (1.0, 2.0**-60), (3.0, 5e-324), (0.5, 0.3)])
@@ -151,13 +163,13 @@ def test_gaussian_exact_power_keeps_its_digits_below_two_to_the_minus_53(mu, lev
 # --- zcdp / rdp numeric bounds ----------------------------------------------------
 
 def test_zcdp_bound_production_values():
-    assert abs(zcdp_power_bound(2.63, 0.01) - 0.70) <= 0.01
-    assert abs(zcdp_power_bound(2.63, 0.05) - 0.95) <= 0.01
-    assert abs(zcdp_power_bound(2.63, 0.10) - 0.96) <= 0.01
+    for level, want in zip(LEVELS, PRODUCTION_ZCDP_BOUND):
+        assert abs(zcdp_power_bound(2.63, level) - want) <= PRODUCTION_ZCDP_BOUND_TOL
 
 
 def test_zcdp_bound_block_scenario_values():
-    assert abs(zcdp_power_bound(0.1115, 0.05) - 0.14) <= 0.01
+    bound = zcdp_power_bound(SCENARIO_RHO["A"], LEVELS[1])
+    assert abs(bound - BLOCK_ZCDP_BOUND[1]) <= BLOCK_ZCDP_BOUND_TOL
 
 
 def test_zcdp_bound_vanishing_rho_noninformative():

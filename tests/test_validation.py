@@ -31,7 +31,6 @@ from dpsemantics import (
 )
 from dpsemantics import svg
 from dpsemantics.bayes import (
-    BayesVerdict,
     FiniteMechanismFamily,
     SmallUniversePrior,
     simulate_ratio_exceedance,
@@ -77,6 +76,8 @@ NAN_INPUTS = {
     "rdp gamma": lambda: RdpProfile(((2.0, NAN),)),
     "gaussian plrv mean": lambda: GaussianPlrv(mean=NAN, variance=1.0),
     "gaussian plrv variance": lambda: GaussianPlrv(mean=0.0, variance=NAN),
+    "zcdp_to_delta rho": lambda: zcdp_to_delta(NAN, 1.0),
+    "wrong-prior omega": lambda: wrong_prior_ratio_closed_form(NAN),
 }
 
 
@@ -180,9 +181,20 @@ BAD_ARGUMENTS = {
         ValueError, "rho_star", lambda: AffectedQuerySet(((0.5, 2), (0.0, 2)))
     ),
     "affected no cell": (ValueError, "cell", lambda: AffectedQuerySet(((0.5, 0),))),
+    "affected rho_star nan": (
+        ValueError, "rho_star", lambda: AffectedQuerySet(((NAN, 2),))
+    ),
+    "affected rho_star inf": (
+        ValueError, "rho_star", lambda: AffectedQuerySet(((math.inf, 2),))
+    ),
+    "affected fractional cells": (
+        ValueError, "cell", lambda: AffectedQuerySet(((0.5, 1.5),))
+    ),
     "gaussian plrv negative mu": (ValueError, "mu", lambda: gaussian_plrv(-1.0)),
     "gaussian plrv infinite mu": (ValueError, "mu", lambda: gaussian_plrv(math.inf)),
     "sampling plrv n 0": (ValueError, "n must", lambda: sampling_plrv(0, 0)),
+    "sampling plrv fractional n": (ValueError, "n must", lambda: sampling_plrv(2.5, 1)),
+    "sampling plrv fractional m": (ValueError, "m must", lambda: sampling_plrv(3, 1.5)),
     "approx_dp_delta mixed": (
         RepresentationMismatchError,
         "representation",
@@ -305,13 +317,6 @@ def test_family_rejects_bad_rows():
         FiniteMechanismFamily(("x", "y"), {("rest", "a"): (0.5,)})
     with pytest.raises(ValueError):
         FiniteMechanismFamily(("x", "y"), {("rest", "a"): (0.7, 0.7)})
-
-
-def test_bayes_verdict_report_is_labelled():
-    verdict = BayesVerdict((0.8, 0.2), (0.4, 0.6), (2.0, 1.0 / 3.0))
-    text = verdict.report(("pos", "neg"))
-    assert "pos: 0.8 / 0.4 -> 2" in text
-    assert text.splitlines()[0].startswith("record:")
 
 
 def test_exact_posteriors_unknown_output():
