@@ -177,15 +177,27 @@ def _render_points(
         lines.extend(f"{x!r},{y!r}" for x, y in points)
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        # the text of json.dumps({"kind": ..., "columns": ..., "points": ...},
+        # sort_keys=True, indent=2), written directly: that call's indenting
+        # encoder is pure Python and took about 40% of a JSON curve
+        columns = ",\n".join(f"    {json.dumps(name)}" for name in header)
+        rows = ",\n".join(
+            f"    [\n      {_json_number(x)},\n      {_json_number(y)}\n    ]" for x, y in points
+        )
+        listed = f"[\n{rows}\n  ]" if points else "[]"
         return (
-            json.dumps(
-                {"kind": kind, "columns": list(header), "points": points},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+            f'{{\n  "columns": [\n{columns}\n  ],\n  "kind": {json.dumps(kind)},\n'
+            f'  "points": {listed}\n}}\n'
         )
     return svg.line_chart(points, kind, header[0], header[1])
+
+
+def _json_number(x: float) -> str:
+    """A float as json.dumps writes it: NaN, Infinity and -Infinity for the
+    non-finite values."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
 EPS_DELTA, DELTA_EPS, LEVEL_POWER = ("eps", "delta"), ("delta", "eps"), ("level", "power")
@@ -334,7 +346,10 @@ def mc(allocation, n_samples, seed, grid, out) -> None:
     else:
         raise click.UsageError(f"unknown allocation {allocation!r}")
     queries = dgauss.affected_queries_from_table(table, sc)
-    roc = dgauss.mc_roc(queries, n_samples, seed)
+    try:
+        roc = dgauss.mc_roc(queries, n_samples, seed)
+    except MemoryError as exc:
+        raise click.UsageError(f"--n {n_samples}: the samples do not fit in memory") from exc
     lines = ["level,power,se"]
     for level in grid:
         power = roc.power_at(level)

@@ -13,7 +13,10 @@ draws that rho*'s cells from all 2 x `N_SHARDS` seeded streams before it
 builds the next, so one sampling table is alive at a time.  The sampler
 inverts the cumulative sum of the truncated weights that also normalize
 `dgauss_pmf`; its bucket-exact guide table returns the inversion draw of
-almost every uniform with one table read.
+almost every uniform with one table read.  While the calling thread
+builds the tables and samples, one helper thread (`_Ahead`) draws the
+uniforms a few chunks ahead, in the order the loop consumes them, so the
+output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,10 @@ GUIDE_RATIO = 32
 #: then stay in cache.
 SAMPLE_CHUNK = 1 << 16
 
+#: Buffers of SAMPLE_CHUNK uniforms in `_Ahead`'s ring: the sampler reads
+#: one while the helper fills the others.
+AHEAD_BUFFERS = 4
+
 
 @dataclass(frozen=True)
 class DiscreteGaussParams:
@@ -68,9 +77,19 @@ def _table(sigma2: float) -> tuple[int, np.ndarray]:
     return kmax, np.exp(-k**2 / (2.0 * sigma2))
 
 
+def _check_int(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def dgauss_pmf(k: int, params: DiscreteGaussParams) -> float:
-    """Probability mass at integer k, normalized over the truncated table."""
-    return math.exp(-k * k / (2.0 * params.sigma2)) / _table(params.sigma2)[1].sum()
+    """Probability mass at integer k, normalized over the truncated table:
+    0.0 outside [-kmax, kmax], where the sampler never draws."""
+    _check_int("k", k)
+    kmax, weights = _table(params.sigma2)
+    if abs(k) > kmax:
+        return 0.0
+    return float(math.exp(-k * k / (2.0 * params.sigma2)) / weights.sum())
 
 
 class DiscreteGaussianSampler:
@@ -110,10 +129,12 @@ class DiscreteGaussianSampler:
         # entry i lies inside bucket reach[i] (none lies inside bucket m)
         self._draw[reach[reach < m]] = kmax + 1
 
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    def sample(self, rng: np.random.Generator | _Ahead, size: int | tuple[int, ...]) -> np.ndarray:
         """Draws of the given shape, filled in chunks of the flattened
         array; the uniforms are consumed in the same order as by one
-        `rng.random(size)` call."""
+        `rng.random(size)` call.  `rng` is any object whose `random(n)`
+        returns the next n uniforms in [0, 1), read until its next call:
+        a generator, or the helper that `mc_roc` passes."""
         out = np.empty(size, dtype=np.intp)
         flat = out.reshape(-1)
         buckets = np.empty(min(flat.size, SAMPLE_CHUNK), dtype=np.intp)
@@ -229,6 +250,86 @@ def _shard_sizes(n: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(N_SHARDS)]
 
 
+class _Ahead:
+    """The uniforms of a fixed plan of draws, drawn ahead on a helper thread.
+
+    `plan` lists (generator, count) in the order the caller consumes them,
+    and `random(n)` returns the next n uniforms of that whole stream.  k
+    PCG64 doubles followed by m doubles are the k + m doubles of one draw,
+    so these are the bytes that drawing each count from its generator in
+    turn gives.  The helper calls nothing but `Generator.random`: it fills
+    a ring of AHEAD_BUFFERS reused buffers of SAMPLE_CHUNK doubles and
+    hands each over whole.  `random` returns a view into a buffer where it
+    can and a copy where the uniforms straddle two; either is valid until
+    the next call, which is when a spent buffer goes back to the helper.
+    Entering starts the helper; leaving stops and joins it.  An exception
+    raised while drawing is raised again by `random`.
+    """
+
+    def __init__(self, plan: list[tuple[np.random.Generator, int]]):
+        self._free: queue.SimpleQueue = queue.SimpleQueue()
+        self._full: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(AHEAD_BUFFERS):
+            self._free.put(np.empty(SAMPLE_CHUNK))
+        self._buf = np.empty(0)
+        self._pos = 0
+        self._thread = threading.Thread(target=self._fill, args=(plan,))
+
+    def __enter__(self) -> _Ahead:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # a helper still drawing stops at its next wait for a free buffer
+        self._free.put(None)
+        self._thread.join()
+
+    def _fill(self, plan: list[tuple[np.random.Generator, int]]) -> None:
+        try:
+            buf, filled = self._free.get(), 0
+            for rng, count in plan:
+                while count:
+                    if buf is None:
+                        return
+                    k = min(count, buf.size - filled)
+                    rng.random(out=buf[filled : filled + k])
+                    filled += k
+                    count -= k
+                    if filled == buf.size:
+                        self._full.put(buf)
+                        buf, filled = self._free.get(), 0
+            if buf is not None and filled:
+                self._full.put(buf[:filled])
+        except Exception as exc:  # raised again on the calling thread
+            self._full.put(exc)
+
+    def _next_buffer(self) -> None:
+        if self._buf.size:
+            self._free.put(self._buf)
+        item = self._full.get()
+        if isinstance(item, Exception):
+            raise item
+        self._buf, self._pos = item, 0
+
+    def random(self, n: int) -> np.ndarray:
+        if self._pos == self._buf.size:
+            self._next_buffer()
+        start = self._pos
+        if n <= self._buf.size - start:
+            self._pos = start + n
+            return self._buf[start : start + n]
+        out = np.empty(n)
+        done = 0
+        while done < n:
+            if self._pos == self._buf.size:
+                self._next_buffer()
+            k = min(n - done, self._buf.size - self._pos)
+            out[done : done + k] = self._buf[self._pos : self._pos + k]
+            self._pos += k
+            done += k
+        return out
+
+
 def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc:
     """Monte Carlo level/power curve of the exact likelihood-ratio test.
 
@@ -241,10 +342,15 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     The loop runs rho* by rho*: it builds one sampler per rho* and draws
     all cells of that rho* from each stream in one call.  Each stream
     still consumes its uniforms, and each sample adds its terms, in the
-    rho* order of a loop over shards, so the nesting moves no byte.
+    rho* order of a loop over shards, so the nesting moves no byte.  A
+    helper thread draws those uniforms ahead, in that same order.
     """
+    _check_int("n_samples", n_samples)
+    _check_int("seed", seed)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     cells_of: dict[float, int] = {}
     for rho_star, cells in queries.entries:
         cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
@@ -258,10 +364,12 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
         for arm, stream in zip(arms, streams[2 * shard : 2 * shard + 2]):
             blocks.append((arm[start : start + size], np.random.default_rng(stream)))
         start += size
-    for rho_star, cells in cells_of.items():
-        sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
-        for total, rng in blocks:
-            total += rho_star * sampler.sample(rng, (cells, total.size)).sum(axis=0)
+    plan = [(rng, cells * total.size) for cells in cells_of.values() for total, rng in blocks]
+    with _Ahead(plan) as uniforms:
+        for rho_star, cells in cells_of.items():
+            sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
+            for total, _ in blocks:
+                total += rho_star * sampler.sample(uniforms, (cells, total.size)).sum(axis=0)
     null_llr, alt_llr = arms
     null_llr.sort()
     alt_llr.sort()

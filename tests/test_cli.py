@@ -17,9 +17,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsemantics import gaussian_pbdp_epsilon, zcdp_to_delta
+from dpsemantics import dgauss, gaussian_pbdp_epsilon, zcdp_to_delta
 from dpsemantics.census import parse_allocation
-from dpsemantics.cli import CURVES, main
+from dpsemantics.cli import CURVES, _render_points, main
 from published import SCENARIO_POWER_TOL, SCENARIO_POWERS, SCENARIO_RHO, SCENARIO_RHO_TOL
 
 
@@ -117,6 +117,36 @@ def test_curve_json_format(runner):
     assert payload["kind"] == "bayes-known-rest"
     assert payload["columns"] == ["eps", "delta"]
     assert len(payload["points"]) == 10
+
+
+JSON_POINTS = {
+    "empty": [],
+    "one point": [(0.5, 0.25)],
+    "finite": [(0.0, 1.0), (-0.0, 1e-300), (1e300, 5e-324), (0.1, 0.30000000000000004)],
+    "non-finite": [(0.5, math.nan), (math.inf, -math.inf), (-math.inf, math.inf)],
+}
+
+
+@pytest.mark.parametrize("points", JSON_POINTS.values(), ids=JSON_POINTS.keys())
+def test_json_rendering_is_the_text_of_json_dumps(points):
+    want = json.dumps(
+        {"kind": "k", "columns": ["eps", "delta"], "points": points}, sort_keys=True, indent=2
+    )
+    assert _render_points(points, ("eps", "delta"), "json", "k") == want + "\n"
+
+
+CURVE_PARAMETER = {"mu": ("--mu", "1.5"), "rho": ("--rho", "2.63"), "eps": ("--eps", "1.0")}
+
+
+@pytest.mark.parametrize("kind", CURVES)
+def test_curve_json_is_the_text_of_json_dumps_of_its_csv(runner, kind):
+    option = CURVE_PARAMETER[CURVES[kind][0]]
+    csv = invoke(runner, "curve", kind, *option).output.splitlines()
+    points = [tuple(float(v) for v in row.split(",")) for row in csv[1:]]
+    want = json.dumps(
+        {"kind": kind, "columns": csv[0].split(","), "points": points}, sort_keys=True, indent=2
+    )
+    assert invoke(runner, "curve", kind, *option, "--format", "json").output == want + "\n"
 
 
 def test_curve_requires_parameter(runner):
@@ -337,6 +367,22 @@ def test_mc_rejects_tiny_n(runner, tmp_path):
         main, ["mc", "scenario:A", "--n", "10", "--out", str(tmp_path / "x.csv")]
     )
     assert result.exit_code == 2
+
+
+def test_mc_reports_running_out_of_memory_as_a_usage_error(runner, tmp_path, monkeypatch):
+    # mc_roc raises a MemoryError from its helper thread on the calling
+    # thread too; allocating for real would take the machine's memory
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dgauss, "mc_roc", out_of_memory)
+    result = runner.invoke(
+        main, ["mc", "production", "--n", "10000000000000", "--out", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2
+    assert "--n 10000000000000" in result.stderr
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- allocation ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -20,10 +23,12 @@ from dpsemantics import (
 )
 from dpsemantics.dgauss import (
     GUIDE_RATIO,
+    N_SHARDS,
     SAMPLE_CHUNK,
     TRUNCATION_SIGMAS,
     DiscreteGaussianSampler,
     EmpiricalRoc,
+    _shard_sizes,
     _table,
 )
 
@@ -90,6 +95,17 @@ def test_pmf_and_sampler_read_one_table(sigma2):
     assert abs(math.fsum(pmf) - 1.0) <= 1e-15
     cdf = DiscreteGaussianSampler(params)._cdf
     assert np.max(np.abs(np.cumsum(pmf) - cdf)[:-1]) <= 1e-15
+
+
+def test_pmf_is_a_python_float_and_zero_outside_the_table():
+    params = DiscreteGaussParams(1.0)
+    kmax, _ = _table(1.0)
+    assert kmax == 12
+    for k in (kmax + 1, -kmax - 1, 10**30):
+        assert dgauss_pmf(k, params) == 0.0
+    assert dgauss_pmf(kmax, params) > 0.0
+    assert type(dgauss_pmf(0, params)) is float
+    assert type(dgauss_pmf(kmax + 1, params)) is float
 
 
 def test_pmf_rejects_bad_scale():
@@ -355,6 +371,120 @@ def test_mc_roc_bytes_pinned_scenario_a(production_table):
     assert _llr_digest(mc_roc(queries, 2011, seed=1)) == (
         "f340f2cedba653917d34a8ff6f8f5ab7b2008341832810279c44f3fc1a5dfa04"
     )
+
+
+def serial_mc_llr(queries: AffectedQuerySet, n: int, seed: int):
+    """`mc_roc`'s sorted arms from a plain loop, in which each block's
+    sample is drawn straight from that block's own generator on this
+    thread; and the number of uniforms of each block, in loop order."""
+    cells_of: dict[float, int] = {}
+    for rho_star, cells in queries.entries:
+        cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
+    half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
+    streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
+    arms = (np.full(n, half), np.full(n, -half))
+    blocks = []
+    start = 0
+    for shard, size in enumerate(_shard_sizes(n)):
+        for arm, stream in zip(arms, streams[2 * shard : 2 * shard + 2]):
+            blocks.append((arm[start : start + size], np.random.default_rng(stream)))
+        start += size
+    counts = []
+    for rho_star, cells in cells_of.items():
+        sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
+        for total, rng in blocks:
+            total += rho_star * sampler.sample(rng, (cells, total.size)).sum(axis=0)
+            counts.append(cells * total.size)
+    return np.sort(arms[0]), np.sort(arms[1]), counts
+
+
+def test_mc_roc_matches_a_serial_loop_across_uniform_buffers(production_table):
+    # at n = 100 003 the uniforms of some chunks of a sample call straddle
+    # two of the SAMPLE_CHUNK buffers that the helper fills in turn
+    queries = affected_queries_from_table(production_table)
+    roc = mc_roc(queries, 100_003, seed=5)
+    null, alt, counts = serial_mc_llr(queries, 100_003, 5)
+    assert np.array_equal(roc.null_llr, null)
+    assert np.array_equal(roc.alt_llr, alt)
+    position = straddles = 0
+    for count in counts:
+        for start in range(0, count, SAMPLE_CHUNK):
+            size = min(SAMPLE_CHUNK, count - start)
+            straddles += position // SAMPLE_CHUNK != (position + size - 1) // SAMPLE_CHUNK
+            position += size
+    assert straddles > 0
+
+
+def test_concurrent_mc_roc_calls_under_fast_thread_switching():
+    # three calls, each with its own helper: six threads on fewer cores,
+    # switched every 10 us; each call's uniforms span several buffers
+    queries = AffectedQuerySet(((0.5, 3), (0.2, 2), (0.5, 1)))
+    null, alt, _ = serial_mc_llr(queries, 20_011, 7)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = mc_roc(queries, 20_011, seed=7)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for roc in results:
+        assert np.array_equal(roc.null_llr, null)
+        assert np.array_equal(roc.alt_llr, alt)
+
+
+def test_mc_roc_joins_its_helper_thread_on_return():
+    before = threading.active_count()
+    mc_roc(AffectedQuerySet(((0.5, 3), (0.2, 2))), 4003, seed=3)
+    assert threading.active_count() == before
+
+
+def test_mc_roc_raises_an_error_from_drawing_uniforms(monkeypatch):
+    # the 40th draw of uniforms fails, after the helper has handed over
+    # whole buffers
+    real_rng = np.random.default_rng
+    draws = itertools.count()
+
+    class FailingGenerator:
+        def __init__(self, stream):
+            self._rng = real_rng(stream)
+
+        def random(self, out):
+            if next(draws) == 40:
+                raise MemoryError("no room for uniforms")
+            return self._rng.random(out=out)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    with pytest.raises(MemoryError, match="no room for uniforms"):
+        mc_roc(AffectedQuerySet(((0.5, 40), (0.2, 40))), 100_000, seed=3)
+    assert threading.active_count() == before
+
+
+def test_mc_roc_stops_its_helper_on_an_error_in_the_caller(monkeypatch, production_table):
+    # the sampler fails at its fifth call; the helper, far ahead by then,
+    # is usually waiting for a free buffer, and the stop marker wakes it
+    real_sample = DiscreteGaussianSampler.sample
+    calls = itertools.count()
+
+    def failing_sample(self, rng, size):
+        if next(calls) == 4:
+            raise RuntimeError("sampler failed")
+        return real_sample(self, rng, size)
+
+    before = threading.active_count()
+    monkeypatch.setattr(DiscreteGaussianSampler, "sample", failing_sample)
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        mc_roc(affected_queries_from_table(production_table), 100_000, seed=3)
+    assert threading.active_count() == before
 
 
 def test_standard_error_floored_at_one_event_in_n():

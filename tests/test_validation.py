@@ -36,7 +36,7 @@ from dpsemantics.bayes import (
     simulate_ratio_exceedance,
     wrong_prior_ratio_closed_form,
 )
-from dpsemantics.dgauss import AffectedQuerySet
+from dpsemantics.dgauss import AffectedQuerySet, DiscreteGaussParams, dgauss_pmf, mc_roc
 from dpsemantics.plrv import RepresentationMismatchError
 from dpsemantics.tradeoff import (
     GaussianExactCurve,
@@ -189,6 +189,26 @@ BAD_ARGUMENTS = {
     ),
     "affected fractional cells": (
         ValueError, "cell", lambda: AffectedQuerySet(((0.5, 1.5),))
+    ),
+    "dgauss_pmf fractional k": (
+        ValueError, "k must", lambda: dgauss_pmf(0.5, DiscreteGaussParams(1.0))
+    ),
+    "dgauss_pmf nan k": (ValueError, "k must", lambda: dgauss_pmf(NAN, DiscreteGaussParams(1.0))),
+    "dgauss_pmf bool k": (ValueError, "k must", lambda: dgauss_pmf(True, DiscreteGaussParams(1.0))),
+    "mc_roc float n_samples": (
+        ValueError, "n_samples", lambda: mc_roc(AffectedQuerySet(((0.5, 2),)), 1000.0, 1)
+    ),
+    "mc_roc bool n_samples": (
+        ValueError, "n_samples", lambda: mc_roc(AffectedQuerySet(((0.5, 2),)), True, 1)
+    ),
+    "mc_roc fractional seed": (
+        ValueError, "seed", lambda: mc_roc(AffectedQuerySet(((0.5, 2),)), 1000, 1.5)
+    ),
+    "mc_roc bool seed": (
+        ValueError, "seed", lambda: mc_roc(AffectedQuerySet(((0.5, 2),)), 1000, False)
+    ),
+    "mc_roc negative seed": (
+        ValueError, "seed", lambda: mc_roc(AffectedQuerySet(((0.5, 2),)), 1000, -1)
     ),
     "gaussian plrv negative mu": (ValueError, "mu", lambda: gaussian_plrv(-1.0)),
     "gaussian plrv infinite mu": (ValueError, "mu", lambda: gaussian_plrv(math.inf)),
