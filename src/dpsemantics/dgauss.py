@@ -10,13 +10,15 @@ level/power curve of the release.
 
 `mc_roc` builds one `DiscreteGaussianSampler` per distinct rho* and
 draws that rho*'s cells from all 2 x `N_SHARDS` seeded streams before it
-builds the next, so one sampling table is alive at a time.  The sampler
-inverts the cumulative sum of the truncated weights that also normalize
-`dgauss_pmf`; its bucket-exact guide table returns the inversion draw of
-almost every uniform with one table read.  While the calling thread
-builds the tables and samples, one helper thread (`_Ahead`) draws the
-uniforms a few chunks ahead, in the order the loop consumes them, so the
-output bytes do not depend on it.
+builds the next, so one sampling table is alive at a time.  It draws them
+in a few `sample` calls, each over a run of whole shards of one size and
+both arms of each, up to SAMPLE_CHUNK draws.  The sampler inverts the
+cumulative sum of the truncated weights that also normalize `dgauss_pmf`;
+its bucket-exact guide table returns the inversion draw of almost every
+uniform with one table read.  While the calling thread builds the tables
+and samples, one helper thread (`_Ahead`) draws the uniforms a few chunks
+ahead, one buffer per chunk of a call, in the order the loop consumes
+them, so the output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ N_SHARDS = 16
 #: its one table read.
 GUIDE_RATIO = 32
 
-#: Draws per chunk of one `sample` call: bounds its temporaries, which
-#: then stay in cache.
+#: Draws per chunk of one `sample` call, and per call where `mc_roc`
+#: groups shards into one: bounds its temporaries, which then stay in cache.
 SAMPLE_CHUNK = 1 << 16
 
 #: Buffers of SAMPLE_CHUNK uniforms in `_Ahead`'s ring: the sampler reads
@@ -170,7 +172,7 @@ class AffectedQuerySet:
         for rho_star, cells in self.entries:
             if not (rho_star > 0 and math.isfinite(rho_star)):
                 raise ValueError("rho_star entries must be finite and positive")
-            if not isinstance(cells, int) or cells < 1:
+            if isinstance(cells, bool) or not isinstance(cells, int) or cells < 1:
                 raise ValueError("each entry's cell count must be an int, at least 1")
 
 
@@ -245,34 +247,53 @@ class EmpiricalRoc:
         }
 
 
-def _shard_sizes(n: int) -> list[int]:
-    base, extra = divmod(n, N_SHARDS)
-    return [base + (1 if i < extra else 0) for i in range(N_SHARDS)]
+def _sample_calls(n_samples: int, cells: int) -> list[tuple[int, int, int, int, int]]:
+    """The `sample` calls that draw one rho*'s `cells` cells, in stream
+    order, as (first shard, shards, shard size, first arm, arms).  A call
+    covers a run of whole shards of one size (the `base + 1` shards, then
+    the `base` shards), both arms of each, in at most SAMPLE_CHUNK draws;
+    where one shard's two arms exceed that, each arm of each shard is a
+    call of its own."""
+    base, extra = divmod(n_samples, N_SHARDS)
+    calls = []
+    for first, end, size in ((0, extra, base + 1), (extra, N_SHARDS, base)):
+        per_call = SAMPLE_CHUNK // (2 * cells * size)
+        if per_call:
+            calls += [
+                (shard, min(per_call, end - shard), size, 0, 2)
+                for shard in range(first, end, per_call)
+            ]
+        else:
+            calls += [(shard, 1, size, arm, 1) for shard in range(first, end) for arm in (0, 1)]
+    return calls
 
 
 class _Ahead:
-    """The uniforms of a fixed plan of draws, drawn ahead on a helper thread.
+    """The uniforms of a fixed plan of sample calls, drawn ahead on a
+    helper thread.
 
-    `plan` lists (generator, count) in the order the caller consumes them,
-    and `random(n)` returns the next n uniforms of that whole stream.  k
-    PCG64 doubles followed by m doubles are the k + m doubles of one draw,
-    so these are the bytes that drawing each count from its generator in
-    turn gives.  The helper calls nothing but `Generator.random`: it fills
-    a ring of AHEAD_BUFFERS reused buffers of SAMPLE_CHUNK doubles and
-    hands each over whole.  `random` returns a view into a buffer where it
-    can and a copy where the uniforms straddle two; either is valid until
-    the next call, which is when a spent buffer goes back to the helper.
-    Entering starts the helper; leaving stops and joins it.  An exception
-    raised while drawing is raised again by `random`.
+    `plan` holds one list of (generator, count) per call, in the order the
+    caller consumes them.  The helper fills a ring of AHEAD_BUFFERS reused
+    buffers of SAMPLE_CHUNK doubles with each call's uniforms, starting
+    every call on a fresh buffer, and hands each buffer over with as many
+    doubles as it holds.  So the `random(n)` of each chunk of a `sample`
+    call returns exactly one buffer, a view valid until the next
+    `random`, which is when it goes back to the helper; a request whose n
+    is not the next buffer's size, or that comes after the plan's end,
+    raises `ValueError`.  k PCG64 doubles followed by m doubles are the
+    k + m doubles of one draw, so these are the bytes that drawing each
+    count from its generator in turn gives.  The helper calls nothing but
+    `Generator.random`.  Entering starts the helper; leaving stops and
+    joins it.  An exception raised while drawing is raised again by
+    `random`.
     """
 
-    def __init__(self, plan: list[tuple[np.random.Generator, int]]):
+    def __init__(self, plan: list[list[tuple[np.random.Generator, int]]]):
         self._free: queue.SimpleQueue = queue.SimpleQueue()
         self._full: queue.SimpleQueue = queue.SimpleQueue()
         for _ in range(AHEAD_BUFFERS):
             self._free.put(np.empty(SAMPLE_CHUNK))
-        self._buf = np.empty(0)
-        self._pos = 0
+        self._buf: np.ndarray | None = None
         self._thread = threading.Thread(target=self._fill, args=(plan,))
 
     def __enter__(self) -> _Ahead:
@@ -284,50 +305,50 @@ class _Ahead:
         self._free.put(None)
         self._thread.join()
 
-    def _fill(self, plan: list[tuple[np.random.Generator, int]]) -> None:
-        try:
-            buf, filled = self._free.get(), 0
-            for rng, count in plan:
+    @staticmethod
+    def _buffers(plan: list[list[tuple[np.random.Generator, int]]]):
+        """The (generator, count) pieces of each buffer, in turn."""
+        for call in plan:
+            pieces, room = [], SAMPLE_CHUNK
+            for rng, count in call:
                 while count:
-                    if buf is None:
-                        return
-                    k = min(count, buf.size - filled)
-                    rng.random(out=buf[filled : filled + k])
-                    filled += k
+                    k = min(count, room)
+                    pieces.append((rng, k))
                     count -= k
-                    if filled == buf.size:
-                        self._full.put(buf)
-                        buf, filled = self._free.get(), 0
-            if buf is not None and filled:
+                    room -= k
+                    if not room:
+                        yield pieces
+                        pieces, room = [], SAMPLE_CHUNK
+            if pieces:
+                yield pieces
+
+    def _fill(self, plan: list[list[tuple[np.random.Generator, int]]]) -> None:
+        try:
+            for pieces in self._buffers(plan):
+                buf = self._free.get()
+                if buf is None:
+                    return
+                filled = 0
+                for rng, count in pieces:
+                    rng.random(out=buf[filled : filled + count])
+                    filled += count
                 self._full.put(buf[:filled])
+            # the end of the plan: an empty buffer, which no request matches
+            self._full.put(np.empty(0))
         except Exception as exc:  # raised again on the calling thread
             self._full.put(exc)
 
-    def _next_buffer(self) -> None:
-        if self._buf.size:
-            self._free.put(self._buf)
+    def random(self, n: int) -> np.ndarray:
+        if self._buf is not None:
+            self._free.put(self._buf.base)
+            self._buf = None
         item = self._full.get()
         if isinstance(item, Exception):
             raise item
-        self._buf, self._pos = item, 0
-
-    def random(self, n: int) -> np.ndarray:
-        if self._pos == self._buf.size:
-            self._next_buffer()
-        start = self._pos
-        if n <= self._buf.size - start:
-            self._pos = start + n
-            return self._buf[start : start + n]
-        out = np.empty(n)
-        done = 0
-        while done < n:
-            if self._pos == self._buf.size:
-                self._next_buffer()
-            k = min(n - done, self._buf.size - self._pos)
-            out[done : done + k] = self._buf[self._pos : self._pos + k]
-            self._pos += k
-            done += k
-        return out
+        if item.size != n:
+            raise ValueError(f"{n} uniforms requested where the plan holds {item.size}")
+        self._buf = item
+        return item
 
 
 def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc:
@@ -340,10 +361,12 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     cells.  Each shard of each arm has its own independently seeded
     stream, so the result depends only on (queries, n_samples, seed).
     The loop runs rho* by rho*: it builds one sampler per rho* and draws
-    all cells of that rho* from each stream in one call.  Each stream
+    all cells of that rho* in the few calls `_sample_calls` lists, each
+    over a run of whole shards and both their arms, or over one shard's
+    arm where a shard's two arms exceed SAMPLE_CHUNK draws.  Each stream
     still consumes its uniforms, and each sample adds its terms, in the
-    rho* order of a loop over shards, so the nesting moves no byte.  A
-    helper thread draws those uniforms ahead, in that same order.
+    rho* order of a loop over shards, so the grouping moves no byte.  A
+    helper thread draws those uniforms ahead, one buffer per chunk.
     """
     _check_int("n_samples", n_samples)
     _check_int("seed", seed)
@@ -355,21 +378,29 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     for rho_star, cells in queries.entries:
         cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
     half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
-    streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
-    arms = (np.full(n_samples, half), np.full(n_samples, -half))
-    # (shard's slice of one arm, that shard and arm's stream), in stream order
-    blocks = []
-    start = 0
-    for shard, size in enumerate(_shard_sizes(n_samples)):
-        for arm, stream in zip(arms, streams[2 * shard : 2 * shard + 2]):
-            blocks.append((arm[start : start + size], np.random.default_rng(stream)))
-        start += size
-    plan = [(rng, cells * total.size) for cells in cells_of.values() for total, rng in blocks]
+    # the stream of shard s and arm a is rngs[2 s + a]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * N_SHARDS)]
+    arms = np.empty((2, n_samples))
+    arms[0], arms[1] = half, -half
+    base, extra = divmod(n_samples, N_SHARDS)
+    calls = {cells: _sample_calls(n_samples, cells) for cells in set(cells_of.values())}
+    plan = [
+        [
+            (rngs[2 * s + a], cells * size)
+            for s in range(shard, shard + k)
+            for a in range(arm, arm + n_arms)
+        ]
+        for cells in cells_of.values()
+        for shard, k, size, arm, n_arms in calls[cells]
+    ]
     with _Ahead(plan) as uniforms:
         for rho_star, cells in cells_of.items():
             sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
-            for total, _ in blocks:
-                total += rho_star * sampler.sample(uniforms, (cells, total.size)).sum(axis=0)
+            for shard, k, size, arm, n_arms in calls[cells]:
+                lo = shard * base + min(shard, extra)
+                total = arms[arm : arm + n_arms, lo : lo + k * size].reshape(n_arms, k, size)
+                shape = (k, n_arms, cells, size)
+                total += rho_star * sampler.sample(uniforms, shape).sum(axis=2).swapaxes(0, 1)
     null_llr, alt_llr = arms
     null_llr.sort()
     alt_llr.sort()

@@ -28,7 +28,7 @@ from dpsemantics.dgauss import (
     TRUNCATION_SIGMAS,
     DiscreteGaussianSampler,
     EmpiricalRoc,
-    _shard_sizes,
+    _Ahead,
     _table,
 )
 
@@ -374,52 +374,107 @@ def test_mc_roc_bytes_pinned_scenario_a(production_table):
 
 
 def serial_mc_llr(queries: AffectedQuerySet, n: int, seed: int):
-    """`mc_roc`'s sorted arms from a plain loop, in which each block's
-    sample is drawn straight from that block's own generator on this
-    thread; and the number of uniforms of each block, in loop order."""
+    """`mc_roc`'s sorted arms from a plain loop, in which each shard's
+    block of each arm is drawn straight from its own generator on this
+    thread, one `sample` call per block."""
     cells_of: dict[float, int] = {}
     for rho_star, cells in queries.entries:
         cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
     half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
     streams = np.random.SeedSequence(seed).spawn(2 * N_SHARDS)
     arms = (np.full(n, half), np.full(n, -half))
+    base, extra = divmod(n, N_SHARDS)
     blocks = []
     start = 0
-    for shard, size in enumerate(_shard_sizes(n)):
+    for shard in range(N_SHARDS):
+        size = base + (shard < extra)
         for arm, stream in zip(arms, streams[2 * shard : 2 * shard + 2]):
             blocks.append((arm[start : start + size], np.random.default_rng(stream)))
         start += size
-    counts = []
     for rho_star, cells in cells_of.items():
         sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
         for total, rng in blocks:
             total += rho_star * sampler.sample(rng, (cells, total.size)).sum(axis=0)
-            counts.append(cells * total.size)
-    return np.sort(arms[0]), np.sort(arms[1]), counts
+    return np.sort(arms[0]), np.sort(arms[1])
 
 
-def test_mc_roc_matches_a_serial_loop_across_uniform_buffers(production_table):
-    # at n = 100 003 the uniforms of some chunks of a sample call straddle
-    # two of the SAMPLE_CHUNK buffers that the helper fills in turn
+def recorded_sample_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every `DiscreteGaussianSampler.sample` call from now
+    on, in call order."""
+    shapes = []
+    real_sample = DiscreteGaussianSampler.sample
+
+    def recording_sample(self, rng, size):
+        shapes.append(size)
+        return real_sample(self, rng, size)
+
+    monkeypatch.setattr(DiscreteGaussianSampler, "sample", recording_sample)
+    return shapes
+
+
+def test_mc_roc_matches_a_serial_loop_across_uniform_buffers(monkeypatch, production_table):
+    # at n = 100 003 = 16 x 6250 + 3 the production rho* reach all three
+    # call shapes: several shards per call (2 cells), both shard sizes,
+    # and one block per call (10 and 12 cells)
     queries = affected_queries_from_table(production_table)
+    shapes = recorded_sample_shapes(monkeypatch)
     roc = mc_roc(queries, 100_003, seed=5)
-    null, alt, counts = serial_mc_llr(queries, 100_003, 5)
+    monkeypatch.undo()
+    null, alt = serial_mc_llr(queries, 100_003, 5)
     assert np.array_equal(roc.null_llr, null)
     assert np.array_equal(roc.alt_llr, alt)
-    position = straddles = 0
-    for count in counts:
-        for start in range(0, count, SAMPLE_CHUNK):
-            size = min(SAMPLE_CHUNK, count - start)
-            straddles += position // SAMPLE_CHUNK != (position + size - 1) // SAMPLE_CHUNK
-            position += size
-    assert straddles > 0
+    assert any(shards > 1 and arms == 2 for shards, arms, _, _ in shapes)
+    assert {size for *_, size in shapes} == {6251, 6250}
+    assert any(shards == arms == 1 for shards, arms, _, _ in shapes)
+
+
+def implied_sample_calls(cells_of: dict[float, int], n: int) -> int:
+    """Calls of whole equal-size shards, both arms each, SAMPLE_CHUNK
+    draws at most; two calls per shard where its two arms exceed that."""
+    base, extra = divmod(n, N_SHARDS)
+    calls = 0
+    for cells in cells_of.values():
+        for size, shards in ((base + 1, extra), (base, N_SHARDS - extra)):
+            per_call = SAMPLE_CHUNK // (2 * cells * size)
+            calls += -(-shards // per_call) if per_call else 2 * shards
+    return calls
+
+
+@pytest.mark.parametrize("n", [50_000, 200_003])
+def test_mc_roc_sample_calls_follow_the_grouping(monkeypatch, production_table, n):
+    queries = affected_queries_from_table(production_table)
+    cells_of: dict[float, int] = {}
+    for rho_star, cells in queries.entries:
+        cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
+    shapes = recorded_sample_shapes(monkeypatch)
+    mc_roc(queries, n, seed=1)
+    draws = [math.prod(shape) for shape in shapes]
+    assert all(
+        d <= max(SAMPLE_CHUNK, cells * size) for d, (*_, cells, size) in zip(draws, shapes)
+    )
+    assert sum(draws) == 2 * n * 142
+    assert len(shapes) == implied_sample_calls(cells_of, n)
+
+
+def test_a_request_off_the_plan_raises_and_the_helper_is_joined(monkeypatch):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="uniforms requested"):
+        with _Ahead([[(np.random.default_rng(1), 5)]]) as uniforms:
+            uniforms.random(5)
+            uniforms.random(5)  # past the end of the plan
+    assert threading.active_count() == before
+    # a sampler that asks for one uniform where the plan's first chunk holds more
+    monkeypatch.setattr(DiscreteGaussianSampler, "sample", lambda self, rng, size: rng.random(1))
+    with pytest.raises(ValueError, match="1 uniforms requested"):
+        mc_roc(AffectedQuerySet(((0.5, 3), (0.2, 2))), 4003, seed=3)
+    assert threading.active_count() == before
 
 
 def test_concurrent_mc_roc_calls_under_fast_thread_switching():
     # three calls, each with its own helper: six threads on fewer cores,
     # switched every 10 us; each call's uniforms span several buffers
     queries = AffectedQuerySet(((0.5, 3), (0.2, 2), (0.5, 1)))
-    null, alt, _ = serial_mc_llr(queries, 20_011, 7)
+    null, alt = serial_mc_llr(queries, 20_011, 7)
     results = [None] * 3
 
     def run(i):

@@ -190,6 +190,9 @@ BAD_ARGUMENTS = {
     "affected fractional cells": (
         ValueError, "cell", lambda: AffectedQuerySet(((0.5, 1.5),))
     ),
+    "affected bool cells": (
+        ValueError, "cell count must be an int", lambda: AffectedQuerySet(((0.5, True),))
+    ),
     "dgauss_pmf fractional k": (
         ValueError, "k must", lambda: dgauss_pmf(0.5, DiscreteGaussParams(1.0))
     ),
