@@ -45,23 +45,40 @@ def _probabilities(x, name: str) -> np.ndarray:
     return p
 
 
+def _threshold(t: float) -> float:
+    """`t`, refused if NaN: it compares false with every value, so it would
+    read as zero mass (or as NaN through phi)."""
+    if math.isnan(t):
+        raise ValueError("threshold t must not be NaN")
+    return t
+
+
 def _merged(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Read-only (n, 2) atoms from 1-D value and mass columns: sorted by value
     (stably, so equal values keep their input order) with zero mass dropped;
     each run of values whose gaps are below ATOM_MERGE_TOL becomes one atom
-    at its mass-weighted mean.  A non-finite value raises ValueError."""
+    at its mass-weighted mean.  A non-finite value raises ValueError.
+
+    The stable sort is a timsort, which merges sorted stretches of the input
+    in place of re-sorting them: `compose` hands it one sorted row per atom of
+    its smaller operand."""
     if not np.isfinite(values).all():
         raise ValueError("atom values must be finite; use infinity_mass")
     kept = probs > 0.0
-    values, probs = values[kept], probs[kept]
+    if not kept.all():
+        values, probs = values[kept], probs[kept]
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
-    new_run = np.diff(values, prepend=-np.inf) >= ATOM_MERGE_TOL
-    starts = np.flatnonzero(new_run)
-    first, mass = values[starts], np.add.reduceat(probs, starts)
+    new_run = np.empty(len(values), dtype=bool)
+    new_run[:1] = True
+    np.greater_equal(np.diff(values), ATOM_MERGE_TOL, out=new_run[1:])
+    run = np.cumsum(new_run) - 1
+    first = values[np.flatnonzero(new_run)]
+    out = np.empty((len(first), 2))
+    out[:, 1] = np.bincount(run, weights=probs)
     # offsets from the run's first value keep a lone atom's value exact
-    offset = np.add.reduceat((values - first[np.cumsum(new_run) - 1]) * probs, starts)
-    out = np.column_stack([first + offset / mass, mass])
+    offset = np.bincount(run, weights=(values - first[run]) * probs)
+    out[:, 0] = first + offset / out[:, 1]
     out.flags.writeable = False
     return out
 
@@ -82,18 +99,22 @@ class DiscretePlrv:
         return (isinstance(other, DiscretePlrv) and self.infinity_mass == other.infinity_mass
                 and np.array_equal(self.atoms, other.atoms))
 
+    # the atoms are sorted by value, so each threshold cuts them into two slices
+
     def tail(self, t: float) -> float:
         """P(L > t).  Infinite loss counts as exceeding every threshold."""
-        return float(self.atoms[self.atoms[:, 0] > t, 1].sum()) + self.infinity_mass
+        above = np.searchsorted(self.atoms[:, 0], _threshold(t), side="right")
+        return float(self.atoms[above:, 1].sum()) + self.infinity_mass
 
     def upper_mass(self, t: float) -> float:
         """P(L >= t), counting infinity_mass."""
-        at_least = self.atoms[:, 0] >= t - ATOM_MERGE_TOL
-        return float(self.atoms[at_least, 1].sum()) + self.infinity_mass
+        at_least = np.searchsorted(self.atoms[:, 0], _threshold(t) - ATOM_MERGE_TOL)
+        return float(self.atoms[at_least:, 1].sum()) + self.infinity_mass
 
     def lower_mass(self, t: float) -> float:
         """P(L <= t) over the finite atoms."""
-        return float(self.atoms[self.atoms[:, 0] <= t + ATOM_MERGE_TOL, 1].sum())
+        at_most = np.searchsorted(self.atoms[:, 0], _threshold(t) + ATOM_MERGE_TOL, side="right")
+        return float(self.atoms[:at_most, 1].sum())
 
 
 @dataclass(frozen=True)
@@ -115,6 +136,7 @@ class GaussianPlrv:
 
     def tail(self, t: float) -> float:
         """P(L > t)."""
+        _threshold(t)
         if self.variance == 0.0:
             return 1.0 if self.mean > t else 0.0
         return phi((self.mean - t) / math.sqrt(self.variance))
@@ -219,14 +241,20 @@ def compose(a: Plrv, b: Plrv) -> Plrv:
     Discrete atoms convolve (infinite loss absorbs everything it meets);
     Gaussian parameters add.  Mixing the two representations is rejected:
     silently discretizing the Gaussian would corrupt its closed forms.
+
+    The outer sum has one row per atom of the operand with fewer atoms (`a`
+    on a tie), each row that atom plus every atom of the other operand.  The
+    atoms are sorted, so every row is a sorted run, which `_merged`'s stable
+    sort merges; equal values are summed in that row-major order.
     """
     if isinstance(a, GaussianPlrv) and isinstance(b, GaussianPlrv):
         return GaussianPlrv(a.mean + b.mean, a.variance + b.variance)
     if isinstance(a, DiscretePlrv) and isinstance(b, DiscretePlrv):
         inf_mass = 1.0 - (1.0 - a.infinity_mass) * (1.0 - b.infinity_mass)
+        small, large = (a.atoms, b.atoms) if len(a.atoms) <= len(b.atoms) else (b.atoms, a.atoms)
         with np.errstate(over="ignore"):  # an overflowed value fails _merged's finite check
-            values = np.add.outer(a.atoms[:, 0], b.atoms[:, 0])
-        probs = np.multiply.outer(a.atoms[:, 1], b.atoms[:, 1])
+            values = np.add.outer(small[:, 0], large[:, 0])
+        probs = np.multiply.outer(small[:, 1], large[:, 1])
         # no probability check: products of checked masses sum to 1 only up to rounding
         out = object.__new__(DiscretePlrv)
         object.__setattr__(out, "atoms", _merged(values.ravel(), probs.ravel()))
@@ -292,9 +320,10 @@ def approx_dp_delta(forward: Plrv, reverse: Plrv, eps: float) -> float:
     else:
         mass = reverse.lower_mass(-eps)
         try:
-            tail = math.exp(eps) * mass
+            # no mass, no tail, even at eps = inf, where e^eps * 0 would be NaN
+            tail = math.exp(eps) * mass if mass > 0.0 else 0.0
         except OverflowError:  # in log space; from e^1 on, the tail exceeds every mass
-            tail = 0.0 if mass == 0.0 else math.exp(min(eps + math.log(mass), 1.0))
+            tail = math.exp(min(eps + math.log(mass), 1.0))
         raw = forward.upper_mass(eps) - tail
     return min(1.0, max(0.0, raw))
 
@@ -303,7 +332,10 @@ def _gaussian_adp_delta(mu: float, eps: float) -> float:
     """Unclamped tight delta of a Gaussian mechanism at eps."""
     x = -eps / mu - mu / 2.0
     try:
-        tail = math.exp(eps) * phi(x)
+        scale = math.exp(eps)
     except OverflowError:  # e^eps overflows; e^eps Phi(x) need not
         tail = math.exp(eps + log_phi(x))
+    else:  # no Phi, no tail, even at eps = inf, where e^eps * 0 would be NaN
+        below = phi(x)
+        tail = scale * below if below > 0.0 else 0.0
     return phi(-eps / mu + mu / 2.0) - tail

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,7 +23,7 @@ from dpsemantics import (
     sampling_plrv,
 )
 from dpsemantics.accountants import renyi_divergence
-from dpsemantics.plrv import ATOM_MERGE_TOL
+from dpsemantics.plrv import ATOM_MERGE_TOL, _merged
 
 LN3 = math.log(3)
 
@@ -186,6 +187,65 @@ def test_compose_infinity_absorbs():
     assert math.isclose(sum(p for _, p in got.atoms), 0.9)
 
 
+THREE_P = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
+THREE_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))
+
+
+def _multinomial_atoms(k):
+    """(value, P-mass, Q-mass) of every outcome count (a, b, c) of k draws of
+    the 3-outcome pair, masses exact; the values are distinct."""
+    logs = [math.log(p / q) for p, q in zip(THREE_P, THREE_Q)]
+    atoms = []
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            c = k - a - b
+            coef = math.factorial(k) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
+            atoms.append((
+                a * logs[0] + b * logs[1] + c * logs[2],
+                coef * THREE_P[0] ** a * THREE_P[1] ** b * THREE_P[2] ** c,
+                coef * THREE_Q[0] ** a * THREE_Q[1] ** b * THREE_Q[2] ** c,
+            ))
+    return sorted(atoms)
+
+
+def test_k_fold_composition_matches_the_multinomial_oracle():
+    pair = FiniteMechanismPair(("a", "b", "c"), (0.5, 0.3, 0.2), (0.2, 0.5, 0.3))
+    one_fwd, one_rev = plrv_of_finite_pair(pair), plrv_of_finite_pair(pair.reversed())
+    fwd, rev = one_fwd, one_rev
+    for k in range(1, 17):
+        if k > 1:
+            fwd, rev = compose(fwd, one_fwd), compose(rev, one_rev)
+        want = _multinomial_atoms(k)
+        assert len(fwd.atoms) == len(rev.atoms) == len(want) == math.comb(k + 2, 2)
+        for (gv, gp), (wv, wp, _) in zip(fwd.atoms, want):
+            assert math.isclose(gv, wv, rel_tol=0, abs_tol=1e-12)
+            assert math.isclose(gp, float(wp), rel_tol=0, abs_tol=1e-12)
+        for eps in (0.3, 1.0, 2.2, 4.1):
+            assert min(abs(v - eps) for v, _, _ in want) > 1e-6
+            hit = [(p, q) for v, p, q in want if v >= eps]
+            raw = float(sum(p for p, _ in hit)) - math.exp(eps) * float(sum(q for _, q in hit))
+            got = approx_dp_delta(fwd, rev, eps)
+            assert math.isclose(got, min(1.0, max(0.0, raw)), rel_tol=0, abs_tol=1e-12)
+
+
+def test_compose_drops_masses_that_underflow_to_zero():
+    x = DiscretePlrv(((0.0, 1.0), (1.0, 1e-200), (5.0, 0.0)))
+    assert x.atoms.tolist() == [[0.0, 1.0], [1.0, 1e-200]]
+    # 1e-200 squared underflows to 0, so the atom at 2 is dropped
+    assert compose(x, x).atoms.tolist() == [[0.0, 1.0], [1.0, 2e-200]]
+
+
+def test_compose_with_an_all_infinite_plrv_has_no_atoms():
+    pair = FiniteMechanismPair(("a", "b"), (1.0, 0.0), (0.0, 1.0))
+    x = plrv_of_finite_pair(pair)
+    assert x.atoms.shape == (0, 2) and x.infinity_mass == 1.0
+    for got in (compose(x, x), compose(x, rr_plrv(1.0, True)), compose(rr_plrv(1.0, True), x)):
+        assert got.atoms.shape == (0, 2) and not got.atoms.flags.writeable
+        assert got.infinity_mass == 1.0
+    twice_rev = compose(plrv_of_finite_pair(pair.reversed()), plrv_of_finite_pair(pair.reversed()))
+    assert approx_dp_delta(compose(x, x), twice_rev, 3.0) == 1.0
+
+
 # --- plrv of finite pair ----------------------------------------------------------
 
 def test_finite_pair_rr():
@@ -301,6 +361,16 @@ def test_approx_dp_delta_past_exp_overflow():
     # once e^eps times the mass passes every upper mass, delta clamps to 0
     assert approx_dp_delta(rev, rev, 715.0) == 0.0
     assert approx_dp_delta(fwd, rev, 1000.0) == 0.0
+
+
+def test_approx_dp_delta_at_infinite_eps():
+    # e^inf * 0 is NaN, which the clamp once turned into 0
+    pair = FiniteMechanismPair(("a", "b", "c"), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0))
+    fwd, rev = plrv_of_finite_pair(pair), plrv_of_finite_pair(pair.reversed())
+    assert approx_dp_delta(fwd, rev, math.inf) == approx_dp_delta(fwd, rev, 800.0) == 0.2
+    assert approx_dp_delta(rr_plrv(LN3, True), rr_plrv(LN3, True), math.inf) == 0.0
+    g = gaussian_plrv(1.0)
+    assert approx_dp_delta(g, g, math.inf) == 0.0
 
 
 def test_finite_pair_log_ratio_past_quotient_overflow():
@@ -444,6 +514,41 @@ def test_renyi_moment_matches_divergence(p1, p2, alpha):
         rel_tol=1e-9,
         abs_tol=1e-12,
     )
+
+
+# ties, gaps just below and just above ATOM_MERGE_TOL, and zero masses
+tied_atoms = st.lists(
+    st.tuples(
+        st.sampled_from([-2.0, -1e-13, 0.0, 4e-13, 1.5e-12, 0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 3.0])
+        | st.floats(-5.0, 5.0),
+        st.sampled_from([0.0, 1e-300, 0.25]) | st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_atoms, st.floats(0.0, 0.5), st.lists(st.floats(-6.0, 6.0), max_size=3))
+def test_merged_atoms_keep_their_invariants(atoms, infinity, thresholds):
+    values, weights = (np.array(column) for column in zip(*atoms))
+    total = math.fsum(weights.tolist()) + infinity
+    assume(total > 0.0)
+    probs = weights / total
+    out = _merged(values, probs)
+    assert not out.flags.writeable
+    assert (np.diff(out[:, 0]) >= ATOM_MERGE_TOL).all()
+    kept = probs[probs > 0.0].tolist()
+    assert math.isclose(math.fsum(out[:, 1].tolist()), math.fsum(kept), rel_tol=0, abs_tol=1e-13)
+    # the tails cut the sorted atoms where the boolean masks select them, bit for bit
+    x = DiscretePlrv(np.column_stack([values, probs]), infinity_mass=infinity / total)
+    assert np.array_equal(x.atoms, out)
+    v, p = x.atoms[:, 0], x.atoms[:, 1]
+    at_atoms = [a + d for a in v.tolist() for d in (-ATOM_MERGE_TOL, 0.0, ATOM_MERGE_TOL)]
+    for t in [*thresholds, *at_atoms, math.inf, -math.inf]:
+        assert x.upper_mass(t) == float(p[v >= t - ATOM_MERGE_TOL].sum()) + x.infinity_mass
+        assert x.lower_mass(t) == float(p[v <= t + ATOM_MERGE_TOL].sum())
+        assert x.tail(t) == float(p[v > t].sum()) + x.infinity_mass
 
 
 # --- array form against the list-and-loop reference ----------------------------------

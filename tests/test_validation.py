@@ -228,6 +228,11 @@ BAD_ARGUMENTS = {
         "finite",
         lambda: svg.line_chart([(NAN, 0.5), (0.5, math.inf)], "t", "x", "y"),
     ),
+    # each of these once read a NaN threshold as zero mass, or returned NaN
+    "discrete tail nan t": (ValueError, "threshold t", lambda: rr_plrv(1.0, True).tail(NAN)),
+    "upper_mass nan t": (ValueError, "threshold t", lambda: rr_plrv(1.0, True).upper_mass(NAN)),
+    "lower_mass nan t": (ValueError, "threshold t", lambda: rr_plrv(1.0, True).lower_mass(NAN)),
+    "gaussian tail nan t": (ValueError, "threshold t", lambda: gaussian_plrv(1.0).tail(NAN)),
     "approx_dp_power_bound delta above 1": (
         ValueError, "delta", lambda: approx_dp_power_bound(1.0, 1.5, 0.5)
     ),
