@@ -301,20 +301,3 @@ class Odometer:
         except (ZeroDivisionError, BudgetExceededError) as exc:
             raise ValueError(f"malformed ledger: {exc}") from exc
         return odo
-
-
-__all__ = [
-    "EpsDeltaCurve",
-    "ZcdpProfile",
-    "RdpProfile",
-    "rdp_compose",
-    "renyi_divergence",
-    "zcdp_to_delta",
-    "rdp_to_delta",
-    "fdp_to_epsdelta",
-    "gaussian_pbdp_epsilon",
-    "pbdp_delta_finite",
-    "adp_gaussian_curve",
-    "Odometer",
-    "BudgetExceededError",
-]

@@ -421,8 +421,16 @@ def odometer_init(cap, ledger) -> None:
     try:
         odo = accountants.Odometer(Fraction(cap))
     except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"bad cap {cap!r}")
+        raise click.BadParameter(f"bad cap {cap!r}", param_hint="'--cap'")
     with _ledger_lock(ledger):
+        if os.path.exists(ledger):
+            try:
+                text = Path(ledger).read_text(encoding="utf-8")
+                held = accountants.Odometer.from_ledger_text(text)
+            except ValueError as exc:
+                raise click.UsageError(f"{ledger} is not a ledger, so init leaves it: {exc}")
+            if held.entries:
+                raise click.UsageError(f"{ledger} holds registered spends, so init leaves it")
         _write_ledger(ledger, odo.to_ledger_text())
 
 
@@ -436,7 +444,7 @@ def odometer_register(label, rho, ledger) -> None:
         try:
             spend = Fraction(rho)
         except (ValueError, ZeroDivisionError):
-            raise click.BadParameter(f"bad rho {rho!r}")
+            raise click.BadParameter(f"bad rho {rho!r}", param_hint="'RHO'")
         try:
             remaining = odo.register(label, spend)
         except accountants.BudgetExceededError as exc:

@@ -16,9 +16,10 @@ both arms of each, up to SAMPLE_CHUNK draws.  The sampler inverts the
 cumulative sum of the truncated weights that also normalize `dgauss_pmf`;
 its bucket-exact guide table returns the inversion draw of almost every
 uniform with one table read.  While the calling thread builds the tables
-and samples, one helper thread (`_Ahead`) draws the uniforms a few chunks
-ahead, one buffer per chunk of a call, in the order the loop consumes
-them, so the output bytes do not depend on it.
+and samples, one helper thread (`_Ahead`) draws the uniforms of each
+chunk that the calling thread hands it, a few chunks ahead, into a ring
+of reused buffers; the chunks come in the order the loop consumes them,
+so the output bytes do not depend on the helper.
 """
 
 from __future__ import annotations
@@ -247,107 +248,99 @@ class EmpiricalRoc:
         }
 
 
-def _sample_calls(n_samples: int, cells: int) -> list[tuple[int, int, int, int, int]]:
+def _sample_calls(
+    n_samples: int, cells: int, rngs: list[np.random.Generator]
+) -> tuple[list[tuple[int, int, int, int, int]], list[list[tuple[np.random.Generator, int]]]]:
     """The `sample` calls that draw one rho*'s `cells` cells, in stream
-    order, as (first shard, shards, shard size, first arm, arms).  A call
-    covers a run of whole shards of one size (the `base + 1` shards, then
-    the `base` shards), both arms of each, in at most SAMPLE_CHUNK draws;
-    where one shard's two arms exceed that, each arm of each shard is a
-    call of its own."""
+    order, as (first shard, shards, shard size, first arm, arms), and the
+    chunks of uniforms that they read, in the same order, each as its
+    (generator, count) pieces; the stream of shard s and arm a is
+    rngs[2 s + a].  A call covers a run of whole shards of one size (the
+    `base + 1` shards, then the `base` shards), both arms of each, in at
+    most SAMPLE_CHUNK draws, and is one chunk.  Where one shard's two arms
+    exceed that, each arm of each shard is a call of its own, and its count
+    is cut into chunks at SAMPLE_CHUNK, where `sample` cuts it."""
     base, extra = divmod(n_samples, N_SHARDS)
-    calls = []
+    calls, chunks = [], []
     for first, end, size in ((0, extra, base + 1), (extra, N_SHARDS, base)):
-        per_call = SAMPLE_CHUNK // (2 * cells * size)
+        per_call, count = SAMPLE_CHUNK // (2 * cells * size), cells * size
         if per_call:
-            calls += [
-                (shard, min(per_call, end - shard), size, 0, 2)
-                for shard in range(first, end, per_call)
-            ]
+            for shard in range(first, end, per_call):
+                k = min(per_call, end - shard)
+                calls.append((shard, k, size, 0, 2))
+                chunks.append([(rng, count) for rng in rngs[2 * shard : 2 * (shard + k)]])
         else:
-            calls += [(shard, 1, size, arm, 1) for shard in range(first, end) for arm in (0, 1)]
-    return calls
+            for j in range(2 * first, 2 * end):
+                calls.append((j // 2, 1, size, j % 2, 1))
+                chunks += [
+                    [(rngs[j], min(SAMPLE_CHUNK, count - at))]
+                    for at in range(0, count, SAMPLE_CHUNK)
+                ]
+    return calls, chunks
 
 
 class _Ahead:
-    """The uniforms of a fixed plan of sample calls, drawn ahead on a
-    helper thread.
+    """Uniforms drawn a few chunks ahead on a helper thread.
 
-    `plan` holds one list of (generator, count) per call, in the order the
-    caller consumes them.  The helper fills a ring of AHEAD_BUFFERS reused
-    buffers of SAMPLE_CHUNK doubles with each call's uniforms, starting
-    every call on a fresh buffer, and hands each buffer over with as many
-    doubles as it holds.  So the `random(n)` of each chunk of a `sample`
-    call returns exactly one buffer, a view valid until the next
-    `random`, which is when it goes back to the helper; a request whose n
-    is not the next buffer's size, or that comes after the plan's end,
-    raises `ValueError`.  k PCG64 doubles followed by m doubles are the
-    k + m doubles of one draw, so these are the bytes that drawing each
-    count from its generator in turn gives.  The helper calls nothing but
-    `Generator.random`.  Entering starts the helper; leaving stops and
-    joins it.  An exception raised while drawing is raised again by
-    `random`.
+    `chunks` lists, in the order the caller's `random(n)` calls consume
+    them, the (generator, count) pieces of each chunk, at most SAMPLE_CHUNK
+    doubles in all.  Each `random` hands the helper the chunk
+    AHEAD_BUFFERS - 1 further on, with the ring buffer that the caller's
+    previous result lives in, and returns the next chunk's doubles, a view
+    valid until the next `random`; a request whose n is not that chunk's
+    size, or that comes past the last chunk, raises `ValueError`.  k PCG64
+    doubles followed by m doubles are the k + m doubles of one draw, so
+    these are the bytes that drawing each count from its generator in turn
+    gives.  The helper calls nothing but `Generator.random`.  Entering
+    starts the helper; leaving stops and joins it.  An exception raised
+    while drawing is raised again by `random`.
     """
 
-    def __init__(self, plan: list[list[tuple[np.random.Generator, int]]]):
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        self._full: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(AHEAD_BUFFERS):
-            self._free.put(np.empty(SAMPLE_CHUNK))
-        self._buf: np.ndarray | None = None
-        self._thread = threading.Thread(target=self._fill, args=(plan,))
+    def __init__(self, chunks: list[list[tuple[np.random.Generator, int]]]):
+        self._chunks = chunks
+        self._ring = [np.empty(SAMPLE_CHUNK) for _ in range(AHEAD_BUFFERS)]
+        self._next = 0
+        self._todo: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._draw, name="dpsem-mc-uniforms")
 
     def __enter__(self) -> _Ahead:
         self._thread.start()
+        for i in range(AHEAD_BUFFERS - 1):
+            self._hand(i)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        # a helper still drawing stops at its next wait for a free buffer
-        self._free.put(None)
+        self._todo.put(None)
         self._thread.join()
 
-    @staticmethod
-    def _buffers(plan: list[list[tuple[np.random.Generator, int]]]):
-        """The (generator, count) pieces of each buffer, in turn."""
-        for call in plan:
-            pieces, room = [], SAMPLE_CHUNK
-            for rng, count in call:
-                while count:
-                    k = min(count, room)
-                    pieces.append((rng, k))
-                    count -= k
-                    room -= k
-                    if not room:
-                        yield pieces
-                        pieces, room = [], SAMPLE_CHUNK
-            if pieces:
-                yield pieces
+    def _hand(self, i: int) -> None:
+        if i < len(self._chunks):
+            self._todo.put((self._chunks[i], self._ring[i % AHEAD_BUFFERS]))
 
-    def _fill(self, plan: list[list[tuple[np.random.Generator, int]]]) -> None:
-        try:
-            for pieces in self._buffers(plan):
-                buf = self._free.get()
-                if buf is None:
-                    return
+    def _draw(self) -> None:
+        while (task := self._todo.get()) is not None:
+            pieces, buf = task
+            try:
                 filled = 0
                 for rng, count in pieces:
                     rng.random(out=buf[filled : filled + count])
                     filled += count
-                self._full.put(buf[:filled])
-            # the end of the plan: an empty buffer, which no request matches
-            self._full.put(np.empty(0))
-        except Exception as exc:  # raised again on the calling thread
-            self._full.put(exc)
+                self._done.put(buf[:filled])
+            except Exception as exc:  # raised again on the calling thread
+                self._done.put(exc)
 
     def random(self, n: int) -> np.ndarray:
-        if self._buf is not None:
-            self._free.put(self._buf.base)
-            self._buf = None
-        item = self._full.get()
+        i = self._next
+        if i == len(self._chunks):
+            raise ValueError(f"{n} uniforms requested past the last chunk")
+        self._next = i + 1
+        self._hand(i + AHEAD_BUFFERS - 1)
+        item = self._done.get()
         if isinstance(item, Exception):
             raise item
         if item.size != n:
-            raise ValueError(f"{n} uniforms requested where the plan holds {item.size}")
-        self._buf = item
+            raise ValueError(f"{n} uniforms requested where the chunk holds {item.size}")
         return item
 
 
@@ -366,7 +359,8 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     arm where a shard's two arms exceed SAMPLE_CHUNK draws.  Each stream
     still consumes its uniforms, and each sample adds its terms, in the
     rho* order of a loop over shards, so the grouping moves no byte.  A
-    helper thread draws those uniforms ahead, one buffer per chunk.
+    helper thread draws the chunks of uniforms that `_sample_calls` lists,
+    a few ahead, as the sampler's `random` calls hand them over.
     """
     _check_int("n_samples", n_samples)
     _check_int("seed", seed)
@@ -378,25 +372,16 @@ def mc_roc(queries: AffectedQuerySet, n_samples: int, seed: int) -> EmpiricalRoc
     for rho_star, cells in queries.entries:
         cells_of[rho_star] = cells_of.get(rho_star, 0) + cells
     half = 0.5 * sum(rho_star * cells for rho_star, cells in cells_of.items())
-    # the stream of shard s and arm a is rngs[2 s + a]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * N_SHARDS)]
     arms = np.empty((2, n_samples))
     arms[0], arms[1] = half, -half
     base, extra = divmod(n_samples, N_SHARDS)
-    calls = {cells: _sample_calls(n_samples, cells) for cells in set(cells_of.values())}
-    plan = [
-        [
-            (rngs[2 * s + a], cells * size)
-            for s in range(shard, shard + k)
-            for a in range(arm, arm + n_arms)
-        ]
-        for cells in cells_of.values()
-        for shard, k, size, arm, n_arms in calls[cells]
-    ]
-    with _Ahead(plan) as uniforms:
+    calls = {cells: _sample_calls(n_samples, cells, rngs) for cells in set(cells_of.values())}
+    chunks = [chunk for cells in cells_of.values() for chunk in calls[cells][1]]
+    with _Ahead(chunks) as uniforms:
         for rho_star, cells in cells_of.items():
             sampler = DiscreteGaussianSampler(DiscreteGaussParams(1.0 / rho_star))
-            for shard, k, size, arm, n_arms in calls[cells]:
+            for shard, k, size, arm, n_arms in calls[cells][0]:
                 lo = shard * base + min(shard, extra)
                 total = arms[arm : arm + n_arms, lo : lo + k * size].reshape(n_arms, k, size)
                 shape = (k, n_arms, cells, size)

@@ -466,6 +466,58 @@ def test_malformed_ledger_exits_2(runner, tmp_path, body):
         assert "malformed ledger" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "register, body, message",
+    [(True, None, "registered spends"), (False, "hello\n", "not a ledger")],
+    ids=["ledger-with-a-spend", "not-a-ledger"],
+)
+def test_init_leaves_a_file_it_would_erase_and_exits_2(runner, tmp_path, register, body, message):
+    ledger = tmp_path / "budget.ledger"
+    if register:
+        assert invoke(runner, "odometer", "init", "--cap", "1", "--ledger", str(ledger)).exit_code == 0
+        assert invoke(runner, "odometer", "register", "a", "0.5", "--ledger", str(ledger)).exit_code == 0
+    else:
+        ledger.write_text(body)
+    before = ledger.read_bytes()
+    result = runner.invoke(main, ["odometer", "init", "--cap", "10", "--ledger", str(ledger)])
+    assert result.exit_code == 2, result.output
+    assert str(ledger) in result.stderr
+    assert message in result.stderr
+    assert ledger.read_bytes() == before
+    if register:
+        after = invoke(runner, "odometer", "register", "b", "0.5", "--ledger", str(ledger))
+        assert "remaining budget 0" in after.output
+
+
+def test_init_replaces_a_ledger_without_entries(runner, tmp_path):
+    ledger = tmp_path / "budget.ledger"
+    ledger.write_text("# cap\t1\n")
+    assert invoke(runner, "odometer", "init", "--cap", "10", "--ledger", str(ledger)).exit_code == 0
+    assert ledger.read_text() == "# cap\t10\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_a_bad_cap_or_rho_exits_2_and_names_it(runner, tmp_path, value):
+    ledger = tmp_path / "budget.ledger"
+    result = runner.invoke(main, ["odometer", "init", "--cap", value, "--ledger", str(ledger)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--cap'" in result.stderr
+    assert not ledger.exists()
+    assert invoke(runner, "odometer", "init", "--cap", "1", "--ledger", str(ledger)).exit_code == 0
+    before = ledger.read_bytes()
+    result = runner.invoke(main, ["odometer", "register", "x", value, "--ledger", str(ledger)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for 'RHO'" in result.stderr
+    assert ledger.read_bytes() == before
+
+
+def test_a_ledger_in_a_missing_directory_exits_3(runner, tmp_path):
+    ledger = tmp_path / "missing" / "budget.ledger"
+    result = runner.invoke(main, ["odometer", "init", "--cap", "1", "--ledger", str(ledger)])
+    assert result.exit_code == 3, result.output
+    assert "cannot lock" in result.stderr
+
+
 LEDGER_WRITES = {"init": ["init", "--cap", "1"], "register": ["register", "x", "0.5"]}
 
 

@@ -456,6 +456,11 @@ def test_mc_roc_sample_calls_follow_the_grouping(monkeypatch, production_table, 
     assert len(shapes) == implied_sample_calls(cells_of, n)
 
 
+def mc_helpers_alive() -> bool:
+    """Whether a Monte Carlo uniform-drawing helper thread is running."""
+    return any(t.name == "dpsem-mc-uniforms" for t in threading.enumerate())
+
+
 def test_a_request_off_the_plan_raises_and_the_helper_is_joined(monkeypatch):
     before = threading.active_count()
     with pytest.raises(ValueError, match="uniforms requested"):
@@ -463,11 +468,13 @@ def test_a_request_off_the_plan_raises_and_the_helper_is_joined(monkeypatch):
             uniforms.random(5)
             uniforms.random(5)  # past the end of the plan
     assert threading.active_count() == before
+    assert not mc_helpers_alive()
     # a sampler that asks for one uniform where the plan's first chunk holds more
     monkeypatch.setattr(DiscreteGaussianSampler, "sample", lambda self, rng, size: rng.random(1))
     with pytest.raises(ValueError, match="1 uniforms requested"):
         mc_roc(AffectedQuerySet(((0.5, 3), (0.2, 2))), 4003, seed=3)
     assert threading.active_count() == before
+    assert not mc_helpers_alive()
 
 
 def test_concurrent_mc_roc_calls_under_fast_thread_switching():
@@ -500,6 +507,7 @@ def test_mc_roc_joins_its_helper_thread_on_return():
     before = threading.active_count()
     mc_roc(AffectedQuerySet(((0.5, 3), (0.2, 2))), 4003, seed=3)
     assert threading.active_count() == before
+    assert not mc_helpers_alive()
 
 
 def test_mc_roc_raises_an_error_from_drawing_uniforms(monkeypatch):
@@ -522,11 +530,12 @@ def test_mc_roc_raises_an_error_from_drawing_uniforms(monkeypatch):
     with pytest.raises(MemoryError, match="no room for uniforms"):
         mc_roc(AffectedQuerySet(((0.5, 40), (0.2, 40))), 100_000, seed=3)
     assert threading.active_count() == before
+    assert not mc_helpers_alive()
 
 
 def test_mc_roc_stops_its_helper_on_an_error_in_the_caller(monkeypatch, production_table):
-    # the sampler fails at its fifth call; the helper, far ahead by then,
-    # is usually waiting for a free buffer, and the stop marker wakes it
+    # the sampler fails at its fifth call; the helper, a few chunks ahead by
+    # then, draws the chunks it was handed and stops at the stop marker
     real_sample = DiscreteGaussianSampler.sample
     calls = itertools.count()
 
@@ -540,6 +549,7 @@ def test_mc_roc_stops_its_helper_on_an_error_in_the_caller(monkeypatch, producti
     with pytest.raises(RuntimeError, match="sampler failed"):
         mc_roc(affected_queries_from_table(production_table), 100_000, seed=3)
     assert threading.active_count() == before
+    assert not mc_helpers_alive()
 
 
 def test_standard_error_floored_at_one_event_in_n():

@@ -19,6 +19,7 @@ from dpsemantics import (
     gaussian_exact_power,
     np_tradeoff_finite,
     plrv_of_finite_pair,
+    pure_dp_epsilon,
     pure_dp_power_bound,
     rdp_power_bound,
     zcdp_power_bound,
@@ -86,6 +87,26 @@ def test_approx_reduces_to_pure_at_zero_delta():
 def test_approx_at_zero_eps_adds_delta():
     for delta, level in ((0.01, 0.05), (0.2, 0.3)):
         assert math.isclose(approx_dp_power_bound(0.0, delta, level), level + delta)
+
+
+@pytest.mark.parametrize("concentration", [1.0, 0.1])
+def test_np_power_stays_under_the_pure_dp_bound_within_its_stated_slack(concentration):
+    # at the pair's own pure eps the bound is attained on the exact trade-off's
+    # first or last segment, so rounding puts either one above the other;
+    # README states the bound's error as (2 + eps) 2^-52, which is 2^-51 at
+    # eps = 0; Dirichlet(0.1) pairs reach eps = 62 and exceed the bound by 14 x 2^-52
+    rng = np.random.default_rng(20210812)
+    for _ in range(150):
+        k = int(rng.integers(2, 7))
+        p1, p2 = (rng.dirichlet(np.full(k, concentration)) for _ in range(2))
+        pair = FiniteMechanismPair(tuple(map(str, range(k))), p1, p2)
+        eps = pure_dp_epsilon(plrv_of_finite_pair(pair))
+        slack = (2.0 + eps) * 2.0**-52
+        for direction in (pair, pair.reversed()):
+            curve = np_tradeoff_finite(direction)
+            vertices = [level for level, _ in curve.vertices]
+            for level in [0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, *vertices]:
+                assert curve.power(level) <= pure_dp_power_bound(eps, level) + slack
 
 
 def test_approx_bound_huge_eps_does_not_overflow():
