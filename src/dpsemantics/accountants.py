@@ -171,23 +171,29 @@ def pbdp_delta_finite(pair: FiniteMechanismPair, eps: float) -> float:
     the max over both neighbor directions.  h is linear between T's
     breakpoints d = level / s, so delta is the root of h after its last
     positive breakpoint.  Each direction's vertices come from its own rows
-    (`FiniteMechanismPair._np_vertices`).
+    (`FiniteMechanismPair._np_vertices`), cut to the prefix of levels at most
+    s; the next breakpoint is the following vertex of that prefix, or d = 1,
+    where h(1) = T(s) - 1 - 1e-15 < 0 is interpolated only if it is needed.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     s = math.exp(-eps)
 
     def delta(levels: np.ndarray, powers: np.ndarray) -> float:
-        inside = levels <= s
+        n = levels.searchsorted(s, side="right")
         if s == 0.0:  # h(d) = T(0) - d - 1e-15, T(0) the top vertex at level 0
-            return max(0.0, float(powers[inside][-1]) - 1e-15)
-        d = np.append(levels[inside] / s, 1.0)
-        h = np.append(powers[inside] - d[:-1], np.interp(s, levels, powers) - 1.0) - 1e-15
+            return max(0.0, float(powers[n - 1]) - 1e-15)
+        d = levels[:n] / s
+        h = powers[:n] - d - 1e-15
         above = np.flatnonzero(h > 0.0)
         if not above.size:
             return 0.0
-        k = above[-1]  # h(1) = T(s) - 1 - 1e-15 < 0, so k + 1 exists
-        return float(d[k] + h[k] * (d[k + 1] - d[k]) / (h[k] - h[k + 1]))
+        k = above[-1]
+        if k + 1 < n:
+            d1, h1 = d[k + 1], h[k + 1]
+        else:
+            d1, h1 = 1.0, float(np.interp(s, levels, powers)) - 1.0 - 1e-15
+        return float(d[k] + h[k] * (d1 - d[k]) / (h[k] - h1))
 
     forward, backward = pair._np_vertices
     return max(delta(*forward), delta(*backward))

@@ -262,7 +262,8 @@ class _MomentBoundCurve(TradeoffCurve):
         level 1 - z itself is always feasible.  Newton starts from the level
         at which the Gaussian mechanism that meets every constraint reaches
         power 1 - z and certifies a bracket a few dozen ulps wide; bisection
-        inside it ends at adjacent floats.
+        inside it ends at adjacent floats, on the binding row's scalar check
+        and certified by one full check at its end (`_Flip.bisect`).
         """
         if z >= 1.0:
             return 0.0
@@ -273,8 +274,7 @@ class _MomentBoundCurve(TradeoffCurve):
             flip = _Flip(self, w, rising=False)
             start = phi(phi_inv(w) - self._gaussian_mu)
             flip.pick_from(start if 0.0 < start < w else w)
-            lo, hi = flip.bracket(_INVERSE_BRACKET_WIDTH)
-            return _bisect(flip.feasible, lo, hi)[1]
+            return flip.bisect(*flip.bracket(_INVERSE_BRACKET_WIDTH))
 
 
 class _Flip:
@@ -311,11 +311,19 @@ class _Flip:
         self.lo, self.hi = (u, 1.0) if rising else (0.0, u)
         #: (row k, Newton guess for its root in t) to solve next, or None
         self.pick: tuple[int, float] | None = None
+        #: the row `_solve` last solved, or None before the first solve
+        self.binding: int | None = None
 
     def feasible(self, v: float) -> bool:
         """Whether (u, v) meets every row, for v in (0, 1).  Callers ignore
         overflow and invalid-value warnings: huge orders overflow, and inf
-        and NaN screen as they compare (NaN fails)."""
+        and NaN screen as they compare (NaN fails).
+
+        Once `_solve` has set `binding`, that row is decided by `_row` first:
+        where it fails, the check fails without the screen, which is the
+        answer the screen gives, as it equals deciding every row by `_row`."""
+        if self.binding is not None and not self._passes(self.binding, v):
+            return False
         lv, l1v = math.log(v), math.log1p(-v)
         x = self.fixed_x + self.coef * lv
         y = self.fixed_y + self.coef * l1v
@@ -328,7 +336,25 @@ class _Flip:
         worst = over.max(initial=-math.inf)
         if worst < -band or worst > band:
             return worst < -band
-        return all(self._row(k, v, *self._ratios(v))[0] <= 0.0 for k in open_[over >= -band])
+        return all(self._passes(k, v) for k in open_[over >= -band])
+
+    def bisect(self, lo: float, hi: float) -> float:
+        """`_bisect(self.feasible, lo, hi)[1]` for a level (not `rising`),
+        with the binding row's scalar check in place of the full one.
+
+        The row's flip b has the row, and so the check, failing at the float
+        below it (or that is lo), so b is the check's flip if the check passes
+        there; if another row fails at b, the check's flip lies above b, and
+        the full bisection goes on from there."""
+        if self.binding is None:
+            return _bisect(self.feasible, lo, hi)[1]
+        k = self.binding
+        b = _bisect(lambda v: self._passes(k, v), lo, hi)[1]
+        return b if self.feasible(b) else _bisect(self.feasible, b, hi)[1]
+
+    def _passes(self, k: int, v: float) -> bool:
+        """Whether row k holds at v, by `_row`."""
+        return self._row(k, v, *self._ratios(v))[0] <= 0.0
 
     def _ratios(self, v: float) -> tuple[float, float]:
         """ln(u / v) and ln((1 - u) / (1 - v)), each to a few ulps."""
@@ -428,13 +454,13 @@ class _Flip:
         _NEIGHBORS orders predict their roots from the first root, and the
         nearest of them is solved instead if it comes first."""
         k, t = self.pick[0], self._root(*self.pick)
-        v = _expit(t)
+        v, self.binding = _expit(t), k
         if 0.0 < v < 1.0:
             side = k - k % self.orders
             near = slice(max(side, k - _NEIGHBORS), min(side + self.orders, k + _NEIGHBORS + 1))
             pick = self._pick(v, near)
             if pick is not None and (pick[1] < t if self.rising else pick[1] > t):
-                v = _expit(self._root(*pick))
+                v, self.binding = _expit(self._root(*pick)), pick[0]
         return v
 
     def bracket(self, width: float) -> tuple[float, float]:

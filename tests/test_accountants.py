@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -410,6 +411,63 @@ def test_pbdp_delta_slack_errs_low_by_a_bounded_amount(weights, eps):
     # the library's delta: the slacked one up to rounding, and never above the tight one
     assert abs(got - float(max(slacked))) <= 1e-12
     assert Fraction(got) <= max(tight)
+
+
+def seeded_dirichlet_pairs(concentration, count, seed):
+    """Pairs of Dirichlet(concentration) draws over 2 to 8 outputs; about a
+    third of the draws have one mass set to zero, on either side."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        k = int(rng.integers(2, 9))
+        p1, p2 = rng.dirichlet([concentration] * k), rng.dirichlet([concentration] * k)
+        for p in (p1, p2):
+            if rng.random() < 1.0 / 3.0:
+                p[rng.integers(k)] = 0.0
+                p /= p.sum()
+        pairs.append(FiniteMechanismPair(tuple(map(str, range(k))), p1.tolist(), p2.tolist()))
+    return pairs
+
+
+def pair_oracle_delta(pair, eps):
+    """`exact_pbdp_delta` of the pair's float masses, taken exactly."""
+    return exact_pbdp_delta([Fraction(x) for x in pair.p1.tolist()],
+                            [Fraction(x) for x in pair.p2.tolist()], Fraction(math.exp(-eps)))
+
+
+@pytest.mark.parametrize("concentration, seed", [(1.0, 11), (0.1, 12)])
+def test_pbdp_delta_prefix_cut_matches_the_rational_oracle(concentration, seed):
+    # each direction's vertices are cut at the last level <= s, and h(1) is
+    # interpolated only where the last positive breakpoint ends that prefix
+    for pair in seeded_dirichlet_pairs(concentration, 25, seed):
+        levels = pair._np_vertices[0][0].tolist()
+        inner = [x for x in levels if 0.0 < x < 1.0]
+        eps_list = [0.01, 0.3, 1.0, 4.0, 12.0, 800.0, math.inf] + [-math.log(x) for x in inner[:2]]
+        for eps in eps_list:
+            got = pbdp_delta_finite(pair, eps)
+            assert abs(got - float(pair_oracle_delta(pair, eps))) <= 1e-12, (pair, eps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 2.0, 7.5])
+def test_pbdp_delta_at_an_s_equal_to_a_vertex_level(eps):
+    # after an output of null mass 0 (so that delta > 0), the first rejected
+    # output, with ratio t / s > 1, has null mass exactly s = e^-eps, so s is
+    # a vertex level: the prefix keeps it, and its breakpoint is d = 1
+    s = math.exp(-eps)
+    t, t2 = 0.5 * (1.0 + s), s + 0.1 * (1.0 - s)
+    for m, r in itertools.product((0.0, 0.05, 0.5), (1.0, t, t2)):
+        p1 = (0.0, s, 0.5 * (1.0 - s), 0.5 * (1.0 - s))
+        p2 = (m, (1.0 - m) * r, 0.5 * (1.0 - m) * (1.0 - r), 0.5 * (1.0 - m) * (1.0 - r))
+        pair = FiniteMechanismPair(("z", "a", "b", "c"), p1, p2)
+        assert s in pair._np_vertices[0][0].tolist()
+        got = pbdp_delta_finite(pair, eps)
+        assert abs(got - float(pair_oracle_delta(pair, eps))) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [800.0, math.inf])
+def test_pbdp_delta_where_s_is_zero_matches_the_rational_oracle(eps):
+    for pair in [CATASTROPHIC, RR3] + seeded_dirichlet_pairs(0.1, 10, 13):
+        assert abs(pbdp_delta_finite(pair, eps) - float(pair_oracle_delta(pair, eps))) <= 1e-12
 
 
 # --- figure-level orderings ------------------------------------------------------------

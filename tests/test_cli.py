@@ -1,13 +1,16 @@
 import errno
+import itertools
 import json
 import math
 import os
+import random
 import re
 import stat
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -17,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsemantics import dgauss, gaussian_pbdp_epsilon, zcdp_to_delta
+from dpsemantics import Odometer, dgauss, gaussian_pbdp_epsilon, zcdp_to_delta
 from dpsemantics.census import parse_allocation
 from dpsemantics.cli import CURVES, _render_points, main
 from published import SCENARIO_POWER_TOL, SCENARIO_POWERS, SCENARIO_RHO, SCENARIO_RHO_TOL
@@ -411,19 +414,23 @@ def test_odometer_cli_flow(runner, tmp_path):
     assert "remaining 0" in shown.output
 
 
+def cli_env():
+    """The environment of a `dpsem` subprocess that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_concurrent_registrations_lose_no_spend(runner, tmp_path):
     """Eight processes race to register 1/10 each against a cap of 1/2:
     five fit, three are refused, and every reported success is in the
     ledger."""
     ledger = str(tmp_path / "budget.ledger")
     assert invoke(runner, "odometer", "init", "--cap", "1/2", "--ledger", ledger).exit_code == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     procs = {
         f"q{i}": subprocess.Popen(
             [sys.executable, "-m", "dpsemantics.cli", "odometer", "register", f"q{i}", "1/10",
              "--ledger", ledger],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
         )
         for i in range(8)
     }
@@ -553,6 +560,125 @@ def test_ledger_directory_sync_failure_exits_3(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["odometer", "init", "--cap", "1", "--ledger", str(ledger)])
     assert result.exit_code == 3
     assert "cannot write" in result.stderr
+
+
+#: `python -c CRASHING_DPSEM STEP HOW ARGS...` runs `dpsem ARGS` with a fault
+#: after one STEP of `_write_ledger`: `write` of the temp file (the fault takes
+#: the place of its fsync), that `fsync`, `replace`, or `dirsync`, the
+#: directory's fsync; `none` adds no fault.  HOW is `raise` (an OSError) or
+#: `exit` (os._exit(70), which runs no cleanup).
+CRASHING_DPSEM = textwrap.dedent("""
+    import errno, os, sys
+
+    step, how = sys.argv[1:3]
+    real_fsync, real_replace = os.fsync, os.replace
+    fsyncs = []
+
+    def fault():
+        if how == "exit":
+            os._exit(70)
+        raise OSError(errno.EIO, "injected fault")
+
+    def fsync(fd):
+        fsyncs.append(fd)
+        if step == "write" and len(fsyncs) == 1:
+            fault()
+        real_fsync(fd)
+        if (step, len(fsyncs)) in (("fsync", 1), ("dirsync", 2)):
+            fault()
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        if step == "replace":
+            fault()
+
+    os.fsync, os.replace = fsync, replace
+    sys.argv = ["dpsem", *sys.argv[3:]]
+    from dpsemantics.cli import run
+    run()
+""")
+
+
+def ledger_labels(ledger):
+    """The labels of a ledger's entries; raises unless the ledger parses."""
+    return [label for label, _ in Odometer.from_ledger_text(ledger.read_text(encoding="utf-8")).entries]
+
+
+@pytest.mark.parametrize(
+    "step, how",
+    [("none", "none"), *itertools.product(["write", "fsync", "replace", "dirsync"], ["raise", "exit"])],
+)
+def test_a_fault_in_the_ledger_write_leaves_a_whole_ledger(runner, tmp_path, step, how):
+    # The rename is the commit point.  A fault before it leaves the old ledger
+    # whole; after it, the ledger holds the entry although "registered" was
+    # never printed, which charges a spend that no caller was told of and never
+    # loses one that was.  Power loss, that is what fsync promises of the disk,
+    # is not tested here.
+    ledger = tmp_path / "budget.ledger"
+    assert invoke(runner, "odometer", "init", "--cap", "1", "--ledger", str(ledger)).exit_code == 0
+    assert invoke(runner, "odometer", "register", "a", "1/4", "--ledger", str(ledger)).exit_code == 0
+    before = ledger.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-c", CRASHING_DPSEM, step, how,
+         "odometer", "register", "b", "1/4", "--ledger", str(ledger)],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    acknowledged = "registered b" in proc.stdout
+    if step == "none":
+        assert proc.returncode == 0, proc.stderr
+        assert acknowledged
+    elif how == "raise":
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot write" in proc.stderr
+    else:
+        assert proc.returncode == 70, proc.stderr
+    labels = ledger_labels(ledger)
+    assert labels == (["a", "b"] if step in ("none", "replace", "dirsync") else ["a"])
+    assert acknowledged == (step == "none")
+    if "b" not in labels:
+        assert ledger.read_bytes() == before
+    # the next registration goes through, over whatever temp file the fault left
+    assert invoke(runner, "odometer", "register", "c", "1/4", "--ledger", str(ledger)).exit_code == 0
+    assert ledger_labels(ledger) == labels + ["c"]
+
+
+def test_sigkilled_registrants_lose_no_acknowledged_spend(runner, tmp_path):
+    """One registrant runs to the end and times a process; then six race,
+    each SIGKILLed at a random moment of the span they need together: while
+    it imports, waits for the lock, writes or prints.  The ledger then
+    parses, holds each label whose process printed "registered", and holds
+    no label twice."""
+    ledger = tmp_path / "budget.ledger"
+    assert invoke(runner, "odometer", "init", "--cap", "100", "--ledger", str(ledger)).exit_code == 0
+
+    def register(label):
+        return subprocess.Popen(
+            [sys.executable, "-m", "dpsemantics.cli", "odometer", "register", label, "1", "--ledger", str(ledger)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        )
+
+    t0 = time.monotonic()
+    out, err = register("first").communicate(timeout=120)
+    alone = time.monotonic() - t0
+    assert "registered first" in out, err
+    rng = random.Random(20261020)
+    procs = {f"r{i}": register(f"r{i}") for i in range(6)}
+    t0 = time.monotonic()
+    for delay, label in sorted((rng.uniform(1.0, 3.0) * alone, label) for label in procs):
+        time.sleep(max(0.0, t0 + delay - time.monotonic()))
+        procs[label].kill()
+    acknowledged = {"first"}
+    for label, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode in (0, -9), err
+        if f"registered {label}" in out:
+            acknowledged.add(label)
+    recorded = ledger_labels(ledger)
+    assert len(recorded) == len(set(recorded))
+    assert acknowledged <= set(recorded) <= {"first", *procs}
+    # a killed holder releases its lock with its process
+    assert invoke(runner, "odometer", "register", "after", "1", "--ledger", str(ledger)).exit_code == 0
+    assert ledger_labels(ledger)[-1] == "after"
 
 
 # --- convert ---------------------------------------------------------------------------

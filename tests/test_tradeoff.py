@@ -33,7 +33,13 @@ from dpsemantics.accountants import (
     fdp_to_epsdelta,
     zcdp_to_delta,
 )
-from dpsemantics.tradeoff import ALPHA_GRID, POWER_CERTIFICATE_WIDTH, _bisect, _Flip
+from dpsemantics.tradeoff import (
+    _INVERSE_BRACKET_WIDTH,
+    ALPHA_GRID,
+    POWER_CERTIFICATE_WIDTH,
+    _bisect,
+    _Flip,
+)
 from published import (
     BLOCK_ZCDP_BOUND,
     BLOCK_ZCDP_BOUND_TOL,
@@ -294,9 +300,9 @@ def moment_check(curve, u, rising):
     return feasible
 
 
-def unscreened_check(curve, u, v):
+def unscreened_check(curve, u, v, rising=True):
     """Every row of the check decided by `_Flip._row`, with no screen."""
-    flip = _Flip(curve, u, True)
+    flip = _Flip(curve, u, rising)
     d1, d2 = flip._ratios(v)
     return all(flip._row(k, v, d1, d2)[0] <= 0.0 for k in range(flip.coef.size))
 
@@ -449,6 +455,53 @@ def test_check_is_monotone_at_the_certificates_scale_near_each_flip(curve, u):
             if not (u <= lower and v < 1.0 if rising else 0.0 < lower and v <= w):
                 continue
             assert not (check(lower) != rising and check(v) == rising)
+
+
+def bound_flip(curve, u, rising):
+    """The `_Flip` that `power` at level u (rising) or `inverse_type2` at
+    power u searches, after the certificate rounds that set its binding row,
+    with the bracket they end on."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        flip = _Flip(curve, u, rising)
+        if rising:
+            start = phi(curve._gaussian_mu + phi_inv(u))
+            if u < start < 1.0 and flip.feasible(start):
+                flip.lo = start
+            flip.pick_from(flip.lo)
+        else:
+            start = phi(phi_inv(u) - curve._gaussian_mu)
+            flip.pick_from(start if 0.0 < start < u else u)
+        lo, hi = flip.bracket(POWER_CERTIFICATE_WIDTH if rising else _INVERSE_BRACKET_WIDTH)
+    return flip, lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(moment_curves, open_unit)
+@example(ZcdpNumericBoundCurve(2.63), 0.05)
+@example(ZcdpNumericBoundCurve(0.1115), 0.34)
+@example(RdpNumericBoundCurve(((2.0, 0.0),)), 0.3)  # the flip sits at u
+@example(RdpNumericBoundCurve(((3e4, 0.0),)), 0.5)
+# another row fails at the binding row's flip, 0.49929289360182527: the
+# inverse's full bisection goes on from there, to 0.49929289360182827
+@example(ZcdpNumericBoundCurve(1e-6), 0.5)
+def test_binding_row_first_changes_no_answer_near_each_flip(curve, u):
+    # with a binding row, `feasible` decides that row first and stops where it
+    # fails; the inverse bisects on that row alone and certifies its end
+    w = 1.0 - (1.0 - u)
+    for rising, fixed in [(True, u)] + ([(False, w)] if 0.0 < w < 1.0 else []):
+        flip, lo, hi = bound_flip(curve, fixed, rising)
+        if flip.binding is None:
+            continue
+        # the failing side of the flip, near and far, and its two ends
+        out, sign = (hi, 1.0) if rising else (lo, -1.0)
+        vs = {lo, hi} | {out * (1.0 + sign * step) for step in (2.0**-46, 2.0**-20, 1e-2)}
+        for v in sorted(vs):
+            if 0.0 < v < 1.0 and (fixed <= v if rising else v <= fixed):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    assert flip.feasible(v) == unscreened_check(curve, fixed, v, rising)
+        if not rising:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                assert flip.bisect(lo, hi) == _bisect(flip.feasible, lo, hi)[1]
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
