@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Mapping
 
 import numpy as np
 
 from ._norm import phi
 from .accountants import RdpProfile, ZcdpProfile
-from .plrv import FiniteMechanismPair, _probabilities, plrv_of_finite_pair, pure_dp_epsilon
+from .plrv import FiniteMechanismPair, _probabilities
 
 
 @dataclass(frozen=True)
@@ -82,15 +81,17 @@ class FiniteMechanismFamily:
         )
 
     def pure_dp_epsilon(self, prior: SmallUniversePrior) -> float:
-        """Worst-case pure-DP parameter over all neighbor pairs in the universe,
-        in both orders: a forward loss drops the outputs its first row never
-        produces, so only the reverse loss sees them."""
-        pairs = (
-            self.pair(rest, r1, r2)
-            for rest, _ in prior.rest_datasets
-            for r1, r2 in permutations(prior.record_values, 2)
-        )
-        return max((pure_dp_epsilon(plrv_of_finite_pair(p)) for p in pairs), default=0.0)
+        """Worst-case pure-DP parameter over all neighbor pairs in the universe:
+        the largest |ln p1 - ln p2| over the outputs either row of a pair
+        produces, inf where only one of them does.  It is read straight from
+        the rows, as their PLRVs merge close atoms into means that can lie
+        below the largest one."""
+        rows = [[self.table[(rest, r)] for r in prior.record_values] for rest, _ in prior.rest_datasets]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(rows)
+            # (rest, r1, r2, output); NaN where both rows give the output mass 0
+            gaps = np.abs(logs[:, :, None, :] - logs[:, None, :, :])
+        return float(np.nanmax(gaps, initial=0.0))
 
 
 @dataclass(frozen=True)

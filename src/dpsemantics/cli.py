@@ -403,14 +403,26 @@ def _write_ledger(path: str, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        # the rename survives a crash only once the directory is on disk
+    except OSError as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        click.echo(f"error: cannot write {path}: {exc}", err=True)
+        sys.exit(3)
+    # the rename survives a crash only once the directory is on disk; past
+    # the rename the ledger holds the change, so the error must not invite
+    # a retry that would charge a spend twice
+    try:
         dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
         try:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
+        click.echo(
+            f"error: cannot sync the directory of {path}: {exc}; "
+            "the ledger already holds this change, so do not repeat it",
+            err=True,
+        )
         sys.exit(3)
 
 

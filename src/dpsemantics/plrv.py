@@ -289,7 +289,11 @@ def pure_dp_epsilon(x: Plrv) -> float:
     Callers supply the forward PLRV; neighbor symmetry makes the reverse
     loss the mirror image, so the bound is the largest absolute atom.
     Returns +inf for any positive infinity mass or a nondegenerate
-    Gaussian (unbounded support).
+    Gaussian (unbounded support).  Atoms closer than ATOM_MERGE_TOL are
+    merged into their mass-weighted mean, so for a PLRV built from a finite
+    pair this can lie below the pair's largest |ln(p1 / p2)|, on the unsound
+    side; `bayes.FiniteMechanismFamily.pure_dp_epsilon` reads the rows
+    instead.
     """
     if isinstance(x, GaussianPlrv):
         return abs(x.mean) if x.variance == 0.0 else math.inf

@@ -4,8 +4,9 @@ Each curve maps a significance level in [0, 1] to the maximal power any
 test distinguishing two neighbors can achieve under the stated privacy
 guarantee.  Closed forms cover pure and approximate DP and the Gaussian
 mechanism; RDP and zCDP admit only numeric bounds from moment
-constraints, found by Newton on the binding order and certified by the
-constraint check; finite mechanisms get their exact Neyman-Pearson curve.
+constraints, found by Newton on the binding order and settled to the
+last float of the constraint check; finite mechanisms get their exact
+Neyman-Pearson curve.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ from .plrv import FiniteMechanismPair
 #: strictly inside.
 ALPHA_GRID = np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
 ALPHA_GRID.flags.writeable = False
-
-#: Relative width of the certificate of the moment-constraint power bound:
-#: the check fails at the returned power p and passes at p (1 - width).
-POWER_CERTIFICATE_WIDTH = 2.0**-40
-
-#: Relative width of the bracket the moment-constraint inverse certifies
-#: before it bisects to adjacent floats: a few dozen ulps.
-_INVERSE_BRACKET_WIDTH = 2.0**-47
 
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
@@ -207,10 +200,10 @@ class _MomentBoundCurve(TradeoffCurve):
     `power` fixes the level and `inverse_type2` the power; a `_Flip` owns the
     rows and the check with that coordinate fixed, finds where the check flips
     by safeguarded Newton on the binding order, in the log-odds of the free
-    coordinate, and certifies the answer with the check itself.  The check
-    decides each constraint in ratio form, to within its own error bound (see
-    `_Flip`), so it is exact where level = power and monotone in the free
-    coordinate far below the certificate's width.
+    coordinate, and settles it to adjacent floats of the check itself
+    (`_Flip.settle`).  The check decides each constraint in ratio form, to
+    within its own error bound (see `_Flip`), so it is exact where
+    level = power.
     """
 
     @cached_property
@@ -231,15 +224,14 @@ class _MomentBoundCurve(TradeoffCurve):
             return math.sqrt(max(0.0, float(np.min(2.0 * log_bounds / ((alphas - 1.0) * alphas)))))
 
     def power(self, level: float) -> float:
-        """Smallest power at which the check fails, to a relative 2^-40.
+        """Smallest power at which the check fails, exact to the last float.
 
-        Certified: the check fails at the returned power p and passes at
-        p (1 - POWER_CERTIFICATE_WIDTH) (at the float below p where that
-        rounds to p, at the level where either lies below it), so p lies
-        above the supremum of the feasible powers, by at most that much.  The
-        search starts from the power of the Gaussian mechanism that meets
-        every constraint, or from the level, which always passes, if the check
-        rejects that.  At level 0 the second constraint carries
+        The check fails at the returned power p and passes at the float below
+        it (or that float is the level), so p lies above the supremum of the
+        feasible powers by at most one float.  Newton starts from the power of
+        the Gaussian mechanism that meets every constraint, or from the level
+        where that start rounds outside (level, 1), and `_Flip.settle` ends
+        the search.  At level 0 the second constraint carries
         power^alpha * 0^(1-alpha), infinite for any positive power; level 1 is
         trivially unconstrained.
         """
@@ -249,21 +241,19 @@ class _MomentBoundCurve(TradeoffCurve):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             flip = _Flip(self, level, rising=True)
             start = phi(self._gaussian_mu + phi_inv(level))
-            if level < start < 1.0 and flip.feasible(start):
-                flip.lo = start
-            flip.pick_from(flip.lo)
-            return flip.bracket(POWER_CERTIFICATE_WIDTH)[1]
+            flip.pick_from(start if level < start < 1.0 else level)
+            return flip.settle()
 
     def inverse_type2(self, z: float) -> float:
         """Generalized inverse inf{y : 1 - power(y) <= z}, exact to the last float.
 
         That is the smallest level at which power 1 - z is feasible, found
         without calling `power`: feasibility only grows with the level, and
-        level 1 - z itself is always feasible.  Newton starts from the level
-        at which the Gaussian mechanism that meets every constraint reaches
-        power 1 - z and certifies a bracket a few dozen ulps wide; bisection
-        inside it ends at adjacent floats, on the binding row's scalar check
-        and certified by one full check at its end (`_Flip.bisect`).
+        level 1 - z itself is always feasible.  The check passes at the
+        returned level y and fails at the float below it (or y is 0).
+        Newton starts from the level at which the Gaussian mechanism that
+        meets every constraint reaches power 1 - z, and `_Flip.settle` ends
+        the search, as for `power`.
         """
         if z >= 1.0:
             return 0.0
@@ -274,7 +264,7 @@ class _MomentBoundCurve(TradeoffCurve):
             flip = _Flip(self, w, rising=False)
             start = phi(phi_inv(w) - self._gaussian_mu)
             flip.pick_from(start if 0.0 < start < w else w)
-            return flip.bisect(*flip.bracket(_INVERSE_BRACKET_WIDTH))
+            return flip.settle()
 
 
 class _Flip:
@@ -291,9 +281,9 @@ class _Flip:
     Each row has its own flip, a root of f_k in t = log(v / (1 - v)), and the
     check flips at the first root met going out from the feasible side.
     The bracket (lo, hi) has the check's answer `rising` at lo and the other
-    answer at hi.  The ends of the whole range are taken as given, never
-    evaluated: 0 fails, 1 fails, and the level u and the power u pass,
-    as every E is exactly 0 there and L >= 0.
+    answer at hi.  The ends of the whole range, 0 and 1, are taken as
+    failing and never evaluated; the level u and the power u pass, as every
+    E is exactly 0 there and L >= 0.
 
     The check at v screens every row in log space first: logaddexp(x, y)
     with x = fixed_x + coef log v and y = fixed_y + coef log(1 - v), which
@@ -338,19 +328,50 @@ class _Flip:
             return worst < -band
         return all(self._passes(k, v) for k in open_[over >= -band])
 
-    def bisect(self, lo: float, hi: float) -> float:
-        """`_bisect(self.feasible, lo, hi)[1]` for a level (not `rising`),
-        with the binding row's scalar check in place of the full one.
+    def settle(self) -> float:
+        """The check's flip to the last float: the float at which the check
+        fails (for a power) or passes (for a level) while the float below
+        gives the other answer, with 0 and 1 taken as failing.
 
-        The row's flip b has the row, and so the check, failing at the float
-        below it (or that is lo), so b is the check's flip if the check passes
-        there; if another row fails at b, the check's flip lies above b, and
-        the full bisection goes on from there."""
-        if self.binding is None:
-            return _bisect(self.feasible, lo, hi)[1]
+        Each round solves the binding row and bisects that row alone to its
+        own adjacent floats (`_row_flip`).  The check fails at the row's
+        failing float, as it fails wherever a row fails, so one full check at
+        the row's passing float ends the search where it passes.  Where it
+        fails, another row fails there: that float becomes the bracket's
+        failing end, and the next pick is made among the rows that fail at
+        it.  Without a pick, without a row that flips inside the bracket, or
+        after _NEWTON_ROUNDS rounds, bisecting the full check finishes the
+        search."""
+        for _ in range(_NEWTON_ROUNDS):
+            if self.pick is None or (ends := self._row_flip(self._solve())) is None:
+                break
+            fail, ok = ends
+            if self.feasible(ok):
+                return fail if self.rising else ok
+            if self.rising:
+                self.hi = ok
+            else:
+                self.lo = ok
+            self.pick = self._pick(ok, slice(None), only_failing=True)
+        return _bisect(lambda v: self.feasible(v) != self.rising, self.lo, self.hi)[1]
+
+    def _row_flip(self, r: float) -> tuple[float, float] | None:
+        """(fail, ok): adjacent floats at which the binding row fails and
+        passes, bisected inside _WINDOW_ULPS ulps either side of its root r,
+        or inside the bracket where it does not flip in that window; None
+        where it does not flip inside the bracket either.  The ends of the
+        whole range are taken as failing, as the check fails there."""
         k = self.binding
-        b = _bisect(lambda v: self._passes(k, v), lo, hi)[1]
-        return b if self.feasible(b) else _bisect(self.feasible, b, hi)[1]
+
+        def high(v: float) -> bool:  # the row's answer on the side of hi
+            return v >= 1.0 or (v > 0.0 and self._passes(k, v) != self.rising)
+
+        width = _WINDOW_ULPS * math.ulp(r)
+        for a, b in ((max(r - width, self.lo), min(r + width, self.hi)), (self.lo, self.hi)):
+            if a < b and not high(a) and high(b):
+                lo, hi = _bisect(high, a, b)
+                return (hi, lo) if self.rising else (lo, hi)
+        return None
 
     def _passes(self, k: int, v: float) -> bool:
         """Whether row k holds at v, by `_row`."""
@@ -398,18 +419,19 @@ class _Flip:
         and the pick is among the rows that fail there.
 
         The step is approximate, as only the choice rests on it: f is taken in
-        log form, and e^-|x-y| is floored at e^-40, which can only raise f, by
-        at most 5e-18."""
+        log form.  The weights of x and y are each formed directly, so the
+        slope keeps its sign where one of them is far below the other's
+        rounding, as at tiny levels."""
         lv, l1v = math.log(v), math.log1p(-v)
         coef = self.coef[rows]
         x = self.fixed_x[rows] + coef * lv
         y = self.fixed_y[rows] + coef * l1v
         d = x - y
-        e = np.exp(-np.minimum(np.abs(d), 40.0))
+        e = np.exp(-np.abs(d))
         f = np.maximum(x, y) + np.log1p(e) - self.lim[rows]
-        # df/dt = coef ((1 - v) wx - v wy), with wy = 1 - wx the weight of y
-        wy = np.where(d >= 0.0, e, 1.0) / (1.0 + e)
-        t = (lv - l1v) - f / (coef * ((1.0 - v) - wy))
+        # df/dt = coef ((1 - v) wx - v wy), wx and wy the weights of x and y
+        wx, wy = np.where(d >= 0.0, 1.0, e) / (1.0 + e), np.where(d >= 0.0, e, 1.0) / (1.0 + e)
+        t = (lv - l1v) - f / (coef * ((1.0 - v) * wx - v * wy))
         if only_failing:
             # a row that fails at v has its root inside the bracket
             t = np.clip(t, _logit(self.lo), _logit(self.hi))
@@ -463,57 +485,15 @@ class _Flip:
                 v, self.binding = _expit(self._root(*pick)), pick[0]
         return v
 
-    def bracket(self, width: float) -> tuple[float, float]:
-        """(a, b) with a = b (1 - width), or the float below b, or the lower
-        end of the whole range: the check gives the answer it gives at lo at
-        a, and the one it gives at hi at b, so the flip lies between them.
 
-        Each round solves for the binding row's root r and checks the window
-        around it, lower end first.  The end that answers as the opposite
-        end of the bracket does replaces that end, and the next pick is made
-        from it: among the rows that fail there, if it fails.  Every round
-        lowers hi or raises lo.  Without a pick the flip is within rounding
-        of the end that moved last, and the next window lies just inside it;
-        if that fails too, or after _NEWTON_ROUNDS rounds, at the midpoint.
-        """
-        # without a row to solve, the window lies just inside the end that
-        # moved last (for a power without any, the flip lies at 1), once;
-        # then at the bracket's midpoint
-        nudge, end = (self.hi, self.u) if self.rising else (math.nan, 0.0)
-        for rounds in range(_CERTIFY_STEPS):
-            lo, hi = self.lo, self.hi
-            nudged = self.pick is None or rounds >= _NEWTON_ROUNDS
-            r = nudge if nudged else self._solve()
-            # a root a rounding error outside the bracket: the window just inside
-            if lo > 0.0 and lo * (1.0 - width) < r <= lo:
-                r = lo * (1.0 + width)
-            elif hi < r <= hi * (1.0 + width):
-                r = hi
-            if not lo < r <= hi:
-                r = max(0.5 * (lo + hi), math.nextafter(lo, 1.0))
-            b = min(r * (1.0 + 0.5 * width), hi)
-            a = max(b * (1.0 - width), end)
-            if a == b:  # b (1 - width) rounds to b among subnormals
-                a = max(math.nextafter(b, 0.0), end)
-            if a not in (lo, end) and self.feasible(a) != self.rising:
-                self.hi = a
-                nudge = math.nan if nudged else a
-                self.pick = self._pick(a, slice(None), only_failing=self.rising)
-            elif b < hi and self.feasible(b) == self.rising:
-                self.lo = b
-                nudge = math.nan if nudged else b * (1.0 + width)
-                self.pick = self._pick(b, slice(None), only_failing=not self.rising)
-            else:
-                return a, b
-        return self.lo, self.hi
-
-
-#: Iteration caps: Newton steps of one root; certificate rounds that may
-#: solve roots before they fall back to the bracket's midpoint; all rounds,
-#: enough for the midpoints to reach adjacent floats anywhere in (0, 1).
+#: Iteration caps: Newton steps of one root; rounds of `_Flip.settle` that
+#: solve a row before the full check is bisected.
 _NEWTON_STEPS = 60
 _NEWTON_ROUNDS = 16
-_CERTIFY_STEPS = 1200
+
+#: Half-width of the window around a Newton root in which `_Flip.settle`
+#: bisects the binding row first, in ulps of the root.
+_WINDOW_ULPS = 32
 
 #: The first pick looks at every _STRIDE-th order; a solved row's neighbors
 #: within _NEIGHBORS orders then predict their roots from it.

@@ -177,8 +177,9 @@ GOLDEN_SPECS = {
 #: version with tests/goldens/write_golden.py.  v2 of the zCDP bound is the
 #: failing end of a 2^-40 certificate, where v1 was the passing end of a
 #: 1e-6 bisection bracket; v3 certifies it with the ratio-form check, whose
-#: slack is its own error bound instead of a fixed 1e-12 in log space.
-GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v3"}
+#: slack is its own error bound instead of a fixed 1e-12 in log space; v4 is
+#: that check's flip to the last float, with no certificate above it.
+GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v4"}
 
 
 def test_criterion_4_golden_curves_regenerate_bit_identically():
@@ -231,6 +232,19 @@ def test_zcdp_bound_v3_golden_lies_just_below_v2():
     # and above the power of the Gaussian mechanism that meets 2.63-zCDP
     mu = math.sqrt(2.0 * 2.63)
     assert all(power >= gaussian_exact_power(mu, level) for level, power in v3.tolist())
+
+
+def test_zcdp_bound_v4_golden_lies_just_below_v3():
+    # the check's flip itself, where v3 was the failing end of a 2^-40
+    # certificate: every power stays or falls, by less than that certificate
+    name = "tradeoff-zcdp-rho2.63.csv"
+    v3, v4 = (np.loadtxt(GOLDENS / v / name, delimiter=",", skiprows=1) for v in ("v3", "v4"))
+    assert np.array_equal(v3[:, 0], v4[:, 0])
+    assert np.all(v4[:, 1] <= v3[:, 1])
+    assert np.all(v4[:, 1] >= v3[:, 1] * (1.0 - 2.0**-40))
+    # and at or above the power of the Gaussian mechanism that meets 2.63-zCDP
+    mu = math.sqrt(2.0 * 2.63)
+    assert all(power >= gaussian_exact_power(mu, level) for level, power in v4.tolist())
 
 
 def test_mc_golden_regenerates_bit_identically(tmp_path):

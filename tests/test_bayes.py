@@ -13,6 +13,10 @@ from dpsemantics import (
     exact_posteriors,
     fdp_to_epsdelta,
     gaussian_pbdp_epsilon,
+    np_tradeoff_finite,
+    plrv_of_finite_pair,
+    pure_dp_epsilon,
+    pure_dp_power_bound,
     pure_dp_ratio_bound_check,
     zcdp_to_delta,
 )
@@ -210,6 +214,22 @@ def test_pure_dp_epsilon_does_not_depend_on_the_record_order(records):
     assert mech.pure_dp_epsilon(prior) == math.inf
     with pytest.raises(ValueError, match="not pure-DP"):
         pure_dp_ratio_bound_check(prior, mech)
+
+
+def test_pure_dp_epsilon_is_the_largest_log_ratio_where_ratios_nearly_tie():
+    # the first two outputs' ratios differ by 8e-13, inside the PLRV's atom
+    # merge: the merged atom's mean lay 4.0e-13 below the larger log ratio, and
+    # the Neyman-Pearson power then exceeded the pure-DP bound at that eps
+    b = 0.3 * (1.0 + 8e-13)
+    rows = {"a": (0.1, 0.1, 0.8), "b": (0.3, b, 1.0 - 0.3 - b)}
+    mech = FiniteMechanismFamily(("x", "y", "z"), {("rest", r): rows[r] for r in rows})
+    eps = mech.pure_dp_epsilon(SmallUniversePrior.known_rest(("a", "b"), (0.5, 0.5)))
+    assert math.isclose(eps, math.log(b / 0.1), rel_tol=2.0**-50)
+    pair = mech.pair("rest", "a", "b")
+    assert eps > pure_dp_epsilon(plrv_of_finite_pair(pair)) + 3e-13
+    for direction in (pair, pair.reversed()):
+        power = np_tradeoff_finite(direction).power(0.1)
+        assert power <= pure_dp_power_bound(eps, 0.1) + (2.0 + eps) * 2.0**-52
 
 
 # --- theorem-level delta curves --------------------------------------------------------

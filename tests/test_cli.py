@@ -559,7 +559,9 @@ def test_ledger_directory_sync_failure_exits_3(runner, tmp_path, monkeypatch):
     ledger = tmp_path / "budget.ledger"
     result = runner.invoke(main, ["odometer", "init", "--cap", "1", "--ledger", str(ledger)])
     assert result.exit_code == 3
-    assert "cannot write" in result.stderr
+    # the rename has happened: the message says the ledger holds the change
+    assert "already holds" in result.stderr
+    assert "cannot write" not in result.stderr
 
 
 #: `python -c CRASHING_DPSEM STEP HOW ARGS...` runs `dpsem ARGS` with a fault
@@ -629,7 +631,14 @@ def test_a_fault_in_the_ledger_write_leaves_a_whole_ledger(runner, tmp_path, ste
         assert acknowledged
     elif how == "raise":
         assert proc.returncode == 3, proc.stderr
-        assert "cannot write" in proc.stderr
+        # a fault before the rename removes the temp file; one after it says
+        # that the ledger holds the entry (the injected rename raises after
+        # it has renamed, where a real failed rename renames nothing)
+        assert not (tmp_path / "budget.ledger.tmp").exists()
+        if step == "dirsync":
+            assert "already holds" in proc.stderr and "cannot write" not in proc.stderr
+        else:
+            assert "cannot write" in proc.stderr
     else:
         assert proc.returncode == 70, proc.stderr
     labels = ledger_labels(ledger)

@@ -33,13 +33,7 @@ from dpsemantics.accountants import (
     fdp_to_epsdelta,
     zcdp_to_delta,
 )
-from dpsemantics.tradeoff import (
-    _INVERSE_BRACKET_WIDTH,
-    ALPHA_GRID,
-    POWER_CERTIFICATE_WIDTH,
-    _bisect,
-    _Flip,
-)
+from dpsemantics.tradeoff import ALPHA_GRID, _bisect, _Flip
 from published import (
     BLOCK_ZCDP_BOUND,
     BLOCK_ZCDP_BOUND_TOL,
@@ -223,8 +217,8 @@ def test_rdp_zero_gamma_forces_noninformative():
     for level in (0.05, 0.3):
         assert abs(rdp_power_bound([(2.0, 0.0)], level) - level) < 1e-5
     # even at so large an order the level itself passes the check exactly (every
-    # term is 0 there), so the bound lies within its certificate above the level
-    assert 0.5 < RdpNumericBoundCurve(((1e5, 0.0),)).power(0.5) <= 0.5 * (1.0 + POWER_CERTIFICATE_WIDTH)
+    # term is 0 there), so the bound is the float above the level
+    assert RdpNumericBoundCurve(((1e5, 0.0),)).power(0.5) == math.nextafter(0.5, 1.0)
 
 
 def test_rdp_bound_membership_and_monotone_in_gamma():
@@ -325,10 +319,11 @@ moment_curves = st.one_of(
 @given(moment_curves, open_unit, open_unit, st.booleans())
 def test_screened_check_equals_its_rows_and_brackets_the_exact_constraints(curve, u, v, on_the_bound):
     if on_the_bound:
-        # the largest feasible power, and the one just above: where the orders near
-        # the bound decide and the screen leaves them to the rows' ratio form
+        # the smallest failing power, the float below and a power 2^-40 below:
+        # where the orders near the bound decide and the screen leaves them to
+        # the rows' ratio form
         v = curve.power(u)
-        vs = [w for w in (v, math.nextafter(v, 0.0), v * (1.0 - POWER_CERTIFICATE_WIDTH)) if 0.0 < w < 1.0]
+        vs = [w for w in (v, math.nextafter(v, 0.0), v * (1.0 - 2.0**-40)) if 0.0 < w < 1.0]
     else:
         vs = [v]
     for v in vs:
@@ -350,18 +345,16 @@ def census_budgets():
 
 def assert_power_certified(curve, level):
     """The power bound p fails the exact constraints at p and meets them
-    within the check's stated slack at p (1 - 2^-40), or at the float below
-    p where that rounds to p, or at the level where either lies below it:
-    p lies above the supremum of the feasible powers, by at most that much.
-    Levels 0 and 1 keep their fixed answers."""
+    within the check's stated slack at the float below p (which may be the
+    level): p lies above the supremum of the feasible powers, by at most one
+    float.  Levels 0 and 1 keep their fixed answers."""
     p = curve.power(level)
     if level in (0.0, 1.0):
         assert p == level
     else:
         assert level < p <= 1.0
         assert not exact_feasible(curve, level, p)
-        below = max(level, min(p * (1.0 - POWER_CERTIFICATE_WIDTH), math.nextafter(p, 0.0)))
-        assert exact_feasible(curve, level, below, slack=2.0)
+        assert exact_feasible(curve, level, math.nextafter(p, 0.0), slack=2.0)
 
 
 def assert_inverse_exact(curve, z):
@@ -439,40 +432,47 @@ def test_inverse_at_a_huge_order_is_the_whole_range_bisection(order, z):
     assert_inverse_exact(curve, z)
 
 
+def assert_adjacent_flip(check, answer, rising, u):
+    """`answer` is the check's flip to adjacent floats: for a power (rising)
+    the check fails at it (1 is taken as failing) and passes at the float
+    below, unless that is the level u; for a level it passes at it and fails
+    at the float below, unless that is 0."""
+    below = math.nextafter(answer, 0.0)
+    if rising:
+        assert u < answer <= 1.0
+        assert answer == 1.0 or not check(answer)
+        assert below == u or check(below)
+    else:
+        assert 0.0 < answer <= u
+        assert check(answer)
+        assert below == 0.0 or not check(below)
+
+
 @settings(max_examples=150, deadline=None)
 @given(moment_curves, open_unit)
-@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # the log form had 76 such pairs here
-def test_check_is_monotone_at_the_certificates_scale_near_each_flip(curve, u):
-    # on the feasible side of each flip, the check never gives the feasible
-    # answer at v and the other at v (1 - 2^-41), which `bracket` relies on
+@example(ZcdpNumericBoundCurve(0.1115), 0.34)  # the log form was ragged here
+# a subnormal level: the check fails at 2.225074543378507e-309 and passes at
+# 2.22507454337952e-309, so it is not monotone at a relative 2^-41 there
+@example(RdpNumericBoundCurve(((1.5, 0.0),)), 2.225073858507203e-309)
+def test_each_answer_is_the_checks_flip_at_adjacent_floats(curve, u):
     w = 1.0 - (1.0 - u)
-    flips = [(True, curve.power(u))] + ([(False, curve.inverse_type2(1.0 - u))] if w > 0.0 else [])
-    for rising, flip in flips:
-        check = moment_check(curve, u if rising else w, rising)
-        for j in range(-64, 65):
-            v = flip * (1.0 + j * 2.0**-46)
-            lower = v * (1.0 - 2.0**-41)
-            if not (u <= lower and v < 1.0 if rising else 0.0 < lower and v <= w):
-                continue
-            assert not (check(lower) != rising and check(v) == rising)
+    assert_adjacent_flip(moment_check(curve, u, True), curve.power(u), True, u)
+    if w > 0.0:
+        assert_adjacent_flip(moment_check(curve, w, False), curve.inverse_type2(1.0 - u), False, w)
 
 
 def bound_flip(curve, u, rising):
     """The `_Flip` that `power` at level u (rising) or `inverse_type2` at
-    power u searches, after the certificate rounds that set its binding row,
-    with the bracket they end on."""
+    power u searches, after `settle`, with the answer it settles on."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         flip = _Flip(curve, u, rising)
         if rising:
             start = phi(curve._gaussian_mu + phi_inv(u))
-            if u < start < 1.0 and flip.feasible(start):
-                flip.lo = start
-            flip.pick_from(flip.lo)
+            flip.pick_from(start if u < start < 1.0 else u)
         else:
             start = phi(phi_inv(u) - curve._gaussian_mu)
             flip.pick_from(start if 0.0 < start < u else u)
-        lo, hi = flip.bracket(POWER_CERTIFICATE_WIDTH if rising else _INVERSE_BRACKET_WIDTH)
-    return flip, lo, hi
+        return flip, flip.settle()
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,27 +481,33 @@ def bound_flip(curve, u, rising):
 @example(ZcdpNumericBoundCurve(0.1115), 0.34)
 @example(RdpNumericBoundCurve(((2.0, 0.0),)), 0.3)  # the flip sits at u
 @example(RdpNumericBoundCurve(((3e4, 0.0),)), 0.5)
-# another row fails at the binding row's flip, 0.49929289360182527: the
-# inverse's full bisection goes on from there, to 0.49929289360182827
+# another row fails at the binding row's flip, 0.4992928935723767, and the row
+# picked there does not flip inside the bracket: bisecting the full check ends
+# the inverse at 0.49929289360182827
 @example(ZcdpNumericBoundCurve(1e-6), 0.5)
 def test_binding_row_first_changes_no_answer_near_each_flip(curve, u):
     # with a binding row, `feasible` decides that row first and stops where it
-    # fails; the inverse bisects on that row alone and certifies its end
+    # fails; `settle` bisects on that row alone and ends on one full check
     w = 1.0 - (1.0 - u)
     for rising, fixed in [(True, u)] + ([(False, w)] if 0.0 < w < 1.0 else []):
-        flip, lo, hi = bound_flip(curve, fixed, rising)
+        flip, answer = bound_flip(curve, fixed, rising)
+        assert answer == (curve.power(u) if rising else curve.inverse_type2(1.0 - u))
         if flip.binding is None:
             continue
-        # the failing side of the flip, near and far, and its two ends
-        out, sign = (hi, 1.0) if rising else (lo, -1.0)
-        vs = {lo, hi} | {out * (1.0 + sign * step) for step in (2.0**-46, 2.0**-20, 1e-2)}
+        # the failing side of the flip, near and far, and the answer's two floats
+        sign = 1.0 if rising else -1.0
+        vs = {answer, math.nextafter(answer, 0.0)}
+        vs |= {answer * (1.0 + sign * step) for step in (2.0**-46, 2.0**-20, 1e-2)}
         for v in sorted(vs):
             if 0.0 < v < 1.0 and (fixed <= v if rising else v <= fixed):
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     assert flip.feasible(v) == unscreened_check(curve, fixed, v, rising)
-        if not rising:
+
+        def check(v):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                assert flip.bisect(lo, hi) == _bisect(flip.feasible, lo, hi)[1]
+                return flip.feasible(v)
+
+        assert_adjacent_flip(check, answer, rising, fixed)
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
