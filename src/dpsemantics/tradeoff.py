@@ -4,16 +4,16 @@ Each curve maps a significance level in [0, 1] to the maximal power any
 test distinguishing two neighbors can achieve under the stated privacy
 guarantee.  Closed forms cover pure and approximate DP and the Gaussian
 mechanism; RDP and zCDP admit only numeric bounds from moment
-constraints, found by Newton on the binding order and settled to the
-last float of the constraint check; finite mechanisms get their exact
-Neyman-Pearson curve.
+constraints, located for every level of a curve at once and settled
+level by level, by Newton on the binding order, to the last float of the
+constraint check; finite mechanisms get their exact Neyman-Pearson curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -26,6 +26,17 @@ from .plrv import FiniteMechanismPair
 #: strictly inside.
 ALPHA_GRID = np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
 ALPHA_GRID.flags.writeable = False
+
+
+def _orders_of(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """What the moment rows take from their orders alone: (coef, swapped,
+    alpha_max) of `_MomentBoundCurve._stacked`, and (alphas - 1) alphas."""
+    coef, swapped = np.concatenate((1.0 - alphas, alphas)), np.concatenate((alphas, 1.0 - alphas))
+    return coef, swapped, float(alphas.max()), (alphas - 1.0) * alphas
+
+
+#: `_orders_of(ALPHA_GRID)`, which every zCDP curve shares
+_ZCDP_ORDERS = _orders_of(ALPHA_GRID)
 
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
@@ -66,21 +77,16 @@ def gaussian_exact_power(mu: float, level: float) -> float:
     return phi(mu + phi_inv(level))
 
 
-def rdp_power_bound(points: Iterable[tuple[float, float]], level: float) -> float:
-    """Maximal power consistent with a set of (alpha, gamma) RDP bounds."""
+def rdp_power_bound(points: Iterable[tuple[float, float]], level: float | np.ndarray) -> float | np.ndarray:
+    """Maximal power consistent with a set of (alpha, gamma) RDP bounds, at a
+    level or at each of a 1-D array of levels."""
     return RdpNumericBoundCurve(tuple(points)).power(level)
 
 
-def zcdp_power_bound(rho: float, level: float) -> float:
-    """Maximal power consistent with rho-zCDP, i.e. gamma = rho * alpha."""
-    return _zcdp_curve(rho).power(level)
-
-
-@lru_cache(maxsize=1)
-def _zcdp_curve(rho: float) -> ZcdpNumericBoundCurve:
-    """The last rho's curve, so the levels of one curve (callers ask for
-    them in a run) share its constraint rows and Gaussian seed."""
-    return ZcdpNumericBoundCurve(rho)
+def zcdp_power_bound(rho: float, level: float | np.ndarray) -> float | np.ndarray:
+    """Maximal power consistent with rho-zCDP, i.e. gamma = rho * alpha, at a
+    level or at each of a 1-D array of levels."""
+    return ZcdpNumericBoundCurve(rho).power(level)
 
 
 class TradeoffCurve:
@@ -197,13 +203,12 @@ class _MomentBoundCurve(TradeoffCurve):
     its mirror image stay below e^L, L = (a-1) gamma.  Subclasses supply the
     orders and the log bounds L as the pair `_constraints`.
 
-    `power` fixes the level and `inverse_type2` the power; a `_Flip` owns the
-    rows and the check with that coordinate fixed, finds where the check flips
-    by safeguarded Newton on the binding order, in the log-odds of the free
-    coordinate, and settles it to adjacent floats of the check itself
-    (`_Flip.settle`).  The check decides each constraint in ratio form, to
-    within its own error bound (see `_Flip`), so it is exact where
-    level = power.
+    `power` fixes the level and `inverse_type2` the power, each for a float
+    or a 1-D array of them; a `_Flip` owns the rows and the check with that
+    coordinate fixed, locates every flip at once in log form, and settles
+    each one level at a time on the check itself (`_Flip.locate`).  The
+    check decides each constraint in ratio form, to within its own error
+    bound (see `_Flip`), so it is exact where level = power.
     """
 
     @cached_property
@@ -211,64 +216,74 @@ class _MomentBoundCurve(TradeoffCurve):
         """(coef, swapped, lim, alpha_max) over 2 x orders rows, the constraint then
         its mirror image; `swapped`, coef with its halves swapped, holds the fixed
         exponents; lim is L and alpha_max the largest order."""
-        alphas, log_bounds = self._constraints
-        coef, swapped = np.concatenate((1.0 - alphas, alphas)), np.concatenate((alphas, 1.0 - alphas))
-        return coef, swapped, np.concatenate((log_bounds, log_bounds)), float(alphas.max())
+        coef, swapped, alpha_max, _ = self._orders
+        log_bounds = self._constraints[1]
+        return coef, swapped, np.concatenate((log_bounds, log_bounds)), alpha_max
+
+    @cached_property
+    def _orders(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """`_orders_of` the curve's orders, shared by every zCDP curve."""
+        alphas = self._constraints[0]
+        return _ZCDP_ORDERS if alphas is ALPHA_GRID else _orders_of(alphas)
 
     @cached_property
     def _gaussian_mu(self) -> float:
         """Largest mu whose Gaussian mechanism meets every constraint: its
         divergence at order alpha is alpha mu^2 / 2."""
-        alphas, log_bounds = self._constraints
         with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(max(0.0, float(np.min(2.0 * log_bounds / ((alphas - 1.0) * alphas)))))
+            return math.sqrt(max(0.0, float(np.min(2.0 * self._constraints[1] / self._orders[3]))))
 
-    def power(self, level: float) -> float:
-        """Smallest power at which the check fails, exact to the last float.
+    def power(self, level: float | np.ndarray) -> float | np.ndarray:
+        """Power bound at a level, or at each of a 1-D array of levels.
 
         The check fails at the returned power p and passes at the float below
-        it (or that float is the level), so p lies above the supremum of the
-        feasible powers by at most one float.  Newton starts from the power of
-        the Gaussian mechanism that meets every constraint, or from the level
-        where that start rounds outside (level, 1), and `_Flip.settle` ends
-        the search.  At level 0 the second constraint carries
-        power^alpha * 0^(1-alpha), infinite for any positive power; level 1 is
-        trivially unconstrained.
+        it (or that float is the level), so p lies at most one float above a
+        power the check passes.  The check can flip more than once within a
+        few floats, so p need not be the smallest power at which it fails.
+        At level 0 the second constraint carries power^alpha * 0^(1-alpha),
+        infinite for any positive power; level 1 is trivially unconstrained.
+        Each level gets the answer its own call gives: levels share only the
+        log-form locating.
         """
-        _check_level(level)
-        if level in (0.0, 1.0):
-            return 0.0 if level == 0.0 else 1.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            flip = _Flip(self, level, rising=True)
-            start = phi(self._gaussian_mu + phi_inv(level))
-            flip.pick_from(start if level < start < 1.0 else level)
-            return flip.settle()
+        levels, scalar = _vector(level)
+        if not ((levels >= 0.0) & (levels <= 1.0)).all():  # NaN fails both
+            raise ValueError("significance level must lie in [0, 1]")
+        # levels 0 and 1 are their own powers (+ 0.0 turns -0.0 into 0.0)
+        out = self._located(levels, (levels > 0.0) & (levels < 1.0), True, lambda: levels + 0.0)
+        return float(out[0]) if scalar else out
 
-    def inverse_type2(self, z: float) -> float:
-        """Generalized inverse inf{y : 1 - power(y) <= z}, exact to the last float.
+    def inverse_type2(self, z: float | np.ndarray) -> float | np.ndarray:
+        """Generalized inverse inf{y : 1 - power(y) <= z}, at a z or at each of
+        a 1-D array of them, exact to the last float.
 
         That is the smallest level at which power 1 - z is feasible, found
         without calling `power`: feasibility only grows with the level, and
         level 1 - z itself is always feasible.  The check passes at the
-        returned level y and fails at the float below it (or y is 0).
-        Newton starts from the level at which the Gaussian mechanism that
-        meets every constraint reaches power 1 - z, and `_Flip.settle` ends
-        the search, as for `power`.
+        returned level y and fails at the float below it (or y is 0).  A NaN
+        z gives NaN.
         """
-        if z >= 1.0:
-            return 0.0
-        w = 1.0 - z
-        if w >= 1.0:  # power 1 (or more) is feasible only at level 1
-            return 1.0
+        zs, scalar = _vector(z)
+        w = 1.0 - zs
+        # power 1 (or more) is feasible only at level 1
+        out = self._located(w, (zs < 1.0) & (w < 1.0), False, lambda: np.where(zs >= 1.0, 0.0, np.minimum(w, 1.0)))
+        return float(out[0]) if scalar else out
+
+    def _located(
+        self, us: np.ndarray, inner: np.ndarray, rising: bool, edges: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """`_Flip.locate` at the us where `inner`, and `edges()` elsewhere."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            flip = _Flip(self, w, rising=False)
-            start = phi(phi_inv(w) - self._gaussian_mu)
-            flip.pick_from(start if 0.0 < start < w else w)
-            return flip.settle()
+            if inner.size and inner.all():
+                return _Flip(self, us, rising).locate()
+            out = edges()
+            if inner.any():
+                out[inner] = _Flip(self, us[inner], rising).locate()
+            return out
 
 
 class _Flip:
-    """Where the moment check with one coordinate u fixed flips, along v.
+    """Where the moment check with one coordinate u fixed flips, along v, for
+    each u of a 1-D array of them.
 
     With `rising`, v is the power at level u: the check passes from v = u
     up to the flip and fails above it, up to v = 1.  Otherwise v is the level
@@ -285,6 +300,11 @@ class _Flip:
     failing and never evaluated; the level u and the power u pass, as every
     E is exactly 0 there and L >= 0.
 
+    `locate` makes the picks for every u at once, on (levels x rows)
+    arrays of the rows' log form (`_steps`); the exact code (`feasible`,
+    `_row`, `_root`, `_row_flip`, `_settle`) then runs one u at a time, on
+    the u that `_at` selected last.  A new `_Flip` selects its first u.
+
     The check at v screens every row in log space first: logaddexp(x, y)
     with x = fixed_x + coef log v and y = fixed_y + coef log(1 - v), which
     lies in [max(x, y), max + ln 2], against L.  Only the rows whose log
@@ -293,27 +313,98 @@ class _Flip:
     answer as `_row` would.
     """
 
-    def __init__(self, curve: _MomentBoundCurve, u: float, rising: bool) -> None:
-        self.coef, swapped, self.lim, self.alpha_max = curve._stacked
-        self.u, lu, l1u = u, math.log(u), math.log1p(-u)
-        self.fixed_x, self.fixed_y, self.log_u = swapped * lu, swapped * l1u, lu + l1u
-        self.orders, self.rising = self.coef.size // 2, rising
-        self.lo, self.hi = (u, 1.0) if rising else (0.0, u)
-        #: (row k, Newton guess for its root in t) to solve next, or None
-        self.pick: tuple[int, float] | None = None
-        #: the row `_solve` last solved, or None before the first solve
-        self.binding: int | None = None
+    def __init__(self, curve: _MomentBoundCurve, u: float | np.ndarray, rising: bool) -> None:
+        self.coef, self.swapped, self.lim, self.alpha_max = curve._stacked
+        self.orders, self.rising, self.mu = self.coef.size // 2, rising, curve._gaussian_mu
+        self.us = np.asarray(u, dtype=float).reshape(-1)
+        self.lus, self.l1us, self.i = np.log(self.us), np.log1p(-self.us), -1
+        self._at(0)
+
+    def _at(self, i: int) -> None:
+        """Select u = us[i] for the exact code, with the whole bracket."""
+        if i != self.i:
+            self.i, self.u = i, float(self.us[i])
+            lu, l1u = math.log(self.u), math.log1p(-self.u)
+            self.fixed_x, self.fixed_y, self.log_u = self.swapped * lu, self.swapped * l1u, lu + l1u
+        self.lo, self.hi = (self.u, 1.0) if self.rising else (0.0, self.u)
+
+    def locate(self) -> np.ndarray:
+        """The check's flip at every u: the float at which the check fails
+        (for a power) or passes (for a level) while the float below gives
+        the other answer, with 0 and 1 taken as failing.
+
+        The picks run for every u at once, on (levels x rows) arrays of the
+        rows' log form (`_steps`): every _STRIDE-th order takes one Newton
+        step from the power or level of the Gaussian mechanism that meets
+        every constraint, or from the middle of the bracket where that start
+        rounds onto an end of it, and the order landing nearest the feasible
+        end is picked (`_pick`), then picked again among its neighbours from
+        where it lands (`_repick`).  Each u then settles alone, on the exact
+        check (`_settle`)."""
+        starts = []
+        for u in self.us.tolist():
+            lo, hi = (u, 1.0) if self.rising else (0.0, u)
+            v = phi(phi_inv(u) + self.mu) if self.rising else phi(phi_inv(u) - self.mu)
+            starts.append([_logit(v if lo < v < hi else 0.5 * (lo + hi))])
+        # per-level values are (n, 1) columns, broadcast against the rows
+        every, t_u = slice(None), (self.lus - self.l1us)[:, None]
+        t_lo, t_hi = (t_u, math.inf) if self.rising else (-math.inf, t_u)
+        rows = np.arange(0, self.coef.size, _STRIDE if self.orders > _NEIGHBORS else 1)
+        ks, ts = self._repick(every, *self._pick(every, np.array(starts), rows, t_lo, t_hi), t_lo, t_hi)
+        picks = zip(ks[:, 0].tolist(), ts[:, 0].tolist())
+        return np.array([self._settle(i, k, t) for i, (k, t) in enumerate(picks)])
+
+    def _settle(self, i: int, k: int, t: float) -> float:
+        """`locate`'s answer at us[i], from row k (k < 0 for none) and a
+        guess t for its root.
+
+        Each round solves the row (`_root`) and steps from its root to the
+        row's own adjacent floats (`_row_flip`).  The check fails at the
+        row's failing float, as it fails wherever a row fails, and one full
+        check at its passing float ends the search where it passes.  Where
+        it fails, that float becomes the bracket's failing end, and the rows
+        whose roots lie nearest are decided there (`_failing_neighbour`):
+        after the first round, whose full check mostly passes, before the
+        full check, which then mostly fails.  A failing neighbour is solved
+        next, but not twice in a row: roots can drift by one order per round
+        for dozens of orders.  Otherwise the next pick is made among the rows
+        that fail at the new end, from there, and the neighbour stands in
+        where that pick finds no row or one that passes there, as the log
+        form can pick the row just solved.  Without a pick, without a row
+        that flips inside the bracket, or after _NEWTON_ROUNDS rounds,
+        bisecting the full check finishes the search."""
+        self._at(i)
+        stepped = False
+        for n in range(_NEWTON_ROUNDS):
+            if k < 0:
+                break
+            if (ends := self._row_flip(k, self._root(k, t))) is None:
+                break
+            fail, ok = ends
+            near = self._failing_neighbour(k, ok) if n else None
+            if near is None and self.feasible(ok):
+                return fail if self.rising else ok
+            if not n:
+                near = self._failing_neighbour(k, ok)
+            if self.rising:
+                self.hi = ok
+            else:
+                self.lo = ok
+            if near is not None and not stepped:
+                k, t, stepped = near, _logit(ok), True
+                continue
+            one, t_lo, t_hi = slice(i, i + 1), np.array([[_logit(self.lo)]]), np.array([[_logit(self.hi)]])
+            pick = self._pick(one, np.array([[_logit(ok)]]), np.arange(self.coef.size), t_lo, t_hi, True)
+            pick = self._repick(one, *pick, t_lo, t_hi)
+            k, t, stepped = int(pick[0][0, 0]), float(pick[1][0, 0]), False
+            if near is not None and (k < 0 or self._passes(k, ok)):
+                k, t = near, _logit(ok)
+        return _bisect(lambda v: self.feasible(v) != self.rising, self.lo, self.hi)[1]
 
     def feasible(self, v: float) -> bool:
         """Whether (u, v) meets every row, for v in (0, 1).  Callers ignore
         overflow and invalid-value warnings: huge orders overflow, and inf
-        and NaN screen as they compare (NaN fails).
-
-        Once `_solve` has set `binding`, that row is decided by `_row` first:
-        where it fails, the check fails without the screen, which is the
-        answer the screen gives, as it equals deciding every row by `_row`."""
-        if self.binding is not None and not self._passes(self.binding, v):
-            return False
+        and NaN screen as they compare (NaN fails)."""
         lv, l1v = math.log(v), math.log1p(-v)
         x = self.fixed_x + self.coef * lv
         y = self.fixed_y + self.coef * l1v
@@ -328,49 +419,34 @@ class _Flip:
             return worst < -band
         return all(self._passes(k, v) for k in open_[over >= -band])
 
-    def settle(self) -> float:
-        """The check's flip to the last float: the float at which the check
-        fails (for a power) or passes (for a level) while the float below
-        gives the other answer, with 0 and 1 taken as failing.
+    def _failing_neighbour(self, k: int, v: float) -> int | None:
+        """The first row to fail at v among the orders next to row k on its
+        side and its mirror twin at the same order, or None.  Their roots
+        lie nearest row k's, closer than the log form can separate."""
+        side, (d1, d2) = k - k % self.orders, self._ratios(v)
+        near = [j for j in (k - 1, k + 1) if side <= j < side + self.orders]
+        near.append((k + self.orders) % self.coef.size)
+        return next((j for j in near if self._row(j, v, d1, d2)[0] > 0.0), None)
 
-        Each round solves the binding row and bisects that row alone to its
-        own adjacent floats (`_row_flip`).  The check fails at the row's
-        failing float, as it fails wherever a row fails, so one full check at
-        the row's passing float ends the search where it passes.  Where it
-        fails, another row fails there: that float becomes the bracket's
-        failing end, and the next pick is made among the rows that fail at
-        it.  Without a pick, without a row that flips inside the bracket, or
-        after _NEWTON_ROUNDS rounds, bisecting the full check finishes the
-        search."""
-        for _ in range(_NEWTON_ROUNDS):
-            if self.pick is None or (ends := self._row_flip(self._solve())) is None:
-                break
-            fail, ok = ends
-            if self.feasible(ok):
-                return fail if self.rising else ok
-            if self.rising:
-                self.hi = ok
-            else:
-                self.lo = ok
-            self.pick = self._pick(ok, slice(None), only_failing=True)
-        return _bisect(lambda v: self.feasible(v) != self.rising, self.lo, self.hi)[1]
-
-    def _row_flip(self, r: float) -> tuple[float, float] | None:
-        """(fail, ok): adjacent floats at which the binding row fails and
-        passes, bisected inside _WINDOW_ULPS ulps either side of its root r,
-        or inside the bracket where it does not flip in that window; None
-        where it does not flip inside the bracket either.  The ends of the
-        whole range are taken as failing, as the check fails there."""
-        k = self.binding
+    def _row_flip(self, k: int, r: float) -> tuple[float, float] | None:
+        """(fail, ok): adjacent floats at which row k fails and passes,
+        found from its root r: a step of one float toward the row's
+        other answer, then steps doubling in length until the answer changes,
+        and a bisection of the last step; None where the row keeps its answer
+        up to the end of the bracket.  The ends of the whole range are taken
+        as failing, as the check fails there."""
 
         def high(v: float) -> bool:  # the row's answer on the side of hi
             return v >= 1.0 or (v > 0.0 and self._passes(k, v) != self.rising)
 
-        width = _WINDOW_ULPS * math.ulp(r)
-        for a, b in ((max(r - width, self.lo), min(r + width, self.hi)), (self.lo, self.hi)):
-            if a < b and not high(a) and high(b):
-                lo, hi = _bisect(high, a, b)
+        v = min(max(r, self.lo), self.hi)
+        side, gap = high(v), math.ulp(v)
+        while v != (end := self.lo if side else self.hi):
+            w = max(v - gap, end) if side else min(v + gap, end)
+            if high(w) != side:
+                lo, hi = _bisect(high, *((w, v) if side else (v, w)))
                 return (hi, lo) if self.rising else (lo, hi)
+            v, gap = w, 2.0 * gap
         return None
 
     def _passes(self, k: int, v: float) -> bool:
@@ -407,98 +483,117 @@ class _Flip:
             err = 1.0 + abs(e1) + abs(e2) + abs(p) + abs(q) + abs(g)
         return g - float(self.lim[k]) - _ETA * err, math.exp(math.log(a) + e1 - g)
 
-    def pick_from(self, v: float) -> None:
-        """Pick the row to solve first, by a Newton step from a feasible v
-        inside the bracket, among every _STRIDE-th order."""
-        self.pick = self._pick(v, slice(None, None, _STRIDE if self.orders > _NEIGHBORS else 1))
+    def _steps(self, i: slice, t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, landing) for the levels us[i] at t = log(v / (1 - v)), t a
+        column, over `rows` (one array for every level, or one row of them
+        per level): each row's value f in log form, and where one Newton step
+        from t lands.
 
-    def _pick(self, v: float, rows: slice, only_failing: bool = False) -> tuple[int, float] | None:
-        """The row among `rows` whose one Newton step from v lands inside the
-        bracket nearest its feasible end, with that landing point in t; None
-        if there is none.  With `only_failing`, v is an end of the bracket,
-        and the pick is among the rows that fail there.
+        Only choices and guesses rest on these, so f is taken in log form,
+        logaddexp(x, y) - L.  Its slope is coef (wx - v), with wx the weight
+        of x, formed directly, so it keeps its sign where wx and v are both
+        far below 1's rounding, as at tiny levels.  Temporaries are reused in
+        place, as a curve's re-pick spans (levels x 129) rows."""
+        lv, l1v = -np.logaddexp(0.0, -t), -np.logaddexp(0.0, t)
+        coef, swapped = self.coef.take(rows), self.swapped.take(rows)
+        x, y = swapped * self.lus[i, None], swapped * self.l1us[i, None]
+        del swapped
+        x += coef * lv
+        y += coef * l1v
+        g = np.logaddexp(x, y, out=y)
+        x -= g
+        f = np.subtract(g, self.lim.take(rows), out=g)
+        slope = np.exp(x, out=x)  # the weight wx
+        slope -= np.exp(lv)
+        slope *= coef
+        return f, np.subtract(t, np.divide(f, slope, out=slope), out=slope)
 
-        The step is approximate, as only the choice rests on it: f is taken in
-        log form.  The weights of x and y are each formed directly, so the
-        slope keeps its sign where one of them is far below the other's
-        rounding, as at tiny levels."""
-        lv, l1v = math.log(v), math.log1p(-v)
-        coef = self.coef[rows]
-        x = self.fixed_x[rows] + coef * lv
-        y = self.fixed_y[rows] + coef * l1v
-        d = x - y
-        e = np.exp(-np.abs(d))
-        f = np.maximum(x, y) + np.log1p(e) - self.lim[rows]
-        # df/dt = coef ((1 - v) wx - v wy), wx and wy the weights of x and y
-        wx, wy = np.where(d >= 0.0, 1.0, e) / (1.0 + e), np.where(d >= 0.0, e, 1.0) / (1.0 + e)
-        t = (lv - l1v) - f / (coef * ((1.0 - v) * wx - v * wy))
+    def _pick(
+        self, i: slice, t: np.ndarray, rows: np.ndarray, t_lo: np.ndarray | float,
+        t_hi: np.ndarray | float, only_failing: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """For the levels us[i]: the row among `rows` (as for `_steps`) whose
+        one Newton step from t lands inside the bracket, (t_lo, t_hi) in t,
+        nearest its feasible end, and that landing point, as columns; row -1
+        (landing +-inf) where there is none.  With `only_failing`, t is a
+        finite end of the bracket, and the pick is among the rows that fail
+        there."""
+        f, land = self._steps(i, t, rows)
         if only_failing:
-            # a row that fails at v has its root inside the bracket
-            t = np.clip(t, _logit(self.lo), _logit(self.hi))
-            ok = (f > 0.0) & ~np.isnan(t)
+            # a row that fails at t has its root inside the bracket
+            land = np.minimum(np.maximum(land, t_lo), t_hi)
+            ok = (f > 0.0) & (land == land)
         else:
-            ok = (t > _logit(self.lo)) & (t < _logit(self.hi))
-        if not ok.any():
-            return None
+            ok = (land > t_lo) & (land < t_hi)
         # nearest the feasible end: lowest for a power, highest for a level
-        k = int(np.argmin(np.where(ok, t, np.inf)) if self.rising else np.argmax(np.where(ok, t, -np.inf)))
-        return range(self.coef.size)[rows][k], float(t[k])
+        if self.rising:
+            j = (land := np.where(ok, land, np.inf)).argmin(axis=1)
+        else:
+            j = (land := np.where(ok, land, -np.inf)).argmax(axis=1)
+        at = j + np.arange(0, land.size, land.shape[1])  # flat indices
+        k = np.where(ok.take(at), rows.take(j if rows.ndim == 1 else at), -1)
+        return k[:, None], land.take(at)[:, None]
+
+    def _repick(
+        self, i: slice, k: np.ndarray, t: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Picks (k, t) at the levels us[i], all columns, made again from the
+        landing point t among the rows of the same mirror side within
+        _NEIGHBORS orders of row k; row k's own step from t is its second.
+        Roots are flat in the order near the binding one, so a pick made far
+        from the flip is often only near it.  Levels without a re-pick keep
+        what they have; a row -1 (no pick) indexes from the end, harmlessly,
+        and its neighbours, all negative, stay unpicked."""
+        side = k - k % self.orders
+        near = np.minimum(np.maximum(k + _NEAR, side), side + (self.orders - 1))
+        k2, t2 = self._pick(i, t, near, t_lo, t_hi)
+        found = k2 >= 0
+        return np.where(found, k2, k), np.where(found, t2, t)
 
     def _root(self, k: int, t: float) -> float:
-        """Root of f_k - tol inside the bracket, by Newton in t from the guess
-        t, falling back to bisection (or, toward an open end, doubling) when
-        a step leaves what is known of the root."""
+        """Root in v of f_k - tol inside the bracket, by Newton in t from the
+        guess t, falling back to bisection (or, toward an open end, doubling)
+        when a step leaves what is known of the root.  Once t cannot resolve
+        a step (below 1e-15 |t|: at tiny levels one ulp of t is thousands of
+        ulps of v), Newton goes on in v itself, until a step moves v by a few
+        ulps or stops shrinking, where v's rounding makes f jump by more than
+        the step would fix."""
         c, ends = float(self.coef[k]), (_logit(self.lo), _logit(self.hi))
         t_pass, t_fail = ends if self.rising else ends[::-1]
+        (t, v), last = _inside(t), math.inf
         for _ in range(_NEWTON_STEPS):
-            # the floats of (0, 1) nearest the ends stand for the ends
-            v = min(max(_expit(t), 5e-324), 1.0 - 2.0**-53)
             f, w = self._row(k, v, *self._ratios(v))
             t_pass, t_fail = (t_pass, t) if f > 0.0 else (t, t_fail)
             slope = c * ((1.0 - v) * w - v * (1.0 - w))
-            nxt = t - f / slope if slope != 0.0 else math.nan
-            # a step below 1e-15 of t, or one that moves v by a few ulps, where
-            # v's rounding makes f jump by more than the step would fix
-            if abs(nxt - t) <= max(1e-15 * max(1.0, abs(t)), 2.0**-50 / (1.0 - v)):
-                return nxt
+            step = -f / slope if slope != 0.0 else math.nan
+            if abs(step) <= max(1e-15 * abs(t), 2.0**-50 / (1.0 - v)):  # t cannot resolve it
+                dv = v * (1.0 - v) * step
+                done = abs(step) <= 2.0**-50 / (1.0 - v) or abs(dv) >= 0.5 * last
+                v, last = min(max(v + dv, 5e-324), 1.0 - 2.0**-53), abs(dv)
+                if done:
+                    return v
+                t = _logit(v)
+                continue
+            nxt = t + step
             if not min(t_pass, t_fail) < nxt < max(t_pass, t_fail):
                 if math.isinf(t_fail):
                     nxt = t + (t - t_pass) + math.copysign(1.0, t_fail)
                 else:
                     nxt = 0.5 * (t_pass + t_fail)
-            t = nxt
-        return t
-
-    def _solve(self) -> float:
-        """Root in v of the binding row, starting from the pick.  Roots are
-        flat in the order near the binding one, so a pick made far from the
-        flip is often only near it: the rows of the same mirror side within
-        _NEIGHBORS orders predict their roots from the first root, and the
-        nearest of them is solved instead if it comes first."""
-        k, t = self.pick[0], self._root(*self.pick)
-        v, self.binding = _expit(t), k
-        if 0.0 < v < 1.0:
-            side = k - k % self.orders
-            near = slice(max(side, k - _NEIGHBORS), min(side + self.orders, k + _NEIGHBORS + 1))
-            pick = self._pick(v, near)
-            if pick is not None and (pick[1] < t if self.rising else pick[1] > t):
-                v, self.binding = _expit(self._root(*pick)), pick[0]
+            t, v = _inside(nxt)
         return v
 
 
-#: Iteration caps: Newton steps of one root; rounds of `_Flip.settle` that
+#: Iteration caps: Newton steps of one root; rounds of `_Flip._settle` that
 #: solve a row before the full check is bisected.
 _NEWTON_STEPS = 60
 _NEWTON_ROUNDS = 16
 
-#: Half-width of the window around a Newton root in which `_Flip.settle`
-#: bisects the binding row first, in ulps of the root.
-_WINDOW_ULPS = 32
-
-#: The first pick looks at every _STRIDE-th order; a solved row's neighbors
-#: within _NEIGHBORS orders then predict their roots from it.
-_STRIDE = 8
+#: The first pick looks at every _STRIDE-th order; the picked row's neighbors
+#: within _NEIGHBORS orders are then looked at from where it lands.
+_STRIDE = 64
 _NEIGHBORS = 64
+_NEAR = np.arange(-_NEIGHBORS, _NEIGHBORS + 1)
 
 #: A row's error bound is _ETA = 32 eps times the sums in `_Flip._row`, twice
 #: what rounding can reach.  The screen's band is
@@ -524,6 +619,25 @@ def _logit(v: float) -> float:
 def _expit(t: float) -> float:
     e = math.exp(-abs(t))
     return 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
+
+
+def _inside(t: float) -> tuple[float, float]:
+    """(t, v) with v = expit(t), where the floats of (0, 1) nearest the ends
+    stand for the ends, and t moves with v onto them: a t far outside their
+    logits would stall Newton's steps and bisections."""
+    v = _expit(t)
+    if 5e-324 <= v <= 1.0 - 2.0**-53:
+        return t, v
+    v = min(max(v, 5e-324), 1.0 - 2.0**-53)
+    return _logit(v), v
+
+
+def _vector(x: float | np.ndarray) -> tuple[np.ndarray, bool]:
+    """x as a 1-D float array, and whether it was a scalar."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("expected a float or a 1-D array")
+    return xs.reshape(-1), xs.ndim == 0
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from dpsemantics import (
 )
 from dpsemantics import census
 from dpsemantics.bayes import wrong_prior_discretized
+from dpsemantics.cli import main
 from dpsemantics._norm import phi, phi_inv
 from dpsemantics.accountants import (
     ZcdpProfile,
@@ -461,18 +463,12 @@ def test_each_answer_is_the_checks_flip_at_adjacent_floats(curve, u):
         assert_adjacent_flip(moment_check(curve, w, False), curve.inverse_type2(1.0 - u), False, w)
 
 
-def bound_flip(curve, u, rising):
+def located_flip(curve, u, rising):
     """The `_Flip` that `power` at level u (rising) or `inverse_type2` at
-    power u searches, after `settle`, with the answer it settles on."""
+    power u searches, after `locate`, with the answer it settles on."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         flip = _Flip(curve, u, rising)
-        if rising:
-            start = phi(curve._gaussian_mu + phi_inv(u))
-            flip.pick_from(start if u < start < 1.0 else u)
-        else:
-            start = phi(phi_inv(u) - curve._gaussian_mu)
-            flip.pick_from(start if 0.0 < start < u else u)
-        return flip, flip.settle()
+        return flip, float(flip.locate()[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,19 +477,16 @@ def bound_flip(curve, u, rising):
 @example(ZcdpNumericBoundCurve(0.1115), 0.34)
 @example(RdpNumericBoundCurve(((2.0, 0.0),)), 0.3)  # the flip sits at u
 @example(RdpNumericBoundCurve(((3e4, 0.0),)), 0.5)
-# another row fails at the binding row's flip, 0.4992928935723767, and the row
-# picked there does not flip inside the bracket: bisecting the full check ends
-# the inverse at 0.49929289360182827
+# the rows near the binding one flip within rounding of each other: the
+# inverse ends at 0.49929289360182827
 @example(ZcdpNumericBoundCurve(1e-6), 0.5)
-def test_binding_row_first_changes_no_answer_near_each_flip(curve, u):
-    # with a binding row, `feasible` decides that row first and stops where it
-    # fails; `settle` bisects on that row alone and ends on one full check
+def test_screened_check_matches_every_row_near_each_located_flip(curve, u):
+    # `_settle` steps on one row alone and ends on one full check; near the
+    # answer, the screened check answers as deciding every row does
     w = 1.0 - (1.0 - u)
     for rising, fixed in [(True, u)] + ([(False, w)] if 0.0 < w < 1.0 else []):
-        flip, answer = bound_flip(curve, fixed, rising)
+        flip, answer = located_flip(curve, fixed, rising)
         assert answer == (curve.power(u) if rising else curve.inverse_type2(1.0 - u))
-        if flip.binding is None:
-            continue
         # the failing side of the flip, near and far, and the answer's two floats
         sign = 1.0 if rising else -1.0
         vs = {answer, math.nextafter(answer, 0.0)}
@@ -508,6 +501,118 @@ def test_binding_row_first_changes_no_answer_near_each_flip(curve, u):
                 return flip.feasible(v)
 
         assert_adjacent_flip(check, answer, rising, fixed)
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64)
+
+
+unit_with_ends = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.225073858507203e-309, 1e-300, 0.27, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_curves, st.lists(unit_with_ends, min_size=1, max_size=6))
+@example(ZcdpNumericBoundCurve(0.11150074378640834), [0.27, 0.0, 1.0, 5e-324, 1e-300])
+@example(RdpNumericBoundCurve(((2.0, 0.0),)), [0.3, 0.5, 2.225073858507203e-309])
+@example(ZcdpNumericBoundCurve(500.0), [0.5, 1e-300])
+def test_an_array_call_answers_each_level_as_its_float_call_does(curve, us):
+    # the levels share only the log-form locate, so no answer depends on the
+    # others; each answer is the check's flip at adjacent floats
+    us = np.array(us)
+    powers, inverses = curve.power(us), curve.inverse_type2(us)
+    assert powers.shape == inverses.shape == us.shape
+    assert (bits(powers) == bits([curve.power(u) for u in us.tolist()])).all()
+    assert (bits(inverses) == bits([curve.inverse_type2(z) for z in us.tolist()])).all()
+    for u, p, z, y in zip(us.tolist(), powers.tolist(), us.tolist(), inverses.tolist()):
+        if u in (0.0, 1.0):
+            assert p == u
+        else:
+            assert_adjacent_flip(moment_check(curve, u, True), p, True, u)
+        w = 1.0 - z
+        if 0.0 < w < 1.0:
+            assert_adjacent_flip(moment_check(curve, w, False), y, False, w)
+        else:
+            assert y == (0.0 if z >= 1.0 else 1.0)
+
+
+@pytest.fixture
+def check_counts(monkeypatch):
+    """Counts of full checks (`_Flip.feasible`) and scalar row checks
+    (`_Flip._row`, inside the full check and out), reset by the test."""
+    counts = {"full": 0, "row": 0}
+    feasible, row = _Flip.feasible, _Flip._row
+
+    def counted_feasible(self, v):
+        counts["full"] += 1
+        return feasible(self, v)
+
+    def counted_row(self, *args):
+        counts["row"] += 1
+        return row(self, *args)
+
+    monkeypatch.setattr(_Flip, "feasible", counted_feasible)
+    monkeypatch.setattr(_Flip, "_row", counted_row)
+    return counts
+
+
+def test_census_curves_take_one_full_check_per_level(check_counts):
+    # the `tradeoff-zcdp` grid at the nine census budgets, one array call
+    # each: 1.034 full checks and 6.34 scalar row checks per answer (1.055
+    # and 6.47 per located level: levels 0 and 1 need no search).  The first
+    # full check fails at 49 of the 891 located levels, mostly where an order
+    # next to the picked one binds
+    levels = [i * 0.01 for i in range(101)]
+    curves = {rho: ZcdpNumericBoundCurve(rho).power(levels) for rho in census_budgets()}
+    # at scenario A, level 0.27 the check flips twice within three floats;
+    # deciding the picked order's neighbours where the first full check fails
+    # lands on the lower flip
+    assert curves[0.11150074378640834][27] == 0.49107194163199036
+    answers = 101 * len(census_budgets())
+    assert check_counts["full"] <= 1.05 * answers
+    assert check_counts["row"] <= 7.0 * answers
+
+
+@pytest.mark.parametrize(
+    "curve, level, power, full, rows",
+    [
+        # the Gaussian start rounds onto the level (mu = 0) or onto 1 (rho
+        # 500): the search starts from the middle of the bracket instead
+        (RdpNumericBoundCurve(((2.0, 0.0),)), 0.3, 0.3000000000000015, 3, 100),
+        (ZcdpNumericBoundCurve(500.0), 0.5, 1.0, 3, 100),
+        # at tiny levels one ulp of log(v / (1 - v)) is thousands of ulps of
+        # v: the root is finished in v, and the row's flip found from it
+        (ZcdpNumericBoundCurve(2.63), 1e-300, 7.583562378838822e-265, 1, 30),
+        # the first pick lands far from the binding order, and the failing
+        # neighbours' roots drift by one order per round: the next pick is
+        # made from the solved row's flip
+        (ZcdpNumericBoundCurve(0.0016999998752142283), 3.6974903107176327e-159, 3.213581524003725e-158, 2, 60),
+        # the log form cannot separate the rows near the binding one and
+        # picks the row just solved: its failing neighbour is solved instead
+        (ZcdpNumericBoundCurve(1e-6), 0.5, 0.5007071063981718, 2, 1_100),
+    ],
+)
+def test_searches_that_once_bisected_the_whole_bracket(check_counts, curve, level, power, full, rows):
+    assert curve.power(level) == power
+    assert check_counts["full"] <= full
+    assert check_counts["row"] <= rows
+
+
+@pytest.mark.parametrize("levels", [[0.5, math.nan], [0.2, 1.5], [-1e-300, 0.5], [[0.5]]])
+def test_array_levels_are_checked_like_a_float(levels):
+    with pytest.raises(ValueError):
+        ZcdpNumericBoundCurve(2.63).power(np.array(levels))
+    with pytest.raises(ValueError):
+        zcdp_power_bound(2.63, levels)
+
+
+@pytest.mark.parametrize("grid", ["0:2:5", "-0.5:0.5:3"])
+def test_cli_zcdp_curve_off_the_level_range_exits_2(grid):
+    result = CliRunner().invoke(main, ["curve", "tradeoff-zcdp", "--rho", "2.63", "--grid", grid])
+    assert result.exit_code == 2
+    assert "significance level must lie in [0, 1]" in result.output
 
 
 # --- neyman-pearson curves ----------------------------------------------------------
