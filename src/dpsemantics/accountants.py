@@ -133,11 +133,13 @@ def fdp_to_epsdelta(curve: TradeoffCurve, delta: float) -> float:
     """eps on the pointwise (eps, delta) curve of a trade-off function.
 
     eps = log(delta / f^{-1}(1 - delta)) with the generalized inverse
-    f^{-1}(z) = inf{y : f(y) <= z}; +inf when the inverse hits zero.
+    f^{-1}(z) = inf{y : f(y) <= z}; +inf when the inverse hits zero.  z is
+    1 - delta rounded up: 1 - z, exact by Sterbenz, is at most delta.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]; the curve is undefined at 0")
-    y = curve.inverse_type2(1.0 - delta)
+    z = 1.0 - delta
+    y = curve.inverse_type2(z if 1.0 - z <= delta else math.nextafter(z, 2.0))
     if y <= 0.0:
         return math.inf
     return math.log(delta / y)

@@ -301,16 +301,17 @@ class _Flip:
     E is exactly 0 there and L >= 0.
 
     `locate` makes the picks for every u at once, on (levels x rows)
-    arrays of the rows' log form (`_steps`); the exact code (`feasible`,
+    arrays of the rows' log form (`_steps`); the exact code (`failing`,
     `_row`, `_root`, `_row_flip`, `_settle`) then runs one u at a time, on
     the u that `_at` selected last.  A new `_Flip` selects its first u.
 
-    The check at v screens every row in log space first: logaddexp(x, y)
-    with x = fixed_x + coef log v and y = fixed_y + coef log(1 - v), which
-    lies in [max(x, y), max + ln 2], against L.  Only the rows whose log
-    form lies within `band` of L, which bounds the log form's error plus
-    twice the rows' own error bounds, are decided by `_row`; the others
-    answer as `_row` would.
+    The check at v (`failing`) screens every row in log space first:
+    logaddexp(x, y) with x = fixed_x + coef log v and
+    y = fixed_y + coef log(1 - v), which lies in [max(x, y), max + ln 2],
+    against L.  Only the rows whose log form lies within `band` of L, which
+    bounds the log form's error plus twice the rows' own error bounds, are
+    decided by `_row`; the others answer as `_row` would.  Where rows fail,
+    the check names the one `_settle` solves next.
     """
 
     def __init__(self, curve: _MomentBoundCurve, u: float | np.ndarray, rising: bool) -> None:
@@ -347,10 +348,10 @@ class _Flip:
             v = phi(phi_inv(u) + self.mu) if self.rising else phi(phi_inv(u) - self.mu)
             starts.append([_logit(v if lo < v < hi else 0.5 * (lo + hi))])
         # per-level values are (n, 1) columns, broadcast against the rows
-        every, t_u = slice(None), (self.lus - self.l1us)[:, None]
+        t_u = (self.lus - self.l1us)[:, None]
         t_lo, t_hi = (t_u, math.inf) if self.rising else (-math.inf, t_u)
         rows = np.arange(0, self.coef.size, _STRIDE if self.orders > _NEIGHBORS else 1)
-        ks, ts = self._repick(every, *self._pick(every, np.array(starts), rows, t_lo, t_hi), t_lo, t_hi)
+        ks, ts = self._repick(*self._pick(np.array(starts), rows, t_lo, t_hi), t_lo, t_hi)
         picks = zip(ks[:, 0].tolist(), ts[:, 0].tolist())
         return np.array([self._settle(i, k, t) for i, (k, t) in enumerate(picks)])
 
@@ -358,75 +359,52 @@ class _Flip:
         """`locate`'s answer at us[i], from row k (k < 0 for none) and a
         guess t for its root.
 
-        Each round solves the row (`_root`) and steps from its root to the
+        Each round solves row k (`_root`) and steps from its root to the
         row's own adjacent floats (`_row_flip`).  The check fails at the
         row's failing float, as it fails wherever a row fails, and one full
-        check at its passing float ends the search where it passes.  Where
-        it fails, that float becomes the bracket's failing end, and the rows
-        whose roots lie nearest are decided there (`_failing_neighbour`):
-        after the first round, whose full check mostly passes, before the
-        full check, which then mostly fails.  A failing neighbour is solved
-        next, but not twice in a row: roots can drift by one order per round
-        for dozens of orders.  Otherwise the next pick is made among the rows
-        that fail at the new end, from there, and the neighbour stands in
-        where that pick finds no row or one that passes there, as the log
-        form can pick the row just solved.  Without a pick, without a row
-        that flips inside the bracket, or after _NEWTON_ROUNDS rounds,
-        bisecting the full check finishes the search."""
+        check at its passing float (`failing`) ends the search where it
+        passes.  Where it fails, that float becomes the bracket's failing
+        end, and the row the check names there is solved next, from there.
+        Without a pick, without a row that flips inside the bracket, or
+        after _NEWTON_ROUNDS rounds, bisecting the full check finishes the
+        search."""
         self._at(i)
-        stepped = False
-        for n in range(_NEWTON_ROUNDS):
-            if k < 0:
-                break
-            if (ends := self._row_flip(k, self._root(k, t))) is None:
+        for _ in range(_NEWTON_ROUNDS):
+            if k < 0 or (ends := self._row_flip(k, self._root(k, t))) is None:
                 break
             fail, ok = ends
-            near = self._failing_neighbour(k, ok) if n else None
-            if near is None and self.feasible(ok):
+            if (k := self.failing(ok)) < 0:
                 return fail if self.rising else ok
-            if not n:
-                near = self._failing_neighbour(k, ok)
-            if self.rising:
-                self.hi = ok
-            else:
-                self.lo = ok
-            if near is not None and not stepped:
-                k, t, stepped = near, _logit(ok), True
-                continue
-            one, t_lo, t_hi = slice(i, i + 1), np.array([[_logit(self.lo)]]), np.array([[_logit(self.hi)]])
-            pick = self._pick(one, np.array([[_logit(ok)]]), np.arange(self.coef.size), t_lo, t_hi, True)
-            pick = self._repick(one, *pick, t_lo, t_hi)
-            k, t, stepped = int(pick[0][0, 0]), float(pick[1][0, 0]), False
-            if near is not None and (k < 0 or self._passes(k, ok)):
-                k, t = near, _logit(ok)
-        return _bisect(lambda v: self.feasible(v) != self.rising, self.lo, self.hi)[1]
+            self.lo, self.hi = (self.lo, ok) if self.rising else (ok, self.hi)
+            t = _logit(ok)
+        return _bisect(lambda v: (self.failing(v) < 0) != self.rising, self.lo, self.hi)[1]
 
-    def feasible(self, v: float) -> bool:
-        """Whether (u, v) meets every row, for v in (0, 1).  Callers ignore
+    def failing(self, v: float) -> int:
+        """A row that fails at (u, v), for v in (0, 1), or -1 where every row
+        passes.  Of the failing rows it names the one whose Newton step from
+        v, in t with slope coef (w - v), lands nearest the feasible end; the
+        rows inside the band step on `_row`'s value.  Callers ignore
         overflow and invalid-value warnings: huge orders overflow, and inf
-        and NaN screen as they compare (NaN fails)."""
+        and NaN screen as they compare (a NaN row fails)."""
         lv, l1v = math.log(v), math.log1p(-v)
         x = self.fixed_x + self.coef * lv
         y = self.fixed_y + self.coef * l1v
         band = _BAND * (1.0 - self.alpha_max * (self.log_u + lv + l1v))
-        top = np.maximum(x, y) - self.lim
-        if not top.max() <= band:
-            return False
-        open_ = (top > -_LN2 - band).nonzero()[0]
-        over = np.logaddexp(x.take(open_), y.take(open_)) - self.lim.take(open_)
-        worst = over.max(initial=-math.inf)
-        if worst < -band or worst > band:
-            return worst < -band
-        return all(self._passes(k, v) for k in open_[over >= -band])
-
-    def _failing_neighbour(self, k: int, v: float) -> int | None:
-        """The first row to fail at v among the orders next to row k on its
-        side and its mirror twin at the same order, or None.  Their roots
-        lie nearest row k's, closer than the log form can separate."""
-        side, (d1, d2) = k - k % self.orders, self._ratios(v)
-        near = [j for j in (k - 1, k + 1) if side <= j < side + self.orders]
-        near.append((k + self.orders) % self.coef.size)
-        return next((j for j in near if self._row(j, v, d1, d2)[0] > 0.0), None)
+        open_ = (~(np.maximum(x, y) - self.lim <= -_LN2 - band)).nonzero()[0]  # NaN stays open
+        x, y = x.take(open_), y.take(open_)
+        g = np.logaddexp(x, y)
+        f = g - self.lim.take(open_)
+        if f.max(initial=-math.inf) < -band:
+            return -1
+        d1, d2 = self._ratios(v)
+        for j in ((f >= -band) & (f <= band)).nonzero()[0].tolist():
+            f[j] = self._row(int(open_[j]), v, d1, d2)[0]
+        if not (fails := ~(f <= 0.0)).any():
+            return -1
+        land = _logit(v) - f / (self.coef.take(open_) * (np.exp(x - g) - v))
+        # nearest the feasible end: lowest for a power, highest for a level
+        land = (land if self.rising else -land)[fails]
+        return int(open_[fails][np.where(land == land, land, np.inf).argmin()])
 
     def _row_flip(self, k: int, r: float) -> tuple[float, float] | None:
         """(fail, ok): adjacent floats at which row k fails and passes,
@@ -483,20 +461,20 @@ class _Flip:
             err = 1.0 + abs(e1) + abs(e2) + abs(p) + abs(q) + abs(g)
         return g - float(self.lim[k]) - _ETA * err, math.exp(math.log(a) + e1 - g)
 
-    def _steps(self, i: slice, t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f, landing) for the levels us[i] at t = log(v / (1 - v)), t a
-        column, over `rows` (one array for every level, or one row of them
-        per level): each row's value f in log form, and where one Newton step
-        from t lands.
+    def _steps(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Where one Newton step on each row's log form lands, for every
+        level at t = log(v / (1 - v)), t a column, over `rows` (one array for
+        every level, or one row of them per level).
 
-        Only choices and guesses rest on these, so f is taken in log form,
-        logaddexp(x, y) - L.  Its slope is coef (wx - v), with wx the weight
-        of x, formed directly, so it keeps its sign where wx and v are both
-        far below 1's rounding, as at tiny levels.  Temporaries are reused in
-        place, as a curve's re-pick spans (levels x 129) rows."""
+        Only choices and guesses rest on these, so the row's value is taken
+        in log form, logaddexp(x, y) - L.  Its slope is coef (wx - v), with
+        wx the weight of x, formed directly, so it keeps its sign where wx
+        and v are both far below 1's rounding, as at tiny levels.
+        Temporaries are reused in place, as a curve's re-pick spans
+        (levels x 129) rows."""
         lv, l1v = -np.logaddexp(0.0, -t), -np.logaddexp(0.0, t)
         coef, swapped = self.coef.take(rows), self.swapped.take(rows)
-        x, y = swapped * self.lus[i, None], swapped * self.l1us[i, None]
+        x, y = swapped * self.lus[:, None], swapped * self.l1us[:, None]
         del swapped
         x += coef * lv
         y += coef * l1v
@@ -506,25 +484,17 @@ class _Flip:
         slope = np.exp(x, out=x)  # the weight wx
         slope -= np.exp(lv)
         slope *= coef
-        return f, np.subtract(t, np.divide(f, slope, out=slope), out=slope)
+        return np.subtract(t, np.divide(f, slope, out=slope), out=slope)
 
     def _pick(
-        self, i: slice, t: np.ndarray, rows: np.ndarray, t_lo: np.ndarray | float,
-        t_hi: np.ndarray | float, only_failing: bool = False,
+        self, t: np.ndarray, rows: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """For the levels us[i]: the row among `rows` (as for `_steps`) whose
-        one Newton step from t lands inside the bracket, (t_lo, t_hi) in t,
+        """For every level: the row among `rows` (as for `_steps`) whose one
+        Newton step from t lands inside the bracket, (t_lo, t_hi) in t,
         nearest its feasible end, and that landing point, as columns; row -1
-        (landing +-inf) where there is none.  With `only_failing`, t is a
-        finite end of the bracket, and the pick is among the rows that fail
-        there."""
-        f, land = self._steps(i, t, rows)
-        if only_failing:
-            # a row that fails at t has its root inside the bracket
-            land = np.minimum(np.maximum(land, t_lo), t_hi)
-            ok = (f > 0.0) & (land == land)
-        else:
-            ok = (land > t_lo) & (land < t_hi)
+        (landing +-inf) where there is none."""
+        land = self._steps(t, rows)
+        ok = (land > t_lo) & (land < t_hi)
         # nearest the feasible end: lowest for a power, highest for a level
         if self.rising:
             j = (land := np.where(ok, land, np.inf)).argmin(axis=1)
@@ -535,9 +505,9 @@ class _Flip:
         return k[:, None], land.take(at)[:, None]
 
     def _repick(
-        self, i: slice, k: np.ndarray, t: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
+        self, k: np.ndarray, t: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Picks (k, t) at the levels us[i], all columns, made again from the
+        """Picks (k, t) at every level, all columns, made again from the
         landing point t among the rows of the same mirror side within
         _NEIGHBORS orders of row k; row k's own step from t is its second.
         Roots are flat in the order near the binding one, so a pick made far
@@ -546,7 +516,7 @@ class _Flip:
         and its neighbours, all negative, stay unpicked."""
         side = k - k % self.orders
         near = np.minimum(np.maximum(k + _NEAR, side), side + (self.orders - 1))
-        k2, t2 = self._pick(i, t, near, t_lo, t_hi)
+        k2, t2 = self._pick(t, near, t_lo, t_hi)
         found = k2 >= 0
         return np.where(found, k2, k), np.where(found, t2, t)
 

@@ -175,6 +175,17 @@ def test_gaussian_pbdp_epsilon_values():
         gaussian_pbdp_epsilon(1.0, 0.0)
 
 
+def test_fdp_gaussian_eps_is_never_below_the_closed_form():
+    # 1 - delta is rounded up, so the inverse is taken at a delta' <= delta
+    # and eps is never below its value at delta; below 2^-53, 1 - delta
+    # rounds up to 1 and eps is inf
+    mu = math.sqrt(5.26)
+    curve = GaussianExactCurve(mu)
+    rng = np.random.default_rng(0)
+    for delta in np.exp(rng.uniform(math.log(1e-17), math.log(0.1), 406)).tolist():
+        assert fdp_to_epsdelta(curve, delta) >= gaussian_pbdp_epsilon(mu, delta) * (1.0 - 1e-12)
+
+
 def test_two_pbdp_paths_agree_to_1e9():
     for mu in (0.5, PRODUCTION_MU, 3.0):
         curve = GaussianExactCurve(mu)

@@ -291,7 +291,7 @@ def moment_check(curve, u, rising):
 
     def feasible(v):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return flip.feasible(v)
+            return flip.failing(v) < 0
 
     return feasible
 
@@ -329,9 +329,14 @@ def test_screened_check_equals_its_rows_and_brackets_the_exact_constraints(curve
     else:
         vs = [v]
     for v in vs:
-        got = moment_check(curve, u, True)(v)
+        flip = _Flip(curve, u, True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k = flip.failing(v)
+        got = k < 0
         assert moment_check(curve, v, True)(u) == got
         assert unscreened_check(curve, u, v) == got
+        # the row the check names fails on its own, in ratio form
+        assert got or flip._row(k, v, *flip._ratios(v))[0] > 0.0
         # the sound side: the check passes every exactly feasible point, and
         # where it passes the constraints hold within twice its stated bound
         assert exact_feasible(curve, u, v, slack=2.0) if got else not exact_feasible(curve, u, v)
@@ -393,9 +398,12 @@ def test_zcdp_bound_is_certified_by_the_unscreened_check():
         for level in levels:
             assert_power_certified(curve, level)
         for delta in (0.1, 0.01, 1e-6, 1e-12):
-            assert_inverse_exact(curve, 1.0 - delta)
+            # fdp_to_epsdelta takes 1 - delta rounded up, so that 1 - z <= delta
+            z = 1.0 - delta
+            z = math.nextafter(z, 2.0) if 1.0 - z > delta else z
+            assert_inverse_exact(curve, z)
             # the same adjacent floats as a bisection of the whole range
-            y = whole_range_inverse(curve, 1.0 - delta)
+            y = whole_range_inverse(curve, z)
             assert fdp_to_epsdelta(curve, delta) == math.log(delta / y)
 
 
@@ -494,11 +502,11 @@ def test_screened_check_matches_every_row_near_each_located_flip(curve, u):
         for v in sorted(vs):
             if 0.0 < v < 1.0 and (fixed <= v if rising else v <= fixed):
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    assert flip.feasible(v) == unscreened_check(curve, fixed, v, rising)
+                    assert (flip.failing(v) < 0) == unscreened_check(curve, fixed, v, rising)
 
         def check(v):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return flip.feasible(v)
+                return flip.failing(v) < 0
 
         assert_adjacent_flip(check, answer, rising, fixed)
 
@@ -540,34 +548,34 @@ def test_an_array_call_answers_each_level_as_its_float_call_does(curve, us):
 
 @pytest.fixture
 def check_counts(monkeypatch):
-    """Counts of full checks (`_Flip.feasible`) and scalar row checks
+    """Counts of full checks (`_Flip.failing`) and scalar row checks
     (`_Flip._row`, inside the full check and out), reset by the test."""
     counts = {"full": 0, "row": 0}
-    feasible, row = _Flip.feasible, _Flip._row
+    failing, row = _Flip.failing, _Flip._row
 
-    def counted_feasible(self, v):
+    def counted_failing(self, v):
         counts["full"] += 1
-        return feasible(self, v)
+        return failing(self, v)
 
     def counted_row(self, *args):
         counts["row"] += 1
         return row(self, *args)
 
-    monkeypatch.setattr(_Flip, "feasible", counted_feasible)
+    monkeypatch.setattr(_Flip, "failing", counted_failing)
     monkeypatch.setattr(_Flip, "_row", counted_row)
     return counts
 
 
 def test_census_curves_take_one_full_check_per_level(check_counts):
     # the `tradeoff-zcdp` grid at the nine census budgets, one array call
-    # each: 1.034 full checks and 6.34 scalar row checks per answer (1.055
-    # and 6.47 per located level: levels 0 and 1 need no search).  The first
+    # each: 1.034 full checks and 6.16 scalar row checks per answer (1.055
+    # and 6.28 per located level: levels 0 and 1 need no search).  The first
     # full check fails at 49 of the 891 located levels, mostly where an order
     # next to the picked one binds
     levels = [i * 0.01 for i in range(101)]
     curves = {rho: ZcdpNumericBoundCurve(rho).power(levels) for rho in census_budgets()}
     # at scenario A, level 0.27 the check flips twice within three floats;
-    # deciding the picked order's neighbours where the first full check fails
+    # the row the first full check names, the order next to the picked one,
     # lands on the lower flip
     assert curves[0.11150074378640834][27] == 0.49107194163199036
     answers = 101 * len(census_budgets())
@@ -585,19 +593,36 @@ def test_census_curves_take_one_full_check_per_level(check_counts):
         # at tiny levels one ulp of log(v / (1 - v)) is thousands of ulps of
         # v: the root is finished in v, and the row's flip found from it
         (ZcdpNumericBoundCurve(2.63), 1e-300, 7.583562378838822e-265, 1, 30),
-        # the first pick lands far from the binding order, and the failing
-        # neighbours' roots drift by one order per round: the next pick is
-        # made from the solved row's flip
+        # the first pick lands 31 orders from the binding one, whose row the
+        # failing full check names: of the rows failing there, its step
+        # lands first
         (ZcdpNumericBoundCurve(0.0016999998752142283), 3.6974903107176327e-159, 3.213581524003725e-158, 2, 60),
-        # the log form cannot separate the rows near the binding one and
-        # picks the row just solved: its failing neighbour is solved instead
-        (ZcdpNumericBoundCurve(1e-6), 0.5, 0.5007071063981718, 2, 1_100),
+        # the log form cannot separate the rows near the binding one, which
+        # lie within the screen's band: the failing full check decides each
+        # of them in ratio form and names the binding order, 153 orders on
+        (ZcdpNumericBoundCurve(1e-6), 0.5, 0.5007071063981718, 2, 2_000),
     ],
 )
 def test_searches_that_once_bisected_the_whole_bracket(check_counts, curve, level, power, full, rows):
     assert curve.power(level) == power
     assert check_counts["full"] <= full
     assert check_counts["row"] <= rows
+
+
+def test_small_budgets_settle_on_the_row_each_failing_check_names(check_counts):
+    # below rho of about 1e-8 hundreds of rows lie within the screen's band,
+    # so the picks cannot separate them; a failing full check decides them
+    # in ratio form and names the next row to solve
+    rng, full = np.random.default_rng(20), []
+    for _ in range(40):
+        curve = ZcdpNumericBoundCurve(math.exp(rng.uniform(math.log(1e-14), math.log(1e-7))))
+        level = float(rng.uniform())
+        before = check_counts["full"]
+        power = curve.power(level)
+        full.append(check_counts["full"] - before)
+        assert_adjacent_flip(moment_check(curve, level, True), power, True, level)
+    assert max(full) <= 4
+    assert sum(full) <= 2 * len(full)
 
 
 @pytest.mark.parametrize("levels", [[0.5, math.nan], [0.2, 1.5], [-1e-300, 0.5], [[0.5]]])
