@@ -210,7 +210,8 @@ class EmpiricalRoc:
         """Power of the empirical likelihood-ratio test at a given level.
 
         Rejection happens for small LLR; chords between achievable points
-        correspond to randomized thresholds.
+        correspond to randomized thresholds.  The curve starts at (0, 0), as
+        the draws below the smallest null draw say nothing about level 0.
         """
         _check_level(level)
         n = self.n_samples
@@ -220,7 +221,7 @@ class EmpiricalRoc:
             return 1.0
         t = self.null_llr[idx]
         base_level = np.searchsorted(self.null_llr, t, side="left") / n
-        base_power = np.searchsorted(self.alt_llr, t, side="left") / n
+        base_power = np.searchsorted(self.alt_llr, t, side="left") / n if base_level else 0.0
         next_level = np.searchsorted(self.null_llr, t, side="right") / n
         next_power = np.searchsorted(self.alt_llr, t, side="right") / n
         # t is a null sample, so next_level > base_level; rounding can put frac below 0

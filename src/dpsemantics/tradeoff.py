@@ -3,10 +3,10 @@
 Each curve maps a significance level in [0, 1] to the maximal power any
 test distinguishing two neighbors can achieve under the stated privacy
 guarantee.  Closed forms cover pure and approximate DP and the Gaussian
-mechanism; RDP and zCDP admit only numeric bounds from moment
-constraints, located for every level of a curve at once and settled
-level by level, by Newton on the binding order, to the last float of the
-constraint check; finite mechanisms get their exact Neyman-Pearson curve.
+mechanism; RDP and zCDP admit only numeric bounds, each the flip of one
+Renyi moment constraint to the last float (for zCDP at the order that a
+search over alpha >= 1 finds binding); finite mechanisms get their exact
+Neyman-Pearson curve.
 """
 
 from __future__ import annotations
@@ -20,23 +20,6 @@ import numpy as np
 
 from ._norm import phi, phi_inv
 from .plrv import FiniteMechanismPair
-
-#: Orders alpha of the zCDP moment constraints: log-spaced and wide enough
-#: that the optimal alpha for rho in [0.05, 5] and levels >= 0.001 falls
-#: strictly inside.
-ALPHA_GRID = np.exp(np.linspace(math.log(1.0 + 1e-4), math.log(200.0), 2000))
-ALPHA_GRID.flags.writeable = False
-
-
-def _orders_of(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """What the moment rows take from their orders alone: (coef, swapped,
-    alpha_max) of `_MomentBoundCurve._stacked`, and (alphas - 1) alphas."""
-    coef, swapped = np.concatenate((1.0 - alphas, alphas)), np.concatenate((alphas, 1.0 - alphas))
-    return coef, swapped, float(alphas.max()), (alphas - 1.0) * alphas
-
-
-#: `_orders_of(ALPHA_GRID)`, which every zCDP curve shares
-_ZCDP_ORDERS = _orders_of(ALPHA_GRID)
 
 
 def pure_dp_power_bound(eps: float, level: float) -> float:
@@ -196,261 +179,113 @@ class GaussianExactCurve(TradeoffCurve):
 
 
 class _MomentBoundCurve(TradeoffCurve):
-    """Numeric bound from Renyi moment constraints at a set of orders.
+    """Numeric bound from Renyi moment constraints.
 
-    A test at (level, power) is consistent with a divergence bound gamma at
-    order alpha iff level^a power^(1-a) + (1-level)^a (1-power)^(1-a) and
-    its mirror image stay below e^L, L = (a-1) gamma.  Subclasses supply the
-    orders and the log bounds L as the pair `_constraints`.
-
-    `power` fixes the level and `inverse_type2` the power, each for a float
-    or a 1-D array of them; a `_Flip` owns the rows and the check with that
-    coordinate fixed, locates every flip at once in log form, and settles
-    each one level at a time on the check itself (`_Flip.locate`).  The
-    check decides each constraint in ratio form, to within its own error
-    bound (see `_Flip`), so it is exact where level = power.
-    """
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(coef, swapped, lim, alpha_max) over 2 x orders rows, the constraint then
-        its mirror image; `swapped`, coef with its halves swapped, holds the fixed
-        exponents; lim is L and alpha_max the largest order."""
-        coef, swapped, alpha_max, _ = self._orders
-        log_bounds = self._constraints[1]
-        return coef, swapped, np.concatenate((log_bounds, log_bounds)), alpha_max
-
-    @cached_property
-    def _orders(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """`_orders_of` the curve's orders, shared by every zCDP curve."""
-        alphas = self._constraints[0]
-        return _ZCDP_ORDERS if alphas is ALPHA_GRID else _orders_of(alphas)
-
-    @cached_property
-    def _gaussian_mu(self) -> float:
-        """Largest mu whose Gaussian mechanism meets every constraint: its
-        divergence at order alpha is alpha mu^2 / 2."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(max(0.0, float(np.min(2.0 * self._constraints[1] / self._orders[3]))))
+    A test at (level, power) meets order alpha's row iff level^a power^(1-a)
+    + (1-level)^a (1-power)^(1-a), and its mirror image, stay below e^L,
+    L = (a-1) gamma.  At a fixed level each row holds from the level up to
+    its own flip, so any row's flip is a sound bound; a subclass picks the
+    row (`_flip`).  Each value of a float or 1-D array is solved alone, so
+    an array call answers each as its float call does.  Exact is the row's
+    flip, to the last float; approximate is how near the row is to the
+    tightest one."""
 
     def power(self, level: float | np.ndarray) -> float | np.ndarray:
-        """Power bound at a level, or at each of a 1-D array of levels.
-
-        The check fails at the returned power p and passes at the float below
-        it (or that float is the level), so p lies at most one float above a
-        power the check passes.  The check can flip more than once within a
-        few floats, so p need not be the smallest power at which it fails.
-        At level 0 the second constraint carries power^alpha * 0^(1-alpha),
-        infinite for any positive power; level 1 is trivially unconstrained.
-        Each level gets the answer its own call gives: levels share only the
-        log-form locating.
-        """
+        """Power bound at a level, or at each of a 1-D array of levels: the
+        chosen row fails there and holds at the float below (or that float
+        is the level).  Level 0 admits only power 0, level 1 any power."""
         levels, scalar = _vector(level)
         if not ((levels >= 0.0) & (levels <= 1.0)).all():  # NaN fails both
             raise ValueError("significance level must lie in [0, 1]")
-        # levels 0 and 1 are their own powers (+ 0.0 turns -0.0 into 0.0)
-        out = self._located(levels, (levels > 0.0) & (levels < 1.0), True, lambda: levels + 0.0)
+        out = levels + 0.0  # levels 0 and 1 are their own powers, and -0.0 becomes 0.0
+        inner = (levels > 0.0) & (levels < 1.0)
+        out[inner] = [self._flip(_Flip(u, True)) for u in levels[inner].tolist()]
         return float(out[0]) if scalar else out
 
     def inverse_type2(self, z: float | np.ndarray) -> float | np.ndarray:
         """Generalized inverse inf{y : 1 - power(y) <= z}, at a z or at each of
-        a 1-D array of them, exact to the last float.
-
-        That is the smallest level at which power 1 - z is feasible, found
-        without calling `power`: feasibility only grows with the level, and
-        level 1 - z itself is always feasible.  The check passes at the
-        returned level y and fails at the float below it (or y is 0).  A NaN
-        z gives NaN.
-        """
+        a 1-D array of them: the smallest level at which power 1 - z is
+        feasible, without calling `power` (feasibility grows with the level,
+        and level 1 - z is feasible).  The chosen row holds at the returned
+        level and fails at the float below it (or that is 0).  NaN gives NaN."""
         zs, scalar = _vector(z)
         w = 1.0 - zs
         # power 1 (or more) is feasible only at level 1
-        out = self._located(w, (zs < 1.0) & (w < 1.0), False, lambda: np.where(zs >= 1.0, 0.0, np.minimum(w, 1.0)))
+        out = np.where(zs >= 1.0, 0.0, np.minimum(w, 1.0))
+        inner = (zs < 1.0) & (w < 1.0)
+        out[inner] = [self._flip(_Flip(u, False)) for u in w[inner].tolist()]
         return float(out[0]) if scalar else out
-
-    def _located(
-        self, us: np.ndarray, inner: np.ndarray, rising: bool, edges: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        """`_Flip.locate` at the us where `inner`, and `edges()` elsewhere."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if inner.size and inner.all():
-                return _Flip(self, us, rising).locate()
-            out = edges()
-            if inner.any():
-                out[inner] = _Flip(self, us[inner], rising).locate()
-            return out
 
 
 class _Flip:
-    """Where the moment check with one coordinate u fixed flips, along v, for
-    each u of a 1-D array of them.
+    """Where a moment row flips along v, with the other coordinate u fixed:
+    with `rising` v is the power at level u, and a row holds from v = u up
+    to its flip; else v is the level at power u, and a row holds from its
+    flip up to u.  A row (lam, mirror, L), lam = alpha - 1, is the
+    constraint at (a, b) = (u, v), or at (v, u) with `mirror`:
+    f = ln(a e^E1 + (1 - a) e^E2) - L, E1 = lam ln(a / b) and
+    E2 = lam ln((1 - a) / (1 - b)); lam = 0 is its limit over lam, the
+    Kullback-Leibler (KL) row a ln(a / b) + (1 - a) ln((1 - a) / (1 - b)) - L.
+    The ends 0 and 1 are taken as failing and never evaluated; v = u holds,
+    as every term is exactly 0 there and L >= 0."""
 
-    With `rising`, v is the power at level u: the check passes from v = u
-    up to the flip and fails above it, up to v = 1.  Otherwise v is the level
-    at power u: the check fails from v = 0 up to the flip and passes above.
-    Row k of the first half is the constraint at (a, b) = (u, v), of the
-    mirror half the one at (a, b) = (v, u).  Its value is
-    f_k = ln(P1 + P2) - L with P1 = a e^E1, P2 = (1 - a) e^E2,
-    E1 = (alpha - 1) ln(a / b) and E2 = (alpha - 1) ln((1 - a) / (1 - b)),
-    and the check passes iff every f_k is at most its error bound (`_row`).
-    Each row has its own flip, a root of f_k in t = log(v / (1 - v)), and the
-    check flips at the first root met going out from the feasible side.
-    The bracket (lo, hi) has the check's answer `rising` at lo and the other
-    answer at hi.  The ends of the whole range, 0 and 1, are taken as
-    failing and never evaluated; the level u and the power u pass, as every
-    E is exactly 0 there and L >= 0.
+    def __init__(self, u: float, rising: bool) -> None:
+        self.u, self.rising = u, rising
+        self.lo, self.hi = (u, 1.0) if rising else (0.0, u)
 
-    `locate` makes the picks for every u at once, on (levels x rows)
-    arrays of the rows' log form (`_steps`); the exact code (`failing`,
-    `_row`, `_root`, `_row_flip`, `_settle`) then runs one u at a time, on
-    the u that `_at` selected last.  A new `_Flip` selects its first u.
+    def start(self, mu: float) -> float:
+        """A first t = log(v / (1 - v)): v of the Gaussian mechanism mu, or
+        the float next to u (the bracket's middle) where v rounds onto u (hi)."""
+        u, rising = self.u, self.rising
+        v = phi(phi_inv(u) + mu) if rising else phi(phi_inv(u) - mu)
+        if (v <= u) if rising else (v >= u):
+            v = math.nextafter(u, 1.0 if rising else 0.0)
+        return _logit(v if self.lo < v < self.hi else 0.5 * (self.lo + self.hi))
 
-    The check at v (`failing`) screens every row in log space first:
-    logaddexp(x, y) with x = fixed_x + coef log v and
-    y = fixed_y + coef log(1 - v), which lies in [max(x, y), max + ln 2],
-    against L.  Only the rows whose log form lies within `band` of L, which
-    bounds the log form's error plus twice the rows' own error bounds, are
-    decided by `_row`; the others answer as `_row` would.  Where rows fail,
-    the check names the one `_settle` solves next.
-    """
-
-    def __init__(self, curve: _MomentBoundCurve, u: float | np.ndarray, rising: bool) -> None:
-        self.coef, self.swapped, self.lim, self.alpha_max = curve._stacked
-        self.orders, self.rising, self.mu = self.coef.size // 2, rising, curve._gaussian_mu
-        self.us = np.asarray(u, dtype=float).reshape(-1)
-        self.lus, self.l1us, self.i = np.log(self.us), np.log1p(-self.us), -1
-        self._at(0)
-
-    def _at(self, i: int) -> None:
-        """Select u = us[i] for the exact code, with the whole bracket."""
-        if i != self.i:
-            self.i, self.u = i, float(self.us[i])
-            lu, l1u = math.log(self.u), math.log1p(-self.u)
-            self.fixed_x, self.fixed_y, self.log_u = self.swapped * lu, self.swapped * l1u, lu + l1u
-        self.lo, self.hi = (self.u, 1.0) if self.rising else (0.0, self.u)
-
-    def locate(self) -> np.ndarray:
-        """The check's flip at every u: the float at which the check fails
-        (for a power) or passes (for a level) while the float below gives
-        the other answer, with 0 and 1 taken as failing.
-
-        The picks run for every u at once, on (levels x rows) arrays of the
-        rows' log form (`_steps`): every _STRIDE-th order takes one Newton
-        step from the power or level of the Gaussian mechanism that meets
-        every constraint, or from the middle of the bracket where that start
-        rounds onto an end of it, and the order landing nearest the feasible
-        end is picked (`_pick`), then picked again among its neighbours from
-        where it lands (`_repick`).  Each u then settles alone, on the exact
-        check (`_settle`)."""
-        starts = []
-        for u in self.us.tolist():
-            lo, hi = (u, 1.0) if self.rising else (0.0, u)
-            v = phi(phi_inv(u) + self.mu) if self.rising else phi(phi_inv(u) - self.mu)
-            starts.append([_logit(v if lo < v < hi else 0.5 * (lo + hi))])
-        # per-level values are (n, 1) columns, broadcast against the rows
-        t_u = (self.lus - self.l1us)[:, None]
-        t_lo, t_hi = (t_u, math.inf) if self.rising else (-math.inf, t_u)
-        rows = np.arange(0, self.coef.size, _STRIDE if self.orders > _NEIGHBORS else 1)
-        ks, ts = self._repick(*self._pick(np.array(starts), rows, t_lo, t_hi), t_lo, t_hi)
-        picks = zip(ks[:, 0].tolist(), ts[:, 0].tolist())
-        return np.array([self._settle(i, k, t) for i, (k, t) in enumerate(picks)])
-
-    def _settle(self, i: int, k: int, t: float) -> float:
-        """`locate`'s answer at us[i], from row k (k < 0 for none) and a
-        guess t for its root.
-
-        Each round solves row k (`_root`) and steps from its root to the
-        row's own adjacent floats (`_row_flip`).  The check fails at the
-        row's failing float, as it fails wherever a row fails, and one full
-        check at its passing float (`failing`) ends the search where it
-        passes.  Where it fails, that float becomes the bracket's failing
-        end, and the row the check names there is solved next, from there.
-        Without a pick, without a row that flips inside the bracket, or
-        after _NEWTON_ROUNDS rounds, bisecting the full check finishes the
-        search."""
-        self._at(i)
-        for _ in range(_NEWTON_ROUNDS):
-            if k < 0 or (ends := self._row_flip(k, self._root(k, t))) is None:
-                break
-            fail, ok = ends
-            if (k := self.failing(ok)) < 0:
-                return fail if self.rising else ok
-            self.lo, self.hi = (self.lo, ok) if self.rising else (ok, self.hi)
-            t = _logit(ok)
-        return _bisect(lambda v: (self.failing(v) < 0) != self.rising, self.lo, self.hi)[1]
-
-    def failing(self, v: float) -> int:
-        """A row that fails at (u, v), for v in (0, 1), or -1 where every row
-        passes.  Of the failing rows it names the one whose Newton step from
-        v, in t with slope coef (w - v), lands nearest the feasible end; the
-        rows inside the band step on `_row`'s value.  Callers ignore
-        overflow and invalid-value warnings: huge orders overflow, and inf
-        and NaN screen as they compare (a NaN row fails)."""
-        lv, l1v = math.log(v), math.log1p(-v)
-        x = self.fixed_x + self.coef * lv
-        y = self.fixed_y + self.coef * l1v
-        band = _BAND * (1.0 - self.alpha_max * (self.log_u + lv + l1v))
-        open_ = (~(np.maximum(x, y) - self.lim <= -_LN2 - band)).nonzero()[0]  # NaN stays open
-        x, y = x.take(open_), y.take(open_)
-        g = np.logaddexp(x, y)
-        f = g - self.lim.take(open_)
-        if f.max(initial=-math.inf) < -band:
-            return -1
-        d1, d2 = self._ratios(v)
-        for j in ((f >= -band) & (f <= band)).nonzero()[0].tolist():
-            f[j] = self._row(int(open_[j]), v, d1, d2)[0]
-        if not (fails := ~(f <= 0.0)).any():
-            return -1
-        land = _logit(v) - f / (self.coef.take(open_) * (np.exp(x - g) - v))
-        # nearest the feasible end: lowest for a power, highest for a level
-        land = (land if self.rising else -land)[fails]
-        return int(open_[fails][np.where(land == land, land, np.inf).argmin()])
-
-    def _row_flip(self, k: int, r: float) -> tuple[float, float] | None:
-        """(fail, ok): adjacent floats at which row k fails and passes,
-        found from its root r: a step of one float toward the row's
-        other answer, then steps doubling in length until the answer changes,
-        and a bisection of the last step; None where the row keeps its answer
-        up to the end of the bracket.  The ends of the whole range are taken
-        as failing, as the check fails there."""
+    def _row_flip(self, row: tuple[float, bool, float], r: float) -> float:
+        """The row's flip from its root r, the float where it fails (a power)
+        or holds (a level) and the float below does not: a step of one float
+        toward its other answer, steps doubling until that answer, and a
+        bisection of the last; lo and hi keep their known answers."""
 
         def high(v: float) -> bool:  # the row's answer on the side of hi
-            return v >= 1.0 or (v > 0.0 and self._passes(k, v) != self.rising)
+            return v >= self.hi or (v > self.lo and (self._row(row, v, *self._ratios(v))[0] <= 0.0) != self.rising)
 
         v = min(max(r, self.lo), self.hi)
         side, gap = high(v), math.ulp(v)
-        while v != (end := self.lo if side else self.hi):
-            w = max(v - gap, end) if side else min(v + gap, end)
+        while True:
+            w = max(v - gap, self.lo) if side else min(v + gap, self.hi)
             if high(w) != side:
-                lo, hi = _bisect(high, *((w, v) if side else (v, w)))
-                return (hi, lo) if self.rising else (lo, hi)
+                return _bisect(high, *((w, v) if side else (v, w)))[1]
             v, gap = w, 2.0 * gap
-        return None
-
-    def _passes(self, k: int, v: float) -> bool:
-        """Whether row k holds at v, by `_row`."""
-        return self._row(k, v, *self._ratios(v))[0] <= 0.0
 
     def _ratios(self, v: float) -> tuple[float, float]:
         """ln(u / v) and ln((1 - u) / (1 - v)), each to a few ulps."""
         return _log_ratio(self.u, v, self.u - v), _log_ratio(1.0 - self.u, 1.0 - v, v - self.u)
 
-    def _row(self, k: int, v: float, d1: float, d2: float) -> tuple[float, float]:
-        """(f_k - tol, P1 / (P1 + P2)) at v, tol a bound on the error of f_k.
+    def _row(self, row: tuple[float, bool, float], v: float, d1: float, d2: float) -> tuple[float, float]:
+        """(f - tol, df/dt) of the row at v, d1 and d2 `_ratios(v)`, tol a
+        bound on the error of f and t = log(v / (1 - v)); it holds iff <= 0.
 
-        d1 and d2 are `_ratios(v)`.  While E1, E2 <= 700, ln(P1 + P2) is
-        log1p(S) with S = a expm1(E1) + (1 - a) expm1(E2), which is exact at
-        a = b and does not cancel as alpha nears 1; to first order its error
-        is at most 11 eps (T1 (1 + |E1|) + T2 (1 + |E2|)) / (1 + S)
-        + 3 eps |ln(1 + S)|, T1 and T2 the two terms' magnitudes and
-        eps = 2^-53, if each libm call errs by at most 1 ulp, plus a few
-        2^-1075 where a result underflows.  Above, it is the logaddexp of
-        p = ln a + E1 and q = ln(1 - a) + E2, with error at most
-        16 eps (1 + |E1| + |E2| + |p| + |q| + |ln(P1 + P2)|).  tol is _ETA
-        times the bracketed sums, twice these bounds; the first sum counts
-        underflow as 2^-1022, which adds 2^-1070 = 32 x 2^-1075 to tol."""
-        am1 = -float(self.coef[k % self.orders])
-        a, e1, e2 = (self.u, am1 * d1, am1 * d2) if k < self.orders else (v, -am1 * d1, -am1 * d2)
+        While E1, E2 <= 700, ln(P1 + P2) is log1p(S), S = a expm1(E1) +
+        (1 - a) expm1(E2), exact at a = b and not cancelling as alpha nears
+        1; to first order its error is at most 11 eps (T1 (1 + |E1|) +
+        T2 (1 + |E2|)) / (1 + S) + 3 eps |ln(1 + S)|, T1 and T2 the terms'
+        magnitudes and eps = 2^-53, if each libm call errs by at most 1 ulp,
+        plus a few 2^-1075 where a result underflows.  Above, it is the
+        logaddexp of p = ln a + E1 and q = ln(1 - a) + E2, with error at most
+        16 eps (1 + |E1| + |E2| + |p| + |q| + |ln(P1 + P2)|).  The KL row's
+        T1 + T2 errs by at most 8 eps (|T1| + |T2|).  tol is _ETA times the
+        bracketed sums, at least twice these bounds; underflow counts as
+        2^-1022, adding 2^-1070 = 32 x 2^-1075.  L's rounding, a few eps L,
+        is covered by the |ln(P1 + P2)| (or |T1 + T2|) term where f is near 0."""
+        lam, mirror, lim = row
+        a, d1, d2 = (v, -d1, -d2) if mirror else (self.u, d1, d2)
+        if lam == 0.0:
+            t1, t2 = a * d1, (1.0 - a) * d2
+            slope = v * (1.0 - v) * (d1 - d2) if mirror else v - self.u
+            return t1 + t2 - lim - _ETA * (abs(t1) + abs(t2) + 2.0**-1022), slope
+        e1, e2 = lam * d1, lam * d2
         if max(e1, e2) <= 700.0:  # expm1 cannot overflow
             t1, t2 = a * math.expm1(e1), (1.0 - a) * math.expm1(e2)
             g, terms = math.log1p(t1 + t2), abs(t1) * (1.0 + abs(e1)) + abs(t2) * (1.0 + abs(e2))
@@ -459,82 +294,23 @@ class _Flip:
             p, q = math.log(a) + e1, math.log1p(-a) + e2
             g = max(p, q) + math.log1p(math.exp(-abs(p - q)))
             err = 1.0 + abs(e1) + abs(e2) + abs(p) + abs(q) + abs(g)
-        return g - float(self.lim[k]) - _ETA * err, math.exp(math.log(a) + e1 - g)
+        w = math.exp(math.log(a) + e1 - g)  # P1 / (P1 + P2)
+        slope = (1.0 + lam if mirror else -lam) * ((1.0 - v) * w - v * (1.0 - w))
+        return g - lim - _ETA * err, slope
 
-    def _steps(self, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Where one Newton step on each row's log form lands, for every
-        level at t = log(v / (1 - v)), t a column, over `rows` (one array for
-        every level, or one row of them per level).
-
-        Only choices and guesses rest on these, so the row's value is taken
-        in log form, logaddexp(x, y) - L.  Its slope is coef (wx - v), with
-        wx the weight of x, formed directly, so it keeps its sign where wx
-        and v are both far below 1's rounding, as at tiny levels.
-        Temporaries are reused in place, as a curve's re-pick spans
-        (levels x 129) rows."""
-        lv, l1v = -np.logaddexp(0.0, -t), -np.logaddexp(0.0, t)
-        coef, swapped = self.coef.take(rows), self.swapped.take(rows)
-        x, y = swapped * self.lus[:, None], swapped * self.l1us[:, None]
-        del swapped
-        x += coef * lv
-        y += coef * l1v
-        g = np.logaddexp(x, y, out=y)
-        x -= g
-        f = np.subtract(g, self.lim.take(rows), out=g)
-        slope = np.exp(x, out=x)  # the weight wx
-        slope -= np.exp(lv)
-        slope *= coef
-        return np.subtract(t, np.divide(f, slope, out=slope), out=slope)
-
-    def _pick(
-        self, t: np.ndarray, rows: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """For every level: the row among `rows` (as for `_steps`) whose one
-        Newton step from t lands inside the bracket, (t_lo, t_hi) in t,
-        nearest its feasible end, and that landing point, as columns; row -1
-        (landing +-inf) where there is none."""
-        land = self._steps(t, rows)
-        ok = (land > t_lo) & (land < t_hi)
-        # nearest the feasible end: lowest for a power, highest for a level
-        if self.rising:
-            j = (land := np.where(ok, land, np.inf)).argmin(axis=1)
-        else:
-            j = (land := np.where(ok, land, -np.inf)).argmax(axis=1)
-        at = j + np.arange(0, land.size, land.shape[1])  # flat indices
-        k = np.where(ok.take(at), rows.take(j if rows.ndim == 1 else at), -1)
-        return k[:, None], land.take(at)[:, None]
-
-    def _repick(
-        self, k: np.ndarray, t: np.ndarray, t_lo: np.ndarray | float, t_hi: np.ndarray | float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Picks (k, t) at every level, all columns, made again from the
-        landing point t among the rows of the same mirror side within
-        _NEIGHBORS orders of row k; row k's own step from t is its second.
-        Roots are flat in the order near the binding one, so a pick made far
-        from the flip is often only near it.  Levels without a re-pick keep
-        what they have; a row -1 (no pick) indexes from the end, harmlessly,
-        and its neighbours, all negative, stay unpicked."""
-        side = k - k % self.orders
-        near = np.minimum(np.maximum(k + _NEAR, side), side + (self.orders - 1))
-        k2, t2 = self._pick(t, near, t_lo, t_hi)
-        found = k2 >= 0
-        return np.where(found, k2, k), np.where(found, t2, t)
-
-    def _root(self, k: int, t: float) -> float:
-        """Root in v of f_k - tol inside the bracket, by Newton in t from the
-        guess t, falling back to bisection (or, toward an open end, doubling)
-        when a step leaves what is known of the root.  Once t cannot resolve
-        a step (below 1e-15 |t|: at tiny levels one ulp of t is thousands of
-        ulps of v), Newton goes on in v itself, until a step moves v by a few
-        ulps or stops shrinking, where v's rounding makes f jump by more than
-        the step would fix."""
-        c, ends = float(self.coef[k]), (_logit(self.lo), _logit(self.hi))
+    def _root(self, value: Callable[[float, float, float], tuple[float, float]], t: float) -> float:
+        """Root in v of `value(v, *_ratios(v))`, an (f - tol, df/dt) as from
+        `_row`, by Newton in t from the guess t, bisecting (or doubling toward
+        an open end) where a step leaves what is known of the root.  Once t
+        cannot resolve a step (at tiny levels one ulp of t is thousands of
+        ulps of v), Newton goes on in v, until a step moves v by a few ulps
+        or stops shrinking, where v's rounding makes f jump by more."""
+        ends = (_logit(self.lo), _logit(self.hi))
         t_pass, t_fail = ends if self.rising else ends[::-1]
         (t, v), last = _inside(t), math.inf
         for _ in range(_NEWTON_STEPS):
-            f, w = self._row(k, v, *self._ratios(v))
+            f, slope = value(v, *self._ratios(v))
             t_pass, t_fail = (t_pass, t) if f > 0.0 else (t, t_fail)
-            slope = c * ((1.0 - v) * w - v * (1.0 - w))
             step = -f / slope if slope != 0.0 else math.nan
             if abs(step) <= max(1e-15 * abs(t), 2.0**-50 / (1.0 - v)):  # t cannot resolve it
                 dv = v * (1.0 - v) * step
@@ -546,33 +322,21 @@ class _Flip:
                 continue
             nxt = t + step
             if not min(t_pass, t_fail) < nxt < max(t_pass, t_fail):
-                if math.isinf(t_fail):
-                    nxt = t + (t - t_pass) + math.copysign(1.0, t_fail)
-                else:
-                    nxt = 0.5 * (t_pass + t_fail)
-            t, v = _inside(nxt)
+                nxt = 0.5 * (t_pass + t_fail) if math.isfinite(t_fail) else t + (t - t_pass) + math.copysign(1.0, t_fail)
+            prev, (t, v) = v, _inside(nxt)
+            if v == prev:  # held at an end of (0, 1), where f keeps its sign
+                return v
         return v
 
 
-#: Iteration caps: Newton steps of one root; rounds of `_Flip._settle` that
-#: solve a row before the full check is bisected.
+#: Iteration cap of a root and of `_most_violated`, which stops once a step
+#: in ln |x| is below _ORDER_TOL (the next would be near its square) and
+#: looks no further out than |x| = e^_LN_X_MAX.  A row's error bound is
+#: _ETA = 32 eps times the sums in `_Flip._row`, twice what rounding reaches.
 _NEWTON_STEPS = 60
-_NEWTON_ROUNDS = 16
-
-#: The first pick looks at every _STRIDE-th order; the picked row's neighbors
-#: within _NEIGHBORS orders are then looked at from where it lands.
-_STRIDE = 64
-_NEIGHBORS = 64
-_NEAR = np.arange(-_NEIGHBORS, _NEIGHBORS + 1)
-
-#: A row's error bound is _ETA = 32 eps times the sums in `_Flip._row`, twice
-#: what rounding can reach.  The screen's band is
-#: _BAND (1 + alpha_max |ln u + ln(1 - u) + ln v + ln(1 - v)|): near L the
-#: log form errs by at most 5 eps times the second factor, and twice a row's
-#: bound is at most 10 _ETA = 320 eps times it, so 512 eps covers both.
+_ORDER_TOL = 1e-5
+_LN_X_MAX = 40.0
 _ETA = 2.0**-48
-_BAND = 2.0**-44
-_LN2 = math.log(2.0)
 
 
 def _log_ratio(p: float, q: float, diff: float) -> float:
@@ -582,20 +346,78 @@ def _log_ratio(p: float, q: float, diff: float) -> float:
     return math.log(p) - math.log(q) if math.isinf(r) else r
 
 
+def _tilt(a: float, x: float) -> tuple[float, float, float]:
+    """(phi(x) - a, phi'(x), phi''(x)) for phi(x) = h(x) / x, h(x) =
+    ln(1 - a + a e^x) a Bernoulli(a) cumulant function: a row's divergence
+    ln(P1 + P2) / lam is E2 / lam + delta phi(lam delta), delta = ln(a / b)
+    - ln((1 - a) / (1 - b)).  For a > 1/2 it uses phi_a(x) = 1 - phi_(1-a)(-x),
+    and near x = 0, where the closed forms cancel, the cumulants' series."""
+    sign = 1.0
+    if a > 0.5:
+        a, x, sign = 1.0 - a, -x, -1.0
+    q = a * (1.0 - a)
+    if abs(x) < 1e-3:
+        k3, k4 = q * (1.0 - 2.0 * a), q * (1.0 - 6.0 * q)
+        p0 = x * (q / 2.0 + x * (k3 / 6.0 + x * k4 / 24.0))
+        return sign * p0, q / 2.0 + x * (k3 / 3.0 + x * k4 / 8.0), sign * (k3 / 3.0 + x * k4 / 4.0)
+    if x > 0.0:  # h = x + ln(a + e), and x w - h = -x w_bar - ln(a + e) keeps its digits
+        e = (1.0 - a) * math.exp(-x)
+        w, w_bar, ln_ae = a / (a + e), e / (a + e), math.log(a + e)
+        p0, p1 = 1.0 - a + ln_ae / x, (-x * w_bar - ln_ae) / (x * x)
+    else:
+        e = a * math.expm1(x)
+        h, w, w_bar = math.log1p(e), (a + e) / (1.0 + e), (1.0 - a) / (1.0 + e)
+        p0, p1 = h / x - a, (x * w - h) / (x * x)
+    return sign * p0, p1, sign * (w * w_bar - 2.0 * p1) / x
+
+
+def _most_violated(a: float, dd: float, rho: float, x: float) -> float:
+    """x = lam delta at the order where a zCDP row at (a, delta) over lam,
+    F(lam) = R(lam) - rho (1 + lam), is largest, from a guess x (0.0 for
+    none); 0.0 for lam -> 0, the KL row.  F' = delta^2 phi'(x) - rho
+    (`_tilt`), and phi' rises to one peak and falls to 0 as 1 / x^2 on
+    either side, so away from lam = 0 F peaks where phi' falls through
+    c = rho / delta^2 along delta's sign: Newton in s = ln |x| on
+    ln(phi' / c), nearly linear there, inside the bracket its sign gives.
+    Where phi'(0) <= c, F falls from lam = 0 first: a point where phi'
+    still rises and is below c ends the search, and F(x) is set against
+    F(0)."""
+    ln_c = math.log(rho) - 2.0 * math.log(abs(dd))
+    rises = math.log(a) + math.log1p(-a) - math.log(2.0) > ln_c  # phi'(0) = a (1 - a) / 2 > c
+    if not rises and (a < 0.5) != (dd > 0.0):
+        return 0.0  # phi' only falls from phi'(0) along delta's sign
+    if not x:  # where phi' falls as -ln(a) / x^2 (x > 0) or as -ln(1 - a) / x^2
+        x = dd * math.exp(0.5 * (math.log(-(math.log(a) if dd > 0.0 else math.log1p(-a))) - math.log(rho)))
+    s, lo, hi = min(math.log(abs(x)), _LN_X_MAX), -math.inf, math.inf  # phi' > c left of lo
+    for _ in range(_NEWTON_STEPS):
+        x = math.copysign(math.exp(s), dd)
+        p0, p1, p2 = _tilt(a, x)
+        g, slope = (math.log(p1) - ln_c, x * p2 / p1) if p1 > 0.0 else (-math.inf, -1.0)
+        if g > 0.0 and s >= _LN_X_MAX:
+            break  # F still rises at the largest order looked at
+        if not (g > 0.0 or slope < 0.0):
+            return 0.0
+        lo, hi = (s, hi) if g > 0.0 else (lo, s)
+        step = min(max(-g / slope, -2.0), 2.0) if slope < 0.0 else 1.0
+        if abs(step) <= _ORDER_TOL:
+            x = math.copysign(math.exp(s + step), dd)
+            break
+        nxt = min(s + step, _LN_X_MAX)  # else bisect, or step out toward an open end
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi) if math.isfinite(lo + hi) else s + math.copysign(1.0, step)
+    # F(x) - F(0) = delta (phi(x) - a) - rho x / delta
+    return x if rises or dd * p0 > rho * x / dd else 0.0
+
+
 def _logit(v: float) -> float:
     return -math.inf if v <= 0.0 else math.inf if v >= 1.0 else math.log(v) - math.log1p(-v)
 
 
-def _expit(t: float) -> float:
-    e = math.exp(-abs(t))
-    return 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
-
-
 def _inside(t: float) -> tuple[float, float]:
-    """(t, v) with v = expit(t), where the floats of (0, 1) nearest the ends
-    stand for the ends, and t moves with v onto them: a t far outside their
-    logits would stall Newton's steps and bisections."""
-    v = _expit(t)
+    """(t, v) with v = expit(t), the floats of (0, 1) nearest the ends
+    standing for them, t moved with v: a t far outside their logits would
+    stall Newton's steps and bisections."""
+    e = math.exp(-abs(t))
+    v = 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
     if 5e-324 <= v <= 1.0 - 2.0**-53:
         return t, v
     v = min(max(v, 5e-324), 1.0 - 2.0**-53)
@@ -612,7 +434,8 @@ def _vector(x: float | np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class ZcdpNumericBoundCurve(_MomentBoundCurve):
-    """rho-zCDP bound: gamma = rho * alpha at the orders of ALPHA_GRID."""
+    """rho-zCDP bound: gamma = rho * alpha at every order alpha > 1, and the
+    KL row, the limit alpha -> 1, with bound rho."""
 
     rho: float
 
@@ -620,17 +443,41 @@ class ZcdpNumericBoundCurve(_MomentBoundCurve):
         if not self.rho > 0:
             raise ValueError("rho must be positive")
 
-    @cached_property
-    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore"):  # an infinite bound (huge rho) always holds
-            return ALPHA_GRID, self.rho * ALPHA_GRID * (ALPHA_GRID - 1.0)
+    def _flip(self, flip: _Flip) -> float:
+        """The tighter side's flip, each at the order its search picks."""
+        sides = (self._search(flip, mirror) for mirror in (False, True))
+        return (min if flip.rising else max)(flip._row_flip(row, v) for v, row in sides)
+
+    def _search(self, flip: _Flip, mirror: bool) -> tuple[float, tuple[float, bool, float]]:
+        """(v, row): one side's (`mirror` or not) row at the order whose flip
+        is tightest, and the root v of its flip.  The side's rows over
+        lam = alpha - 1 are F(lam) = R(lam) - rho (1 + lam), R the two-point
+        divergence of order alpha, F(0) the KL row; v is feasible iff the
+        largest F is <= 0.  From the KL row's root, `_root` finds where that
+        largest F (`_most_violated`) is 0, with its own row's slope in t
+        (the envelope theorem).  Any order is sound; the search decides tightness."""
+        rho, u = float(self.rho), flip.u
+        kl = (0.0, mirror, rho)
+        chosen = [0.0, kl]
+
+        def largest(v: float, d1: float, d2: float) -> tuple[float, float]:
+            a, dd = (v, d2 - d1) if mirror else (u, d1 - d2)
+            x = _most_violated(a, dd, rho, chosen[0]) if dd else 0.0  # dd = 0: v is u to rounding
+            lam = x / dd if x else 0.0
+            chosen[0], chosen[1] = x or chosen[0], (lam, mirror, rho * lam * (1.0 + lam)) if x else kl
+            return flip._row(chosen[1], v, d1, d2)
+
+        v = flip._root(lambda v, d1, d2: flip._row(kl, v, d1, d2), flip.start(math.sqrt(2.0 * rho)))
+        return flip._root(largest, _logit(v)), chosen[1]
 
     inverse_type2 = _MomentBoundCurve.inverse_type2
 
 
 @dataclass(frozen=True)
 class RdpNumericBoundCurve(_MomentBoundCurve):
-    """Bound from a set of (alpha, gamma) RDP points."""
+    """Bound from a set of (alpha, gamma) RDP points: the tightest of their
+    rows' flips, each from the Gaussian mechanism that meets its point (of
+    divergence alpha mu^2 / 2)."""
 
     points: tuple[tuple[float, float], ...]
 
@@ -641,10 +488,12 @@ class RdpNumericBoundCurve(_MomentBoundCurve):
         if not all(1.0 < a < math.inf and g >= 0.0 for a, g in self.points):
             raise ValueError("RDP points need a finite alpha > 1 and gamma >= 0")
 
-    @cached_property
-    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        alphas, gammas = np.array(self.points, dtype=float).T
-        return alphas, gammas * (alphas - 1.0)
+    def _flip(self, flip: _Flip) -> float:
+        return (min if flip.rising else max)(
+            flip._row_flip(row, flip._root(lambda v, d1, d2: flip._row(row, v, d1, d2), flip.start(math.sqrt(2.0 * g / a))))
+            for a, g in self.points
+            for row in ((a - 1.0, mirror, g * (a - 1.0)) for mirror in (False, True))
+        )
 
     inverse_type2 = _MomentBoundCurve.inverse_type2
 

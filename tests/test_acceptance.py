@@ -63,7 +63,7 @@ from published import (
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
-GOLDEN_DIR = GOLDENS / "v1"
+MC_GOLDEN = "mc-production-n2000-seed1.csv"
 
 
 # --- criterion 1: pure-DP power table ------------------------------------------------
@@ -178,8 +178,12 @@ GOLDEN_SPECS = {
 #: failing end of a 2^-40 certificate, where v1 was the passing end of a
 #: 1e-6 bisection bracket; v3 certifies it with the ratio-form check, whose
 #: slack is its own error bound instead of a fixed 1e-12 in log space; v4 is
-#: that check's flip to the last float, with no certificate above it.
-GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v4"}
+#: that check's flip to the last float over 2,000 orders in (1.0001, 200],
+#: with no certificate above it; v5 is the flip of the one order that a
+#: search over the continuous order alpha >= 1 finds binding, the
+#: Kullback-Leibler limit alpha -> 1 included, up to 3.05e-5 below v4.  The
+#: MC golden's v5 starts its curve at (0, 0): only its level-0 row moved.
+GOLDEN_VERSIONS = {"tradeoff-zcdp-rho2.63.csv": "v5", MC_GOLDEN: "v5"}
 
 
 def test_criterion_4_golden_curves_regenerate_bit_identically():
@@ -247,15 +251,39 @@ def test_zcdp_bound_v4_golden_lies_just_below_v3():
     assert all(power >= gaussian_exact_power(mu, level) for level, power in v4.tolist())
 
 
+def test_zcdp_bound_v5_golden_lies_at_or_below_v4():
+    # the continuous order: every power stays or falls, by at most the
+    # 2,000-order grid's gap at the Kullback-Leibler end (3.05e-5 at 0.05)
+    name = "tradeoff-zcdp-rho2.63.csv"
+    v4, v5 = (np.loadtxt(GOLDENS / v / name, delimiter=",", skiprows=1) for v in ("v4", "v5"))
+    assert np.array_equal(v4[:, 0], v5[:, 0])
+    assert np.all(v5[:, 1] <= v4[:, 1])
+    drop = v4[:, 1] - v5[:, 1]
+    assert drop.max() <= 3.05e-5 and v5[drop.argmax(), 0] == 0.05
+    # and at or above the power of the Gaussian mechanism that meets 2.63-zCDP
+    mu = math.sqrt(2.0 * 2.63)
+    assert all(power >= gaussian_exact_power(mu, level) for level, power in v5.tolist())
+
+
 def test_mc_golden_regenerates_bit_identically(tmp_path):
-    name = "mc-production-n2000-seed1.csv"
-    out = tmp_path / name
+    out = tmp_path / MC_GOLDEN
     argv = ["mc", "production", "--n", "2000", "--seed", "1", "--out", str(out)]
     result = CliRunner().invoke(cli_main, argv, catch_exceptions=False)
     assert result.exit_code == 0
     for suffix in ("", ".manifest.json"):
-        frozen = (GOLDEN_DIR / (name + suffix)).read_bytes()
-        assert Path(f"{out}{suffix}").read_bytes() == frozen, f"golden drift in {name}{suffix}"
+        frozen = (GOLDENS / GOLDEN_VERSIONS[MC_GOLDEN] / (MC_GOLDEN + suffix)).read_bytes()
+        assert Path(f"{out}{suffix}").read_bytes() == frozen, f"golden drift in {MC_GOLDEN}{suffix}"
+
+
+def test_mc_golden_v5_differs_from_v1_only_at_level_0():
+    # the empirical curve now starts at (0, 0); every other row and the
+    # manifest are the v1 bytes
+    v1, v5 = ((GOLDENS / v / MC_GOLDEN).read_text(encoding="utf-8").splitlines() for v in ("v1", "v5"))
+    assert len(v1) == len(v5)
+    assert [i for i, (a, b) in enumerate(zip(v1, v5)) if a != b] == [1]
+    assert (v1[1], v5[1]) == ("0.0,0.133,0.00759312188760328", "0.0,0.0,0.0005")
+    manifest = MC_GOLDEN + ".manifest.json"
+    assert (GOLDENS / "v1" / manifest).read_bytes() == (GOLDENS / "v5" / manifest).read_bytes()
 
 
 # --- criterion 5: plrv closed forms ------------------------------------------------------
