@@ -18,7 +18,7 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import click
 
@@ -203,29 +203,23 @@ def _json_number(x: float) -> str:
 EPS_DELTA, DELTA_EPS, LEVEL_POWER = ("eps", "delta"), ("delta", "eps"), ("level", "power")
 
 
-def _each(point: Callable[[float], float]) -> Callable[[list[float]], list[float]]:
-    """A curve sampled point by point."""
-    return lambda xs: list(map(point, xs))
-
-
-#: kind -> (parameter, default grid, header, parameter -> (grid -> values)).
+#: kind -> (parameter, default grid, header, parameter -> (grid point -> value)).
 #: A "mu" parameter comes from --mu, or from --rho as mu = sqrt(2 rho).
 CURVES = {
     "adp-gaussian":
-        ("mu", "0:12:200", EPS_DELTA, lambda m: _each(accountants.adp_gaussian_curve(m).delta)),
+        ("mu", "0:12:200", EPS_DELTA, lambda m: accountants.adp_gaussian_curve(m).delta),
     "pbdp-gaussian":
-        ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: _each(partial(accountants.gaussian_pbdp_epsilon, m))),
+        ("mu", "1e-6:0.5:200", DELTA_EPS, lambda m: partial(accountants.gaussian_pbdp_epsilon, m)),
     "zcdp-bound":
-        ("rho", "0:30:200", EPS_DELTA, lambda r: _each(partial(accountants.zcdp_to_delta, r))),
+        ("rho", "0:30:200", EPS_DELTA, lambda r: partial(accountants.zcdp_to_delta, r)),
     "tradeoff-pure":
-        ("eps", "0:1:101", LEVEL_POWER, lambda e: _each(partial(pure_dp_power_bound, e))),
+        ("eps", "0:1:101", LEVEL_POWER, lambda e: partial(pure_dp_power_bound, e)),
     "tradeoff-gaussian":
-        ("mu", "0:1:101", LEVEL_POWER, lambda m: _each(partial(gaussian_exact_power, m))),
-    # one call locates every level at once; tolist() gives Python floats
+        ("mu", "0:1:101", LEVEL_POWER, lambda m: partial(gaussian_exact_power, m)),
     "tradeoff-zcdp":
-        ("rho", "0:1:101", LEVEL_POWER, lambda r: lambda xs: zcdp_power_bound(r, xs).tolist()),
-    "bayes-known-rest": ("rho", "0:30:200", EPS_DELTA, lambda r: _each(partial(
-        bayes.bayes_known_rest_delta, accountants.ZcdpProfile(r)))),
+        ("rho", "0:1:101", LEVEL_POWER, lambda r: partial(zcdp_power_bound, r)),
+    "bayes-known-rest": ("rho", "0:30:200", EPS_DELTA, lambda r: partial(
+        bayes.bayes_known_rest_delta, accountants.ZcdpProfile(r))),
 }
 # labels on the frequentist curves the paper's Bayesian theorems equate
 # them with (see the bayes module docstring)
@@ -259,7 +253,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def curve(kind, mu, rho, eps, grid, fmt, out) -> None:
     """Sample one semantic curve onto a grid and serialize it."""
-    param, default_grid, header, grid_fn = CURVES[kind]
+    param, default_grid, header, point_fn = CURVES[kind]
     for name, given in (("mu", mu), ("rho", rho), ("eps", eps)):
         if given is not None and name not in (param, "rho" if param == "mu" else param):
             raise click.UsageError(f"{kind} does not read --{name}")
@@ -269,7 +263,7 @@ def curve(kind, mu, rho, eps, grid, fmt, out) -> None:
     if param == "rho" and not value > 0:
         raise ValueError("rho must be positive")
     xs = grid or GRID.convert(default_grid, None, None)
-    points = list(zip(xs, grid_fn(value)(xs)))
+    points = list(zip(xs, map(point_fn(value), xs)))
     _write_text(out, _render_points(points, header, fmt, kind))
 
 
@@ -294,8 +288,8 @@ def tables() -> None:
     click.echo(f"production release, rho = {rho:g}")
     click.echo("level    gaussian   zcdp-bound")
     mu = _mu_from(None, rho)
-    for level, bound in zip(LEVELS_TABLE, zcdp_power_bound(rho, LEVELS_TABLE).tolist()):
-        click.echo(f"{level:<9.2f}{gaussian_exact_power(mu, level):<11.2f}{bound:<10.2f}")
+    for level in LEVELS_TABLE:
+        click.echo(f"{level:<9.2f}{gaussian_exact_power(mu, level):<11.2f}{zcdp_power_bound(rho, level):<10.2f}")
     click.echo("")
 
     click.echo("scenario rho and power at levels 0.01 / 0.05 / 0.10")

@@ -1,12 +1,12 @@
 """Significance-level vs. power trade-off curves.
 
-Each curve maps a significance level in [0, 1] to the maximal power any
-test distinguishing two neighbors can achieve under the stated privacy
-guarantee.  Closed forms cover pure and approximate DP and the Gaussian
-mechanism; RDP and zCDP admit only numeric bounds, each the flip of one
-Renyi moment constraint to the last float (for zCDP at the order that a
-search over alpha >= 1 finds binding); finite mechanisms get their exact
-Neyman-Pearson curve.
+Each curve maps a significance level in [0, 1], one per call, to the
+maximal power any test distinguishing two neighbors can achieve under the
+stated privacy guarantee.  Closed forms cover pure and approximate DP and
+the Gaussian mechanism; RDP and zCDP admit only numeric bounds, each the
+flip of one Renyi moment constraint to the last float (for zCDP the
+tighter side's, at the order that a search over alpha >= 1 finds binding
+on each side); finite mechanisms get their exact Neyman-Pearson curve.
 """
 
 from __future__ import annotations
@@ -60,15 +60,15 @@ def gaussian_exact_power(mu: float, level: float) -> float:
     return phi(mu + phi_inv(level))
 
 
-def rdp_power_bound(points: Iterable[tuple[float, float]], level: float | np.ndarray) -> float | np.ndarray:
-    """Maximal power consistent with a set of (alpha, gamma) RDP bounds, at a
-    level or at each of a 1-D array of levels."""
+def rdp_power_bound(points: Iterable[tuple[float, float]], level: float) -> float:
+    """Maximal power at a given level consistent with a set of (alpha, gamma)
+    RDP bounds."""
     return RdpNumericBoundCurve(tuple(points)).power(level)
 
 
-def zcdp_power_bound(rho: float, level: float | np.ndarray) -> float | np.ndarray:
-    """Maximal power consistent with rho-zCDP, i.e. gamma = rho * alpha, at a
-    level or at each of a 1-D array of levels."""
+def zcdp_power_bound(rho: float, level: float) -> float:
+    """Maximal power at a given level consistent with rho-zCDP, i.e. gamma =
+    rho * alpha."""
     return ZcdpNumericBoundCurve(rho).power(level)
 
 
@@ -185,36 +185,27 @@ class _MomentBoundCurve(TradeoffCurve):
     + (1-level)^a (1-power)^(1-a), and its mirror image, stay below e^L,
     L = (a-1) gamma.  At a fixed level each row holds from the level up to
     its own flip, so any row's flip is a sound bound; a subclass picks the
-    row (`_flip`).  Each value of a float or 1-D array is solved alone, so
-    an array call answers each as its float call does.  Exact is the row's
-    flip, to the last float; approximate is how near the row is to the
-    tightest one."""
+    row (`_flip`).  Exact is the row's flip, to the last float; approximate
+    is how near the row is to the tightest one."""
 
-    def power(self, level: float | np.ndarray) -> float | np.ndarray:
-        """Power bound at a level, or at each of a 1-D array of levels: the
-        chosen row fails there and holds at the float below (or that float
-        is the level).  Level 0 admits only power 0, level 1 any power."""
-        levels, scalar = _vector(level)
-        if not ((levels >= 0.0) & (levels <= 1.0)).all():  # NaN fails both
-            raise ValueError("significance level must lie in [0, 1]")
-        out = levels + 0.0  # levels 0 and 1 are their own powers, and -0.0 becomes 0.0
-        inner = (levels > 0.0) & (levels < 1.0)
-        out[inner] = [self._flip(_Flip(u, True)) for u in levels[inner].tolist()]
-        return float(out[0]) if scalar else out
+    def power(self, level: float) -> float:
+        """Power bound at a level: the chosen row fails there and holds at
+        the float below (or that float is the level).  Level 0 admits only
+        power 0, level 1 any power."""
+        _check_level(level)
+        # levels 0 and 1 are their own powers, and -0.0 becomes 0.0
+        return self._flip(_Flip(level, True)) if 0.0 < level < 1.0 else level + 0.0
 
-    def inverse_type2(self, z: float | np.ndarray) -> float | np.ndarray:
-        """Generalized inverse inf{y : 1 - power(y) <= z}, at a z or at each of
-        a 1-D array of them: the smallest level at which power 1 - z is
-        feasible, without calling `power` (feasibility grows with the level,
-        and level 1 - z is feasible).  The chosen row holds at the returned
-        level and fails at the float below it (or that is 0).  NaN gives NaN."""
-        zs, scalar = _vector(z)
-        w = 1.0 - zs
-        # power 1 (or more) is feasible only at level 1
-        out = np.where(zs >= 1.0, 0.0, np.minimum(w, 1.0))
-        inner = (zs < 1.0) & (w < 1.0)
-        out[inner] = [self._flip(_Flip(u, False)) for u in w[inner].tolist()]
-        return float(out[0]) if scalar else out
+    def inverse_type2(self, z: float) -> float:
+        """Generalized inverse inf{y : 1 - power(y) <= z}: the smallest level
+        at which power 1 - z is feasible, without calling `power`
+        (feasibility grows with the level, and level 1 - z is feasible).  The
+        chosen row holds at the returned level and fails at the float below
+        it (or that is 0).  NaN gives NaN."""
+        if z >= 1.0:  # power 1 (or more) is feasible only at level 1
+            return 0.0
+        w = 1.0 - z
+        return self._flip(_Flip(w, False)) if w < 1.0 else min(w, 1.0)
 
 
 class _Flip:
@@ -230,6 +221,7 @@ class _Flip:
     as every term is exactly 0 there and L >= 0."""
 
     def __init__(self, u: float, rising: bool) -> None:
+        u = float(u)  # numpy scalar arithmetic would warn where a float overflows quietly
         self.u, self.rising = u, rising
         self.lo, self.hi = (u, 1.0) if rising else (0.0, u)
 
@@ -422,14 +414,6 @@ def _inside(t: float) -> tuple[float, float]:
         return t, v
     v = min(max(v, 5e-324), 1.0 - 2.0**-53)
     return _logit(v), v
-
-
-def _vector(x: float | np.ndarray) -> tuple[np.ndarray, bool]:
-    """x as a 1-D float array, and whether it was a scalar."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("expected a float or a 1-D array")
-    return xs.reshape(-1), xs.ndim == 0
 
 
 @dataclass(frozen=True)

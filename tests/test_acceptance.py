@@ -169,8 +169,10 @@ GOLDEN_SPECS = {
     "zcdp-bound-rho2.63.csv": ["curve", "zcdp-bound", "--rho", "2.63", "--grid", "0:30:200"],
     "bayes-known-rest-rho2.63.csv": ["curve", "bayes-known-rest", "--rho", "2.63", "--grid", "0:30:200"],
     "bayes-arbitrary-rho2.63.csv": ["curve", "bayes-arbitrary", "--rho", "2.63", "--grid", "0:30:200"],
-    # the one golden on a numeric path: the moment-constraint power bound
+    # on the numeric path: the moment-constraint power bound, and the
+    # tables' zcdp-bound column
     "tradeoff-zcdp-rho2.63.csv": ["curve", "tradeoff-zcdp", "--rho", "2.63"],
+    "tables.txt": ["tables"],
 }
 
 #: The version each file is checked against, where it is not v1; write a new
